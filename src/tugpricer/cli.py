@@ -14,8 +14,9 @@ their artifacts into ``--out`` and echo the fully defaulted configuration to
 canonical resolved config, and reruns with identical config, seed and any
 ``--threads`` value are byte-identical.
 
-Exit codes: 0 ok, 2 configuration or contract error, 3 numerical
-precondition (CFL / displacement margin), 4 payoff certification failure.
+Exit codes: 0 ok, 2 configuration or contract error or unwritable output,
+3 numerical precondition (CFL / displacement margin / DPP query budget),
+4 payoff certification failure.
 """
 
 from __future__ import annotations
@@ -585,9 +586,9 @@ def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> None:
         fh.write(f"# config_digest={cfg.digest}\n")
         fh.write("input,m,err_plus,err_minus,norm_M\n")
         for k, m in enumerate(ops["m_ladder"]):
-            for i in range(B):
-                fh.write(f"{i},{m:.17g},{err_plus[k][i]:.17g},"
-                         f"{err_minus[k][i]:.17g},{norm_M[i]:.17g}\n")
+            block = np.column_stack([np.arange(B), np.full(B, m), err_plus[k],
+                                     err_minus[k], norm_M])
+            np.savetxt(fh, block, fmt="%d,%.17g,%.17g,%.17g,%.17g")
     report = {
         "command": "check-operators",
         "n": n,
@@ -603,8 +604,8 @@ def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> None:
 
 def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> None:
     _certify(cfg)
-    surface = pde.solve_terminal_value(cfg.payoff, cfg.params, cfg.solver, cfg.grid)
     tables = _solve_tables(cfg)
+    surface = pde.solve_terminal_value(cfg.payoff, cfg.params, cfg.solver, cfg.grid)
     pts = _points(cfg)
     band = np.sqrt(5.0) * cfg.params.sigma * np.sqrt(cfg.params.T)
     inner = pde.interior_mask(cfg.grid, band)
@@ -691,7 +692,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except PricingError as exc:
+    except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

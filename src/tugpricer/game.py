@@ -29,6 +29,9 @@ from .market import MarketParams, Payoff, _as_vector
 Array = np.ndarray
 
 _BLOCK = 8192  # paths per work block; fixed so partitioning never affects results
+# cap on the interpolation query coordinates of one DPP sweep; a sweep peaks
+# near 75 bytes of scratch per coordinate, so this bounds it near 1.3 GB
+_DPP_QUERY_BUDGET = 1 << 24
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -427,6 +430,18 @@ def _margin_check(spec: pde.GridSpec, params: MarketParams, m: float, dt: float)
         )
 
 
+def _query_check(spec: pde.GridSpec, dirs: DirectionSet) -> None:
+    """Refuse a DPP sweep whose query array would exceed the memory budget."""
+    nodes = int(np.prod(spec.nx))
+    coords = nodes * (2 * dirs.count) ** 2 * (1 << (spec.n + 1)) * spec.n
+    if coords > _DPP_QUERY_BUDGET:
+        raise PreconditionError(
+            f"backward induction needs {coords:.3g} query coordinates per step "
+            f"({nodes} nodes, {dirs.count} directions), over the budget of "
+            f"{_DPP_QUERY_BUDGET:.3g}; lower game.n_dirs or grid.nx"
+        )
+
+
 def _coin_matrix(n: int) -> Array:
     """All 2^(n+1) sign vectors, one row per scenario."""
     count = 1 << (n + 1)
@@ -447,6 +462,7 @@ def dpp_step(values_next: Array, t_next: float, spec: pde.GridSpec, dt: float,
         raise ValidationError("side must be 'plus' or 'minus'")
     n = spec.n
     _margin_check(spec, params, m, dt)
+    _query_check(spec, dirs)
     D = dirs.dirs
     K = D.shape[0]
     dvals = np.array([0.0, m])
@@ -504,6 +520,7 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
         raise ValidationError("nt must be >= 1")
     dt = params.T / nt
     _margin_check(spec, params, m, dt)
+    _query_check(spec, dirs)
     values = np.empty((nt + 1, *spec.nx))
     values[nt] = np.asarray(payoff.values(spec.points()), dtype=float).reshape(spec.nx)
     for k in range(nt, 0, -1):
@@ -546,10 +563,9 @@ def write_value_table_csv(path, tables: GameValueTables,
         for side, arr in (("minus", tables.u_minus), ("plus", tables.u_plus)):
             if arr is None:
                 continue
+            block = np.empty((pts.shape[0], n + 2))
+            block[:, 1:n + 1] = pts
             for k in range(spec.nt, -1, -1):
-                block = np.empty((pts.shape[0], n + 2))
                 block[:, 0] = k * tables.dt
-                block[:, 1:n + 1] = pts
                 block[:, n + 1] = arr[k].reshape(-1)
-                for row in block:
-                    fh.write(",".join(f"{v:.17g}" for v in row) + f",{side}\n")
+                np.savetxt(fh, block, fmt=",".join(["%.17g"] * (n + 2)) + f",{side}")

@@ -189,7 +189,7 @@ def _augment(dirs: Array, p: Array) -> Array:
     return out
 
 
-def _phi_pieces(xi: Array, p: Array, M: Array, params, dirs: Array):
+def _phi_pieces(p: Array, M: Array, params, dirs: Array):
     """Shared tensors for the lattice search on a batch of inputs.
 
     Returns D (B,K,n), A (B,K,K) with A[b,i,j] = -1/2 (D_i - D_j)' SMS (D_i - D_j),
@@ -205,23 +205,35 @@ def _phi_pieces(xi: Array, p: Array, M: Array, params, dirs: Array):
     return D, A, c, const
 
 
-def _reduce_values(A: Array, c: Array, m: float, side: str):
-    """sup-inf (side='plus') or inf-sup (side='minus') over the control lattice.
+def _chunks(p: Array, M: Array, params, dirs: DirectionSet):
+    """Yield (rows, D, A, c, const) over consecutive row slices of the batch,
+    each small enough that its (B, K, K) scratch stays near _CHUNK_ELEMS."""
+    p = np.asarray(p, dtype=float)
+    M = np.asarray(M, dtype=float)
+    B = p.shape[0]
+    K = dirs.count + (0 if dirs.n == 1 else 2)
+    chunk = max(1, _CHUNK_ELEMS // max(1, K * K))
+    for start in range(0, B, chunk):
+        rows = slice(start, min(B, start + chunk))
+        yield (rows, *_phi_pieces(p[rows], M[rows], params, dirs.dirs))
 
-    The intensity search is exact: for fixed directions the objective is affine
-    in each d, so only d in {0, m} can attain the optimum.
+
+def _outer_table(A: Array, c: Array, m: float, side: str) -> Array:
+    """What the outer player secures with each of its lattice actions.
+
+    Returns (B, K, 2): entry [b, k, j] is the inner player's best reply value
+    against direction k and intensity j*m.  The outer player is the minus
+    player for side='plus' (sup-inf) and the plus player for side='minus'
+    (inf-sup).  The intensity search is exact: for fixed directions the
+    objective is affine in each d, so only d in {0, m} can attain the optimum.
     """
     s = c[:, :, None] + c[:, None, :]  # s[b, k_plus, k_minus]
     if side == "plus":
         core = A - m * np.maximum(s, 0.0)       # optimal d_plus response
-        inner0 = np.min(core, axis=1)           # d_minus = 0
-        innerm = np.min(core - m * s, axis=1)   # d_minus = m
-        return np.maximum(np.max(inner0, axis=1), np.max(innerm, axis=1))
+        return np.stack([np.min(core, axis=1), np.min(core - m * s, axis=1)], axis=2)
     if side == "minus":
         core = A - m * np.minimum(s, 0.0)       # optimal d_minus response
-        inner0 = np.max(core, axis=2)           # d_plus = 0
-        innerm = np.max(core - m * s, axis=2)   # d_plus = m
-        return np.minimum(np.min(inner0, axis=1), np.min(innerm, axis=1))
+        return np.stack([np.max(core, axis=2), np.max(core - m * s, axis=2)], axis=2)
     raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
@@ -235,19 +247,11 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
                     dirs: DirectionSet, side: str) -> Array:
     """Vectorized bounded operator over a batch of (xi, p, M) triples."""
     m = _check_m(m)
-    xi = np.asarray(xi, dtype=float)
-    p = np.asarray(p, dtype=float)
-    M = np.asarray(M, dtype=float)
-    B = p.shape[0]
-    K = dirs.count + (0 if dirs.n == 1 else 2)
-    chunk = max(1, _CHUNK_ELEMS // max(1, K * K))
-    out = np.empty(B)
-    for start in range(0, B, chunk):
-        stop = min(B, start + chunk)
-        _, A, c, const = _phi_pieces(xi[start:stop], p[start:stop], M[start:stop],
-                                     params, dirs.dirs)
-        out[start:stop] = _reduce_values(A, c, m, side) + const
-    return out + params.r * xi
+    best = np.max if side == "plus" else np.min
+    out = np.empty(np.shape(p)[0])
+    for rows, _, A, c, const in _chunks(p, M, params, dirs):
+        out[rows] = best(_outer_table(A, c, m, side), axis=(1, 2)) + const
+    return out + params.r * np.asarray(xi, dtype=float)
 
 
 def _hm_single(inp: OperatorInput, m: float, params, dirs: DirectionSet, side: str) -> float:
@@ -268,6 +272,14 @@ def hm_minus(inp: OperatorInput, m: float, params, dirs: DirectionSet) -> float:
     return _hm_single(inp, m, params, dirs, "minus")
 
 
+def _reply(a: Array, s: Array, d: Array, m: float, pick):
+    """The inner player's best (direction index, intensity index) against a
+    committed outer action: ``a`` and ``s`` hold that action's slice of A and
+    of s, and ``d`` its intensity."""
+    inner = np.stack([a - d[:, None] * s, a - (d[:, None] + m) * s], axis=2)
+    return np.divmod(pick(inner.reshape(a.shape[0], -1), axis=1), 2)
+
+
 def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
                           dirs: DirectionSet, side: str):
     """Optimal lattice actions for a batch of inputs.
@@ -278,59 +290,28 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     reproduces the corresponding hm value exactly.
     """
     m = _check_m(m)
-    xi = np.asarray(xi, dtype=float)
-    p = np.asarray(p, dtype=float)
-    M = np.asarray(M, dtype=float)
-    B = p.shape[0]
-    K = dirs.count + (0 if dirs.n == 1 else 2)
-    chunk = max(1, _CHUNK_ELEMS // max(1, K * K))
+    B = np.shape(p)[0]
     theta_p = np.empty((B, dirs.n))
     theta_m = np.empty((B, dirs.n))
     d_p = np.empty(B)
     d_m = np.empty(B)
-    for start in range(0, B, chunk):
-        stop = min(B, start + chunk)
-        D, A, c, _ = _phi_pieces(xi[start:stop], p[start:stop], M[start:stop],
-                                 params, dirs.dirs)
-        Bc = stop - start
-        rows = np.arange(Bc)
-        s = c[:, :, None] + c[:, None, :]
+    for rows, D, A, c, _ in _chunks(p, M, params, dirs):
+        table = _outer_table(A, c, m, side).reshape(A.shape[0], -1)
+        idx = np.arange(A.shape[0])
         if side == "plus":
-            # outer: sup over (theta_minus, d_minus)
-            core = A - m * np.maximum(s, 0.0)
-            outer = np.stack([np.min(core, axis=1), np.min(core - m * s, axis=1)], axis=2)
-            flat = np.argmax(outer.reshape(Bc, -1), axis=1)
-            km, jm = np.divmod(flat, 2)
-            dm = m * jm
-            # inner: inf over (theta_plus, d_plus) against the chosen action
+            # outer: sup over (theta_minus, d_minus); inner: inf over (theta_plus, d_plus)
+            km, jm = np.divmod(np.argmax(table, axis=1), 2)
             a_col = np.take_along_axis(A, km[:, None, None], axis=2)[:, :, 0]
-            s_col = c + c[rows, km][:, None]
-            inner = np.stack([a_col - dm[:, None] * s_col,
-                              a_col - (dm[:, None] + m) * s_col], axis=2)
-            flat = np.argmin(inner.reshape(Bc, -1), axis=1)
-            kp, jp = np.divmod(flat, 2)
-            dp = m * jp
-        elif side == "minus":
-            # outer: inf over (theta_plus, d_plus)
-            core = A - m * np.minimum(s, 0.0)
-            outer = np.stack([np.max(core, axis=2), np.max(core - m * s, axis=2)], axis=2)
-            flat = np.argmin(outer.reshape(Bc, -1), axis=1)
-            kp, jp = np.divmod(flat, 2)
-            dp = m * jp
-            # inner: sup over (theta_minus, d_minus) against the chosen action
-            a_row = np.take_along_axis(A, kp[:, None, None], axis=1)[:, 0, :]
-            s_row = c[rows, kp][:, None] + c
-            inner = np.stack([a_row - dp[:, None] * s_row,
-                              a_row - (dp[:, None] + m) * s_row], axis=2)
-            flat = np.argmax(inner.reshape(Bc, -1), axis=1)
-            km, jm = np.divmod(flat, 2)
-            dm = m * jm
+            kp, jp = _reply(a_col, c + c[idx, km][:, None], m * jm, m, np.argmin)
         else:
-            raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
-        theta_p[start:stop] = D[rows, kp]
-        theta_m[start:stop] = D[rows, km]
-        d_p[start:stop] = dp
-        d_m[start:stop] = dm
+            # outer: inf over (theta_plus, d_plus); inner: sup over (theta_minus, d_minus)
+            kp, jp = np.divmod(np.argmin(table, axis=1), 2)
+            a_row = np.take_along_axis(A, kp[:, None, None], axis=1)[:, 0, :]
+            km, jm = _reply(a_row, c[idx, kp][:, None] + c, m * jp, m, np.argmax)
+        theta_p[rows] = D[idx, kp]
+        theta_m[rows] = D[idx, km]
+        d_p[rows] = m * jp
+        d_m[rows] = m * jm
     return theta_p, d_p, theta_m, d_m
 
 

@@ -5,6 +5,10 @@ at T, where G is either the gradient-weighted limit operator or the negated
 bounded operator of either sign.  Marching is explicit Euler on a uniform
 box grid with central differences, a discounted-payoff lateral boundary, and
 a CFL restriction ``dt <= cfl * min h_i^2 / (5 n max sigma_i^2)``.
+
+Under that restriction the step is monotone in 1-D.  For n >= 2 it is not:
+with the four-corner cross term, raising a neighbour value can lower a node's
+next value (ROADMAP item 3 tracks a monotone replacement).
 """
 
 from __future__ import annotations
@@ -184,17 +188,21 @@ def cfl_max_dt(spec: GridSpec, params: MarketParams, cfl: float) -> float:
     return cfl * float(np.min(h) ** 2) / (5.0 * spec.n * float(np.max(params.sigma) ** 2))
 
 
-def resolve_time_steps(spec: GridSpec, params: MarketParams, config: SolverConfig) -> int:
-    """The grid's nt if given (checked against CFL), else the smallest valid nt."""
+def _check_cfl(dt: float, spec: GridSpec, params: MarketParams, config: SolverConfig) -> None:
     dt_max = cfl_max_dt(spec, params, config.cfl)
-    if spec.nt is None:
-        return max(1, int(np.ceil(params.T / dt_max * (1.0 - 1e-12))))
-    dt = params.T / spec.nt
     if dt > dt_max * (1.0 + 1e-12):
         raise PreconditionError(
             f"CFL violated: dt={dt:g} exceeds {dt_max:g} "
             f"(cfl={config.cfl}, min h={np.min(spec.h):g}, max sigma={np.max(params.sigma):g})"
         )
+
+
+def resolve_time_steps(spec: GridSpec, params: MarketParams, config: SolverConfig) -> int:
+    """The grid's nt if given (checked against CFL), else the smallest valid nt."""
+    if spec.nt is None:
+        dt_max = cfl_max_dt(spec, params, config.cfl)
+        return max(1, int(np.ceil(params.T / dt_max * (1.0 - 1e-12))))
+    _check_cfl(params.T / spec.nt, spec, params, config)
     return spec.nt
 
 
@@ -246,25 +254,8 @@ def discrete_derivatives(grid: PriceGrid, node: tuple[int, ...], slice_index: in
                 f"node {node} touches the boundary on axis {a}; derivatives need interior nodes"
             )
     u = grid.values[slice_index]
-    h = grid.spec.h
-    xi = float(u[node])
-    p = np.empty(n)
-    M = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n, dtype=int)
-        e[i] = 1
-        up = float(u[tuple(np.array(node) + e)])
-        dn = float(u[tuple(np.array(node) - e)])
-        p[i] = (up - dn) / (2.0 * h[i])
-        M[i, i] = (up - 2.0 * xi + dn) / h[i] ** 2
-        for j in range(i + 1, n):
-            f = np.zeros(n, dtype=int)
-            f[j] = 1
-            base = np.array(node)
-            cross = (float(u[tuple(base + e + f)]) - float(u[tuple(base + e - f)])
-                     - float(u[tuple(base - e + f)]) + float(u[tuple(base - e - f)]))
-            M[i, j] = M[j, i] = cross / (4.0 * h[i] * h[j])
-    return isaacs.OperatorInput(xi=xi, p=p, M=M)
+    p, M = interior_derivatives(u[tuple(slice(i - 1, i + 2) for i in node)], grid.spec.h)
+    return isaacs.OperatorInput(xi=float(u[node]), p=p.reshape(n), M=M.reshape(n, n))
 
 
 def _limit_values(xi: Array, p: Array, M: Array, params: MarketParams, eps_grad: float) -> Array:
@@ -281,18 +272,20 @@ def _limit_values(xi: Array, p: Array, M: Array, params: MarketParams, eps_grad:
     return lead + 0.5 * trace_s2m + p @ params.mu - params.r * xi
 
 
-def apply_operator(inp: isaacs.OperatorInput, config: SolverConfig, params: MarketParams) -> float:
-    """The term G in ``du/dt + G = 0`` at one point, for the configured mode."""
+def _batched_operator(config: SolverConfig, params: MarketParams):
+    """G(xi, p, M) over a batch of points, for the configured mode."""
+    eps = config.resolved_eps_grad(params)
     if config.mode == "limit_F":
-        eps = config.resolved_eps_grad(params)
-        val = _limit_values(np.array([inp.xi]), inp.p[None, :], inp.M[None, :, :], params, eps)
-        return float(val[0])
+        return lambda xi, p, M: _limit_values(xi, p, M, params, eps)
     dirs = isaacs.DirectionSet.for_dimension(params.n, config.n_dirs)
     side = "plus" if config.mode == "bounded_plus" else "minus"
-    assert config.m is not None
-    val = isaacs.hm_values_batch(np.array([inp.xi]), inp.p[None, :], inp.M[None, :, :],
-                                 config.m, params, dirs, side)
-    return float(-val[0])
+    return lambda xi, p, M: -isaacs.hm_values_batch(xi, p, M, config.m, params, dirs, side)
+
+
+def apply_operator(inp: isaacs.OperatorInput, config: SolverConfig, params: MarketParams) -> float:
+    """The term G in ``du/dt + G = 0`` at one point, for the configured mode."""
+    op = _batched_operator(config, params)
+    return float(op(np.array([inp.xi]), inp.p[None, :], inp.M[None, :, :])[0])
 
 
 class _Workspace:
@@ -306,7 +299,6 @@ class _Workspace:
             raise ValidationError("solver supports at most 4 spatial dimensions")
         self.spec = spec
         self.params = params
-        self.config = config
         self.h = spec.h
         self.points = spec.points()
         self.terminal = np.asarray(payoff.values(self.points), dtype=float).reshape(spec.nx)
@@ -321,18 +313,7 @@ class _Workspace:
         self.boundary_payoff = self.terminal[mask]
         self.interior_points = self.points.reshape(*spec.nx, spec.n)[
             tuple(slice(1, -1) for _ in range(spec.n))].reshape(-1, spec.n)
-        self.eps_grad = config.resolved_eps_grad(params)
-        if config.mode == "limit_F":
-            self.dirs = None
-        else:
-            self.dirs = isaacs.DirectionSet.for_dimension(spec.n, config.n_dirs)
-
-    def operator(self, xi: Array, p: Array, M: Array) -> Array:
-        if self.config.mode == "limit_F":
-            return _limit_values(xi, p, M, self.params, self.eps_grad)
-        side = "plus" if self.config.mode == "bounded_plus" else "minus"
-        assert self.dirs is not None and self.config.m is not None
-        return -isaacs.hm_values_batch(xi, p, M, self.config.m, self.params, self.dirs, side)
+        self.operator = _batched_operator(config, params)
 
     def step(self, values_next: Array, t_next: float, dt: float) -> Array:
         n = self.spec.n
@@ -359,10 +340,7 @@ def step_backward(values_next: Array, t_next: float, payoff: Payoff, params: Mar
         if spec.nt is None:
             raise ValidationError("dt is required when the grid does not fix nt")
         dt = params.T / spec.nt
-    if dt > cfl_max_dt(spec, params, config.cfl) * (1.0 + 1e-12):
-        raise PreconditionError(
-            f"CFL violated: dt={dt:g} exceeds {cfl_max_dt(spec, params, config.cfl):g}"
-        )
+    _check_cfl(dt, spec, params, config)
     ws = _Workspace(payoff, params, config, spec)
     vals = np.asarray(values_next, dtype=float)
     if vals.shape != spec.nx:

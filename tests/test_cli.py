@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -197,6 +198,30 @@ class TestExitCodes:
         code = run_cli("simulate", cfg, tmp_path / "cert")
         assert code == 4
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_is_an_existing_file_returns_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(grid={"nx": 11})))
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        code = cli.main(["price", "--config", str(cfg_path), "--out", str(blocker)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_output_subdirectory_returns_2(self, run_cli, tmp_path, capsys):
+        cfg = base_config(grid={"nx": 11}, outputs={"surface_path": "sub/s.csv"})
+        assert run_cli("price", cfg, tmp_path / "sub_out") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_oversized_backward_induction_returns_3(self, run_cli, tmp_path, capsys):
+        # default 2-D grid (101^2) and direction count: refused before any sweep
+        cfg = {"market": {"sigma": [0.2, 0.2], "T": 1.0},
+               "payoff": {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K}}
+        start = time.perf_counter()
+        assert run_cli("game-value", cfg, tmp_path / "budget") == 3
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "game.n_dirs" in err and "grid.nx" in err
 
     def test_point_outside_box_returns_2(self, run_cli, tmp_path):
         cfg = base_config(grid={"lo": [LOG_K - 2], "hi": [LOG_K + 2], "nx": 11},

@@ -192,6 +192,17 @@ class TestDiscreteGame:
         oracle = put_value_oracle(LOG_K, K, 4.0 * params.sigma[0] ** 2 * params.T)
         assert abs(est.mean - oracle) < 3.0 * est.stderr
 
+    def test_running_cost_left_riemann_sum(self):
+        params = params_1d(r=0.1, running_cost=constant_running_cost(-1.0))
+        sp, sm = null_strategy_pair(1)
+        N = 20
+        cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=0.0, N=N, paths=40, seed=2)
+        est = simulate_discrete_game(cfg, constant_payoff(5.0, 1), params, sp, sm)
+        want = 5.0 * math.exp(-0.1) - sum(math.exp(-0.1 * (1.0 - k / N)) / N
+                                          for k in range(N))
+        assert est.mean == pytest.approx(want, rel=1e-12)
+        assert est.stderr == 0.0
+
     def test_thread_count_does_not_change_results(self):
         sp, sm = null_strategy_pair(1)
         cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=0.0, N=20,

@@ -9,6 +9,7 @@ from tugpricer import (ControlPoint, DirectionSet, GradientDegenerateError,
                        MarketParams, OperatorInput, ValidationError,
                        f_envelopes, f_limit, f_mean_eigenvalue,
                        greedy_controls, hm_minus, hm_plus, phi)
+from tugpricer import isaacs
 from tugpricer.isaacs import greedy_controls_batch, hm_values_batch
 
 from oracles import brute_greedy, brute_hm, phi_formula
@@ -435,3 +436,23 @@ class TestGreedyControls:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValidationError):
             greedy_controls(inp_1d(), 1.0, params_1d(), DIRS_1D, "both")
+
+
+@pytest.mark.parametrize("n, count", [(1, None), (2, 12)])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_chunked_batches_match_one_chunk(n, count, side, rng, monkeypatch):
+    params = params_nd(n, r=0.1)
+    dirs = DirectionSet.for_dimension(n, count)
+    B = 11
+    xi = rng.normal(size=B)
+    p = rng.normal(size=(B, n))
+    M = np.stack([random_symmetric(rng, n) for _ in range(B)])
+    whole_hm = hm_values_batch(xi, p, M, 3.0, params, dirs, side)
+    whole_greedy = greedy_controls_batch(xi, p, M, 3.0, params, dirs, side)
+    K = dirs.count + (0 if n == 1 else 2)
+    # three rows per chunk, so the batch spans four chunks with a ragged last one
+    monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", 3 * K * K)
+    assert np.array_equal(hm_values_batch(xi, p, M, 3.0, params, dirs, side), whole_hm)
+    for got, want in zip(greedy_controls_batch(xi, p, M, 3.0, params, dirs, side),
+                         whole_greedy):
+        assert np.array_equal(got, want)

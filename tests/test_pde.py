@@ -150,6 +150,20 @@ class TestDerivatives:
         assert inp.p[0] == pytest.approx(1.0)
         assert inp.M[0, 0] == pytest.approx(2.0)
 
+    def test_discrete_derivatives_2d_quadratic(self):
+        # u = 1/2 x'Qx + b.x is reproduced exactly by the stencil, cross term included
+        spec = GridSpec(lo=np.array([0.0, 0.0]), hi=np.array([1.0, 2.0]), nx=(5, 5), nt=1)
+        Q = np.array([[2.0, 0.5], [0.5, -1.0]])
+        b = np.array([0.25, -0.75])
+        pts = spec.points()
+        u = (0.5 * np.einsum("ki,ij,kj->k", pts, Q, pts) + pts @ b).reshape(spec.nx)
+        grid = PriceGrid(spec=spec, dt=1.0, values=np.stack([u, u]))
+        inp = discrete_derivatives(grid, (1, 3), 1)
+        x = np.array([spec.axes[0][1], spec.axes[1][3]])
+        assert inp.xi == u[1, 3]
+        assert inp.p == pytest.approx(Q @ x + b, abs=1e-12)
+        assert inp.M == pytest.approx(Q, abs=1e-12)
+
     def test_boundary_node_rejected(self):
         spec = spec_1d(nx=5, nt=1)
         vals = np.zeros((2, 5))
