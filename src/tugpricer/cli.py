@@ -14,9 +14,9 @@ their artifacts into ``--out`` and echo the fully defaulted configuration to
 canonical resolved config, and reruns with identical config, seed and any
 ``--threads`` value are byte-identical.
 
-Exit codes: 0 ok, 2 configuration or contract error or unwritable output,
-3 numerical precondition (CFL / displacement margin / DPP query budget),
-4 payoff certification failure.
+Exit codes: 0 ok, 1 internal error, 2 configuration or contract error or
+unwritable output, 3 numerical precondition (CFL / displacement margin / DPP
+query budget), 4 payoff certification failure.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import game, isaacs, pde
 from ._interp import multilinear
-from .errors import (CertificationError, PreconditionError, PricingError,
-                     StrategyContractError, ValidationError)
+from .errors import CertificationError, PreconditionError, PricingError, ValidationError
 from .market import (BasketPut, MarketParams, Payoff, certify_payoff,
                      constant_payoff, constant_running_cost,
                      tabulated_payoff_from_csv)
@@ -683,18 +682,14 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, out, args.threads)
-    except (ValidationError, StrategyContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, PreconditionError):
+            return 3
+        return 4 if isinstance(exc, CertificationError) else 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The command line front end maps these onto exit codes: validation and
 strategy-contract problems exit with 2, numerical preconditions (CFL bound,
-displacement margin, blow-up detection) with 3, certification failures with 4.
+displacement margin, blow-up detection) with 3, certification failures with 4;
+any other exception is an internal error and exits with 1.
 """
 
 

@@ -7,9 +7,9 @@ controlled diffusion.  The DPP solver performs backward induction of the
 2^(n+1)-scenario expectation on a value lattice, giving upper/lower tables
 that bracket the PDE solutions.
 
-Randomness is reproducible by construction: every path draws from its own
-counter-based stream keyed by (seed, path index), so results are identical
-for any worker count or block partition.
+Randomness is reproducible by construction: each fixed block of 8192 paths
+draws row-major, in one call, from a counter-based stream keyed by (seed, block),
+so a path's draws depend only on (seed, path index, steps, n), never on threads.
 """
 
 from __future__ import annotations
@@ -28,15 +28,19 @@ from .market import MarketParams, Payoff, _as_vector
 
 Array = np.ndarray
 
-_BLOCK = 8192  # paths per work block; fixed so partitioning never affects results
+_BLOCK = 8192  # paths per work block and per RNG stream; fixed so threads never change results
 # cap on the interpolation query coordinates of one DPP sweep; a sweep peaks
 # near 75 bytes of scratch per coordinate, so this bounds it near 1.3 GB
 _DPP_QUERY_BUDGET = 1 << 24
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path, independent of all other paths."""
-    key = np.array([seed, path_index], dtype=np.uint64)
+def path_rng(seed: int, block: int) -> np.random.Generator:
+    """Counter-based Philox stream for one block of ``_BLOCK`` paths.
+
+    Distinct (seed, block) keys give independent streams; the block's paths
+    take consecutive row-major slices of one draw from it.
+    """
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -236,14 +240,43 @@ def greedy_strategy_pair(grid: pde.PriceGrid, params: MarketParams, m: float,
     return _GreedyView(core=core, player="plus"), _GreedyView(core=core, player="minus")
 
 
-def _run_blocks(total: int, threads: int, worker: Callable[[int, int], None]) -> None:
-    ranges = [(s, min(total, s + _BLOCK)) for s in range(0, total, _BLOCK)]
-    if threads <= 1 or len(ranges) == 1:
-        for lo, hi in ranges:
-            worker(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda rng: worker(*rng), ranges))
+def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
+          strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy, threads: int,
+          steps: int, dt: float, rc, draw: Callable, step: Callable, store: Callable) -> None:
+    """Play every path from (cfg.start, cfg.t0) for `steps` steps of length `dt`.
+
+    Each block draws its noise once, ``draw(gen, (B, steps, n + 1))``, advances
+    ``X = step(X, tp, dp, tm, dm, noise[:, k])`` with the controls read at the
+    pre-step state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds
+    the discounted left-endpoint sums of the running cost `rc` (0 when None).
+    """
+    if cfg.start.size != params.n:
+        raise ValidationError(f"start must have {params.n} coordinates")
+    if not 0.0 <= cfg.t0 < params.T:
+        raise ValidationError("t0 must lie in [0, T)")
+    if steps < 1:
+        raise ValidationError("the horizon must cover at least one game step")
+
+    def worker(lo: int) -> None:
+        hi = min(cfg.paths, lo + _BLOCK)
+        noise = draw(path_rng(cfg.seed, lo // _BLOCK), (hi - lo, steps, params.n + 1))
+        X = np.tile(cfg.start, (hi - lo, 1))
+        acc = np.zeros(hi - lo)
+        for k in range(steps):
+            t_k = cfg.t0 + k * dt
+            tp, dp = checked_controls(strat_plus, X, t_k)
+            tm, dm = checked_controls(strat_minus, X, t_k)
+            if rc is not None:
+                acc += np.exp(-params.r * (params.T - t_k)) * rc(X, t_k) * dt
+            X = step(X, tp, dp, tm, dm, noise[:, k])
+        store(lo, hi, X, acc)
+
+    starts = range(0, cfg.paths, _BLOCK)
+    if threads <= 1 or len(starts) == 1:
+        list(map(worker, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(worker, starts))
 
 
 def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
@@ -256,41 +289,26 @@ def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
     returns the per-path discounted left-endpoint Riemann sums.
     """
     n = params.n
-    if cfg.start.size != n:
-        raise ValidationError(f"start must have {n} coordinates")
-    if not 0.0 <= cfg.t0 < params.T:
-        raise ValidationError("t0 must lie in [0, T)")
-    horizon = params.T - cfg.t0
-    dt = horizon / cfg.nt
+    dt = (params.T - cfg.t0) / cfg.nt
     sqdt = np.sqrt(dt)
     sigma = params.sigma
+
+    def step(X, tp, dp, tm, dm, z):
+        drift = params.mu + sigma * (dp + dm)[:, None] * (tp + tm)
+        return (X + drift * dt + sigma * sqdt * z[:, :n]
+                + sigma * (tp - tm) * sqdt * z[:, n][:, None])
+
     terminals = np.empty((cfg.paths, n))
     rc_sums = np.zeros(cfg.paths)
-    rc = params.running_cost if accumulate_running_cost else None
 
-    def worker(lo: int, hi: int) -> None:
-        B = hi - lo
-        noise = np.empty((B, cfg.nt, n + 1))
-        for j in range(B):
-            noise[j] = path_rng(cfg.seed, lo + j).standard_normal((cfg.nt, n + 1))
-        X = np.tile(cfg.start, (B, 1))
-        acc = np.zeros(B)
-        for k in range(cfg.nt):
-            t_k = cfg.t0 + k * dt
-            tp, dp = checked_controls(strat_plus, X, t_k)
-            tm, dm = checked_controls(strat_minus, X, t_k)
-            if rc is not None:
-                acc += np.exp(-params.r * (params.T - t_k)) * rc(X, t_k) * dt
-            drift = params.mu + sigma * (dp + dm)[:, None] * (tp + tm)
-            X = (X + drift * dt + sigma * sqdt * noise[:, k, :n]
-                 + sigma * (tp - tm) * sqdt * noise[:, k, n][:, None])
+    def store(lo, hi, X, acc):
         terminals[lo:hi] = X
         rc_sums[lo:hi] = acc
 
-    _run_blocks(cfg.paths, threads, worker)
-    if accumulate_running_cost:
-        return terminals, rc_sums
-    return terminals
+    _play(cfg, params, strat_plus, strat_minus, threads, cfg.nt, dt,
+          params.running_cost if accumulate_running_cost else None,
+          lambda gen, shape: gen.standard_normal(shape), step, store)
+    return (terminals, rc_sums) if accumulate_running_cost else terminals
 
 
 def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: MarketParams,
@@ -303,41 +321,31 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
     lattice control inside the 1/sqrt(N) ball by construction.
     """
     n = params.n
-    if cfg.start.size != n:
-        raise ValidationError(f"start must have {n} coordinates")
-    if not 0.0 <= cfg.t0 < params.T:
-        raise ValidationError("t0 must lie in [0, T)")
     steps = int(round((params.T - cfg.t0) * cfg.N))
-    if steps < 1:
-        raise ValidationError("the horizon must cover at least one game step")
     root_n = np.sqrt(cfg.N)
     dt = 1.0 / cfg.N
     sigma = params.sigma
-    rc = params.running_cost
+
+    def draw(gen: np.random.Generator, shape) -> Array:
+        coins = gen.integers(0, 2, size=shape, dtype=np.int8)
+        coins <<= 1  # 0/1 -> -1/+1 in place: no block-sized temporaries
+        coins -= 1
+        return coins
+
+    def step(X, tp, dp, tm, dm, c):
+        scaled_p = tp * (np.minimum(dp / root_n, 1.0) / root_n)[:, None]
+        scaled_m = tm * (np.minimum(dm / root_n, 1.0) / root_n)[:, None]
+        return (X + params.mu * dt + (2.0 / root_n) * sigma * c[:, :n]
+                + sigma * (scaled_p - scaled_m) * c[:, n][:, None]
+                + sigma * (scaled_p + scaled_m))
+
     rewards = np.empty(cfg.paths)
 
-    def worker(lo: int, hi: int) -> None:
-        B = hi - lo
-        coins = np.empty((B, steps, n + 1), dtype=np.int8)
-        for j in range(B):
-            gen = path_rng(cfg.seed, lo + j)
-            coins[j] = gen.integers(0, 2, size=(steps, n + 1), dtype=np.int8) * 2 - 1
-        X = np.tile(cfg.start, (B, 1))
-        acc = np.zeros(B)
-        for k in range(steps):
-            t_k = cfg.t0 + k * dt
-            tp, dp = checked_controls(strat_plus, X, t_k)
-            tm, dm = checked_controls(strat_minus, X, t_k)
-            if rc is not None:
-                acc += np.exp(-params.r * (params.T - t_k)) * rc(X, t_k) * dt
-            scaled_p = tp * (np.minimum(dp / root_n, 1.0) / root_n)[:, None]
-            scaled_m = tm * (np.minimum(dm / root_n, 1.0) / root_n)[:, None]
-            X = (X + params.mu * dt + (2.0 / root_n) * sigma * coins[:, k, :n]
-                 + sigma * (scaled_p - scaled_m) * coins[:, k, n][:, None]
-                 + sigma * (scaled_p + scaled_m))
-        rewards[lo:hi] = (np.exp(-params.r * (params.T - cfg.t0)) * payoff.values(X)) + acc
+    def store(lo, hi, X, acc):
+        rewards[lo:hi] = discounted_reward(X, cfg.t0, params, payoff) + acc
 
-    _run_blocks(cfg.paths, threads, worker)
+    _play(cfg, params, strat_plus, strat_minus, threads, steps, dt, params.running_cost,
+          draw, step, store)
     return _estimate(rewards, cfg.paths, cfg.seed)
 
 
@@ -397,7 +405,9 @@ class GameValueTables:
                 )
 
     def merged(self, other: "GameValueTables") -> "GameValueTables":
-        if other.spec != self.spec or other.dt != self.dt or other.m != self.m:
+        a, b = self.spec, other.spec  # by value: GridSpec == is ambiguous on arrays
+        if not (a.nx == b.nx and a.nt == b.nt and np.array_equal(a.lo, b.lo)
+                and np.array_equal(a.hi, b.hi) and other.dt == self.dt and other.m == self.m):
             raise ValidationError("tables to merge must share grid, dt and m")
         return GameValueTables(
             spec=self.spec, dt=self.dt, m=self.m,
@@ -534,16 +544,10 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
 def mc_value(payoff: Payoff, params: MarketParams, strat_plus: FeedbackStrategy,
              strat_minus: FeedbackStrategy, cfg: SimConfig, threads: int = 1) -> McEstimate:
     """Monte Carlo estimate of the expected discounted reward under two strategies."""
-    if params.running_cost is not None:
-        terminals, rc_sums = simulate_sde_paths(cfg, params, strat_plus, strat_minus,
-                                                threads=threads, accumulate_running_cost=True)
-        rewards = (np.exp(-params.r * (params.T - cfg.t0))
-                   * np.asarray(payoff.values(terminals), dtype=float) + rc_sums)
-    else:
-        terminals = simulate_sde_paths(cfg, params, strat_plus, strat_minus, threads=threads)
-        rewards = np.exp(-params.r * (params.T - cfg.t0)) * np.asarray(
-            payoff.values(terminals), dtype=float)
-    return _estimate(rewards, cfg.paths, cfg.seed)
+    terminals, rc_sums = simulate_sde_paths(cfg, params, strat_plus, strat_minus,
+                                            threads=threads, accumulate_running_cost=True)
+    return _estimate(discounted_reward(terminals, cfg.t0, params, payoff) + rc_sums,
+                     cfg.paths, cfg.seed)
 
 
 def write_value_table_csv(path, tables: GameValueTables,

@@ -223,6 +223,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "game.n_dirs" in err and "grid.nx" in err
 
+    def test_unexpected_exception_returns_1_without_traceback(self, run_cli, tmp_path,
+                                                              capsys, monkeypatch):
+        def boom(cfg, out, threads):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "price", boom)
+        assert run_cli("price", base_config(grid={"nx": 11}), tmp_path / "boom") == 1
+        err = capsys.readouterr().err
+        assert err == "error: internal: RuntimeError: boom\n"
+        assert "Traceback" not in err
+
     def test_point_outside_box_returns_2(self, run_cli, tmp_path):
         cfg = base_config(grid={"lo": [LOG_K - 2], "hi": [LOG_K + 2], "nx": 11},
                           outputs={"points": [[10.0]]})
@@ -395,6 +406,21 @@ class TestGameValueCommand:
         assert "max_lower_minus_upper" not in report
         assert "u_minus" in report["points"][0]
         assert "u_plus" not in report["points"][0]
+
+
+    def test_two_dimensional_both_sides(self, run_cli, tmp_path):
+        out = tmp_path / "gv2"
+        cfg = {"market": {"sigma": [0.2, 0.2], "T": 1.0},
+               "payoff": {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K},
+               "grid": {"nx": 15, "nt": 4}, "game": {"n_dirs": 8}}
+        assert run_cli("game-value", cfg, out) == 0
+        report = read_json(out / "report.json")
+        assert report["max_lower_minus_upper"] <= 1e-9
+        pt = report["points"][0]
+        assert pt["u_minus"] <= pt["u_plus"] + 1e-9
+        with open(out / "game_table.csv") as fh:
+            sides = {line.rsplit(",", 1)[1].strip() for line in fh if line[0].isdigit()}
+        assert sides == {"minus", "plus"}
 
 
 class TestCompareCommand:

@@ -15,6 +15,8 @@ from tugpricer import (BasketPut, ConstantStrategy, DirectionSet,
                        null_strategy_pair, path_rng, simulate_discrete_game,
                        simulate_sde_paths, solve_terminal_value,
                        write_value_table_csv)
+from tugpricer import game
+from tugpricer.game import _BLOCK
 
 from oracles import binomial_walk_mean, brute_dpp_value, put_value_oracle
 
@@ -28,7 +30,12 @@ def params_1d(mu=0.0, sigma=0.2, r=0.0, running_cost=None):
                         running_cost=running_cost)
 
 
+def params_2d():
+    return MarketParams(mu=np.array([0.01, -0.02]), sigma=np.array([0.2, 0.3]), r=0.01, T=1.0)
+
+
 class TestPathRng:
+    # path_rng(seed, block) keys one stream per _BLOCK-path block
     def test_reproducible(self):
         a = path_rng(42, 7).standard_normal(5)
         b = path_rng(42, 7).standard_normal(5)
@@ -40,6 +47,35 @@ class TestPathRng:
         c = path_rng(43, 0).standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_block_rows_are_the_paths(self):
+        # idle, opposed controls, mu = 0: each step moves sigma sqrt(dt) (z_0 + 2 z_1),
+        # where path j of block b reads row j of block b's draw
+        sp, sm = null_strategy_pair(1)
+        cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK + 5, seed=4, nt=6)
+        term = simulate_sde_paths(cfg, params_1d(), sp, sm)[:, 0]
+        scale = 0.2 * math.sqrt(1.0 / cfg.nt)
+        for block, rows in ((0, _BLOCK), (1, 5)):
+            z = path_rng(cfg.seed, block).standard_normal((rows, cfg.nt, 2))
+            want = scale * (z[:, :, 0] + 2.0 * z[:, :, 1]).sum(axis=1)
+            np.testing.assert_allclose(term[block * _BLOCK:][:rows], want, rtol=0, atol=1e-13)
+
+    def test_one_stream_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(seed, block):
+            calls.append(block)
+            return path_rng(seed, block)
+
+        monkeypatch.setattr(game, "path_rng", counting)
+        sp, sm = null_strategy_pair(1)
+        paths = 2 * _BLOCK + 1
+        simulate_sde_paths(SimConfig(start=np.array([0.0]), t0=0.0, paths=paths, seed=1, nt=2),
+                           params_1d(), sp, sm, threads=2)
+        simulate_discrete_game(DiscreteGameConfig(start=np.array([LOG_K]), t0=0.0, N=2,
+                                                  paths=paths, seed=1),
+                               PUT, params_1d(), sp, sm)
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2]  # ceil(paths / _BLOCK) per simulation
 
 
 class TestConfigs:
@@ -149,6 +185,23 @@ class TestSdeSimulation:
         b = simulate_sde_paths(cfg, params_1d(), sp, sm, threads=3)
         assert np.array_equal(a, b)
 
+    def test_prefix_is_stable_under_more_paths(self):
+        sp, sm = null_strategy_pair(1)
+        short, long = (simulate_sde_paths(
+            SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK + extra, seed=8, nt=5),
+            params_1d(), sp, sm) for extra in (100, 3000))
+        assert np.array_equal(short, long[:_BLOCK + 100])
+
+    def test_two_dimensional_thread_invariance(self):
+        params = params_2d()
+        sp = ConstantStrategy(theta=np.array([0.6, 0.8]), d=1.0)
+        sm = ConstantStrategy(theta=np.array([1.0, 0.0]), d=0.5)
+        cfg = SimConfig(start=np.array([0.1, -0.1]), t0=0.0, paths=_BLOCK + 700, seed=5, nt=6)
+        a = simulate_sde_paths(cfg, params, sp, sm, threads=1)
+        b = simulate_sde_paths(cfg, params, sp, sm, threads=3)
+        assert a.shape == (_BLOCK + 700, 2)
+        assert np.array_equal(a, b)
+
     def test_partial_horizon(self):
         sp, sm = null_strategy_pair(1)
         params = params_1d(mu=1.0, sigma=0.2)
@@ -210,6 +263,17 @@ class TestDiscreteGame:
         a = simulate_discrete_game(cfg, PUT, params_1d(), sp, sm, threads=1)
         b = simulate_discrete_game(cfg, PUT, params_1d(), sp, sm, threads=4)
         assert a == b
+
+    def test_two_dimensional_thread_invariance(self):
+        params = params_2d()
+        sp = ConstantStrategy(theta=np.array([0.6, 0.8]), d=1.0)
+        sm = ConstantStrategy(theta=np.array([1.0, 0.0]), d=0.5)
+        put = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+        cfg = DiscreteGameConfig(start=np.array([LOG_K, LOG_K]), t0=0.0, N=6,
+                                 paths=_BLOCK + 700, seed=5)
+        a = simulate_discrete_game(cfg, put, params, sp, sm, threads=1)
+        b = simulate_discrete_game(cfg, put, params, sp, sm, threads=3)
+        assert a == b and a.stderr > 0
 
 
 class TestDiscountedReward:
