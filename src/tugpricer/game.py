@@ -405,9 +405,7 @@ class GameValueTables:
                 )
 
     def merged(self, other: "GameValueTables") -> "GameValueTables":
-        a, b = self.spec, other.spec  # by value: GridSpec == is ambiguous on arrays
-        if not (a.nx == b.nx and a.nt == b.nt and np.array_equal(a.lo, b.lo)
-                and np.array_equal(a.hi, b.hi) and other.dt == self.dt and other.m == self.m):
+        if other.spec != self.spec or other.dt != self.dt or other.m != self.m:
             raise ValidationError("tables to merge must share grid, dt and m")
         return GameValueTables(
             spec=self.spec, dt=self.dt, m=self.m,

@@ -12,6 +12,20 @@ is affine in each intensity separately, restricting d to {0, m} is exact, and
 the direction search runs over a finite set augmented with +-p/|p|.  As m
 grows both operators approach ``-f_limit``, the gradient-weighted limit
 operator.
+
+The lattice search works on a Gram matrix, not on the table of phi over all
+pairs of actions.  With Q = S M S, q_k = D_k' Q D_k, c_k = D_k . p and the
+Gram matrix G = D Q D' of the K directions D_k,
+
+    phi(plus D_i, minus D_j, d+, d-) = G_ij - q_i/2 - q_j/2
+                                       - lam (c_i + c_j) + const,
+
+where lam = d+ + d- takes only the values 0, m and 2m.  For each lam one
+reduction over the inner player's directions of G shifted by q/2 + lam c
+gives that player's best reply to every outer direction, and the outer
+player's table follows from the three.  The split is symmetric in the two
+players, and the inf-sup of phi is minus the sup-inf of -phi, so
+``hm_minus`` runs the same search on negated pieces.
 """
 
 from __future__ import annotations
@@ -27,8 +41,11 @@ Array = np.ndarray
 
 UNIT_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
-# cap on the number of scratch elements per reduction chunk
-_CHUNK_ELEMS = 4_000_000
+# cap on the elements of each scratch array of the lattice search, i.e. on
+# the Gram entries (input, outer direction, inner direction) shifted at once:
+# 2**17 doubles (1 MiB) stay in a core's L2 cache, and larger blocks ran
+# slower (2-D kernel, K=724)
+_CHUNK_ELEMS = 1 << 17
 
 
 def _vector(value, name: str) -> Array:
@@ -189,52 +206,86 @@ def _augment(dirs: Array, p: Array) -> Array:
     return out
 
 
-def _phi_pieces(p: Array, M: Array, params, dirs: Array):
-    """Shared tensors for the lattice search on a batch of inputs.
+def _sign(side: str) -> float:
+    """+1 for side 'plus' (sup-inf), -1 for 'minus': the inf-sup of phi is
+    minus the sup-inf of -phi, so both sides run the sup-inf search."""
+    if side == "plus":
+        return 1.0
+    if side == "minus":
+        return -1.0
+    raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
 
-    Returns D (B,K,n), A (B,K,K) with A[b,i,j] = -1/2 (D_i - D_j)' SMS (D_i - D_j),
-    c (B,K) with c[b,k] = D_k . p_b, and the control-free constant term.
+
+def _phi_pieces(p: Array, M: Array, params, dirs: Array, sign: float):
+    """The pieces of the G/q/c split of sign * phi (module docstring) on a
+    batch of inputs: the augmented directions D (B,K,n), the Gram factor
+    QD = Q D' (B,n,K) with G = D QD, q and c, the last three times ``sign``.
     """
     D = _augment(dirs, p)
-    sms = _sms(M, params.sigma)
-    q = np.einsum("bki,bij,bkj->bk", D, sms, D)
-    G = np.einsum("bki,bij,blj->bkl", D, sms, D)
-    A = -0.5 * (q[:, :, None] - 2.0 * G + q[:, None, :])
-    c = np.einsum("bki,bi->bk", D, p)
-    const = -0.5 * _trace_s2m(M, params.sigma) - p @ params.mu
-    return D, A, c, const
+    QD = np.einsum("bij,bkj->bik", sign * _sms(M, params.sigma), D)
+    q = np.einsum("bki,bik->bk", D, QD)
+    c = np.einsum("bki,bi->bk", D, sign * p)
+    return D, QD, q, c
 
 
-def _chunks(p: Array, M: Array, params, dirs: DirectionSet):
-    """Yield (rows, D, A, c, const) over consecutive row slices of the batch,
-    each small enough that its (B, K, K) scratch stays near _CHUNK_ELEMS."""
-    p = np.asarray(p, dtype=float)
-    M = np.asarray(M, dtype=float)
+def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float):
+    """Yield (rows, D, QD, q, c) over consecutive row slices of the batch,
+    each with as many rows as fit their K x K Gram blocks in _CHUNK_ELEMS
+    (at least one row; ``_outer_table`` splits a single larger block)."""
     B = p.shape[0]
     K = dirs.count + (0 if dirs.n == 1 else 2)
-    chunk = max(1, _CHUNK_ELEMS // max(1, K * K))
+    chunk = max(1, _CHUNK_ELEMS // (K * K))
     for start in range(0, B, chunk):
         rows = slice(start, min(B, start + chunk))
-        yield (rows, *_phi_pieces(p[rows], M[rows], params, dirs.dirs))
+        yield (rows, *_phi_pieces(p[rows], M[rows], params, dirs.dirs, sign))
 
 
-def _outer_table(A: Array, c: Array, m: float, side: str) -> Array:
-    """What the outer player secures with each of its lattice actions.
+def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float) -> Array:
+    """What the outer (maximizing) player secures with each lattice action.
 
-    Returns (B, K, 2): entry [b, k, j] is the inner player's best reply value
-    against direction k and intensity j*m.  The outer player is the minus
-    player for side='plus' (sup-inf) and the plus player for side='minus'
-    (inf-sup).  The intensity search is exact: for fixed directions the
-    objective is affine in each d, so only d in {0, m} can attain the optimum.
+    Returns (B, K, 2): entry [b, k, j] is the min over the inner player's
+    actions (direction l, intensity d) of phi - const against outer
+    direction k at intensity j*m.  Only the sum lam = d + j*m in {0, m, 2m}
+    enters phi, so three passes over the shifted Gram block
+
+        G_kl - q_l/2 - lam c_l,   lam = 0, m, 2m (one subtraction apart)
+
+    find the inner direction l for each (k, lam), and entry [k, j] is the
+    smaller of the values at lam = j*m and lam = j*m + m.  The value at each
+    found l is recomputed as (G_kl - q_l/2) - q_k/2 - lam (c_l + c_k), which
+    is exactly 0 for l = k at lam = 0 and the same for every lam when
+    c_l + c_k = 0, so such actions tie exactly, as in the scan of the direct
+    formula.  The intensity search is exact: for fixed directions phi is
+    affine in each d, so only d in {0, m} can attain the optimum.  Outer
+    directions go in slices of at most _CHUNK_ELEMS Gram entries.
     """
-    s = c[:, :, None] + c[:, None, :]  # s[b, k_plus, k_minus]
-    if side == "plus":
-        core = A - m * np.maximum(s, 0.0)       # optimal d_plus response
-        return np.stack([np.min(core, axis=1), np.min(core - m * s, axis=1)], axis=2)
-    if side == "minus":
-        core = A - m * np.minimum(s, 0.0)       # optimal d_minus response
-        return np.stack([np.max(core, axis=2), np.max(core - m * s, axis=2)], axis=2)
-    raise ValidationError(f"side must be 'plus' or 'minus', got {side!r}")
+    B, K = q.shape
+    n = D.shape[2]
+    lam = np.array([[0.0], [m], [2.0 * m]])
+    hq = -0.5 * q
+    Dx = np.concatenate([D, np.ones((B, K, 1))], axis=2)        # [D_k, 1]
+    QDx = np.concatenate([QD, hq[:, None, :]], axis=1)          # [Q D_l; -q_l/2]
+    QDt = QD.transpose(0, 2, 1).reshape(B * K, n)              # row b*K + l: Q D_l
+    mc = m * c[:, None, :]
+    base = K * np.arange(B)[:, None, None]
+    out = np.empty((B, 2, K))
+    step = max(1, _CHUNK_ELEMS // (B * K))
+    scratch = np.empty((B, min(step, K), K))
+    for start in range(0, K, step):
+        ks = slice(start, min(K, start + step))
+        shifted = np.matmul(Dx[:, ks], QDx, out=scratch[:, :ks.stop - start])
+        reply = np.empty((B, 3, shifted.shape[1]), dtype=np.intp)
+        for t in range(3):
+            if t:
+                shifted -= mc
+            np.argmin(shifted, axis=2, out=reply[:, t])
+        # matmul rounding varies with the block's shape, so the shifted block
+        # only ranks; the values are recomputed, the same way for every shape
+        at = reply + base
+        val = (np.einsum("bki,btki->btk", D[:, ks], QDt.take(at, axis=0))
+               + hq.take(at) + hq[:, None, ks] - lam * (c.take(at) + c[:, None, ks]))
+        np.minimum(val[:, :2], val[:, 1:], out=out[:, :, ks])
+    return out.transpose(0, 2, 1)
 
 
 def _check_m(m: float) -> float:
@@ -247,11 +298,14 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
                     dirs: DirectionSet, side: str) -> Array:
     """Vectorized bounded operator over a batch of (xi, p, M) triples."""
     m = _check_m(m)
-    best = np.max if side == "plus" else np.min
-    out = np.empty(np.shape(p)[0])
-    for rows, _, A, c, const in _chunks(p, M, params, dirs):
-        out[rows] = best(_outer_table(A, c, m, side), axis=(1, 2)) + const
-    return out + params.r * np.asarray(xi, dtype=float)
+    sign = _sign(side)
+    p = np.asarray(p, dtype=float)
+    M = np.asarray(M, dtype=float)
+    out = np.empty(p.shape[0])
+    for rows, *pieces in _chunks(p, M, params, dirs, sign):
+        out[rows] = sign * np.max(_outer_table(*pieces, m), axis=(1, 2))
+    const = -0.5 * _trace_s2m(M, params.sigma) - p @ params.mu
+    return out + const + params.r * np.asarray(xi, dtype=float)
 
 
 def _hm_single(inp: OperatorInput, m: float, params, dirs: DirectionSet, side: str) -> float:
@@ -272,12 +326,16 @@ def hm_minus(inp: OperatorInput, m: float, params, dirs: DirectionSet) -> float:
     return _hm_single(inp, m, params, dirs, "minus")
 
 
-def _reply(a: Array, s: Array, d: Array, m: float, pick):
-    """The inner player's best (direction index, intensity index) against a
-    committed outer action: ``a`` and ``s`` hold that action's slice of A and
-    of s, and ``d`` its intensity."""
+def _reply(D: Array, QD: Array, q: Array, c: Array, k: Array, d: Array, m: float):
+    """The inner player's best (direction index, intensity index) against
+    outer direction k at intensity d: the first minimum, in the flattened
+    (direction, intensity) scan, of phi - const rebuilt for that row as
+    ``_outer_table`` recomputes its values."""
+    rows = np.arange(k.size)
+    a = np.einsum("bi,bil->bl", D[rows, k], QD) - 0.5 * q - 0.5 * q[rows, k][:, None]
+    s = c + c[rows, k][:, None]
     inner = np.stack([a - d[:, None] * s, a - (d[:, None] + m) * s], axis=2)
-    return np.divmod(pick(inner.reshape(a.shape[0], -1), axis=1), 2)
+    return np.divmod(np.argmin(inner.reshape(k.size, -1), axis=1), 2)
 
 
 def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
@@ -290,28 +348,26 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     reproduces the corresponding hm value exactly.
     """
     m = _check_m(m)
-    B = np.shape(p)[0]
+    sign = _sign(side)
+    p = np.asarray(p, dtype=float)
+    B = p.shape[0]
     theta_p = np.empty((B, dirs.n))
     theta_m = np.empty((B, dirs.n))
     d_p = np.empty(B)
     d_m = np.empty(B)
-    for rows, D, A, c, _ in _chunks(p, M, params, dirs):
-        table = _outer_table(A, c, m, side).reshape(A.shape[0], -1)
-        idx = np.arange(A.shape[0])
-        if side == "plus":
-            # outer: sup over (theta_minus, d_minus); inner: inf over (theta_plus, d_plus)
-            km, jm = np.divmod(np.argmax(table, axis=1), 2)
-            a_col = np.take_along_axis(A, km[:, None, None], axis=2)[:, :, 0]
-            kp, jp = _reply(a_col, c + c[idx, km][:, None], m * jm, m, np.argmin)
-        else:
-            # outer: inf over (theta_plus, d_plus); inner: sup over (theta_minus, d_minus)
-            kp, jp = np.divmod(np.argmin(table, axis=1), 2)
-            a_row = np.take_along_axis(A, kp[:, None, None], axis=1)[:, 0, :]
-            km, jm = _reply(a_row, c[idx, kp][:, None] + c, m * jp, m, np.argmax)
-        theta_p[rows] = D[idx, kp]
-        theta_m[rows] = D[idx, km]
-        d_p[rows] = m * jp
-        d_m[rows] = m * jm
+    # side 'plus': the minus player commits first (outer) and the plus player
+    # replies (inner); side 'minus' swaps the roles
+    (th_out, d_out), (th_in, d_in) = (((theta_m, d_m), (theta_p, d_p)) if side == "plus"
+                                      else ((theta_p, d_p), (theta_m, d_m)))
+    for rows, D, QD, q, c in _chunks(p, np.asarray(M, dtype=float), params, dirs, sign):
+        table = _outer_table(D, QD, q, c, m).reshape(q.shape[0], -1)
+        ko, jo = np.divmod(np.argmax(table, axis=1), 2)
+        ki, ji = _reply(D, QD, q, c, ko, m * jo, m)
+        idx = np.arange(q.shape[0])
+        th_out[rows] = D[idx, ko]
+        th_in[rows] = D[idx, ki]
+        d_out[rows] = m * jo
+        d_in[rows] = m * ji
     return theta_p, d_p, theta_m, d_m
 
 

@@ -57,6 +57,13 @@ class GridSpec:
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "nt", None if self.nt is None else int(self.nt))
 
+    def __eq__(self, other: object) -> bool:
+        """By value: the same box, node counts and step count."""
+        if not isinstance(other, GridSpec):
+            return NotImplemented
+        return (self.nx == other.nx and self.nt == other.nt
+                and np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
+
     @property
     def n(self) -> int:
         return self.lo.size

@@ -304,6 +304,72 @@ class TestBoundedOperators:
             assert errs[2] < 0.02
 
 
+class TestDegenerateInputs:
+    """2-D inputs whose lattice has exact or symmetric ties, against the oracles."""
+
+    DIRS = DirectionSet.for_dimension(2, 16)
+
+    def check(self, inp, params, m, side, exact=True):
+        op = hm_plus if side == "plus" else hm_minus
+        want = brute_hm(inp.xi, inp.p, inp.M, m, params.mu, params.sigma, params.r,
+                        self.DIRS.dirs, side)
+        assert op(inp, m, params, self.DIRS) == pytest.approx(want, abs=1e-12)
+        maxi, mini = greedy_controls(inp, m, params, self.DIRS, side)
+        tp, dp, tm, dm = brute_greedy(inp.xi, inp.p, inp.M, m, params.mu, params.sigma,
+                                      self.DIRS.dirs, side)
+        assert maxi.d == dp and mini.d == dm
+        if exact:
+            assert np.array_equal(maxi.theta, tp) and np.array_equal(mini.theta, tm)
+        else:
+            # phi is even in (theta_plus, theta_minus) at p = 0, and the fan's
+            # opposite directions agree only to rounding, so either sign may win
+            sign = 1.0 if np.allclose(maxi.theta, tp, rtol=0, atol=1e-12) else -1.0
+            assert np.allclose(maxi.theta, sign * tp, rtol=0, atol=1e-12)
+            assert np.allclose(mini.theta, sign * tm, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_zero_gradient(self, side, rng):
+        # _augment falls back to dirs[0]; the intensities no longer matter
+        for _ in range(6):
+            params = MarketParams(mu=rng.normal(size=2), sigma=rng.uniform(0.3, 2.0, 2),
+                                  r=0.05, T=1.0)
+            inp = OperatorInput(xi=rng.normal(), p=np.zeros(2), M=random_symmetric(rng, 2))
+            for m in (0.5, 20.0):
+                self.check(inp, params, m, side, exact=False)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_no_curvature_no_drift(self, side, rng):
+        params = MarketParams(mu=np.zeros(2), sigma=np.array([0.7, 1.3]), r=0.05, T=1.0)
+        flat = OperatorInput(xi=0.4, p=np.zeros(2), M=np.zeros((2, 2)))
+        # every action ties, so the tie rule alone picks the first direction at d = 0
+        maxi, mini = greedy_controls(flat, 3.0, params, self.DIRS, side)
+        for cp in (maxi, mini):
+            assert np.array_equal(cp.theta, self.DIRS.dirs[0]) and cp.d == 0.0
+        self.check(flat, params, 3.0, side)
+        for _ in range(6):
+            inp = OperatorInput(xi=rng.normal(), p=rng.normal(size=2), M=np.zeros((2, 2)))
+            for m in (0.5, 20.0):
+                self.check(inp, params, m, side)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_isotropic_unit_curvature(self, side, rng):
+        # with m |p| > sigma^2 the optimum pairs +-p/|p|, whose drift terms
+        # cancel exactly, so d = 0 and d = m tie exactly for both players;
+        # below that, every direction pairs with its near-opposite for the
+        # same value up to rounding, and only the value is well defined
+        for _ in range(6):
+            s = rng.uniform(0.3, 1.5)
+            params = MarketParams(mu=rng.normal(size=2), sigma=np.array([s, s]), r=0.05, T=1.0)
+            p = random_unit(rng, 2) * rng.uniform(1.0, 3.0)
+            inp = OperatorInput(xi=rng.normal(), p=p, M=np.eye(2))
+            for m in (10.0, 50.0):
+                self.check(inp, params, m, side)
+            op = hm_plus if side == "plus" else hm_minus
+            want = brute_hm(inp.xi, inp.p, inp.M, 0.5, params.mu, params.sigma, params.r,
+                            self.DIRS.dirs, side)
+            assert op(inp, 0.5, params, self.DIRS) == pytest.approx(want, abs=1e-12)
+
+
 class TestLimitOperator:
     def test_direct_substitution(self):
         inp = inp_1d(p=3.0, M=2.0)
@@ -420,6 +486,20 @@ class TestGreedyControls:
             assert np.array_equal(maxi.theta, tp) and maxi.d == dp
             assert np.array_equal(mini.theta, tm) and mini.d == dm
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_matches_enumeration_1d(self, side, rng):
+        # the two directions are exact opposites, so every pair with
+        # theta_plus = -theta_minus ties across intensities exactly
+        params = params_1d(mu=0.03, sigma=1.2)
+        for _ in range(30):
+            inp = inp_1d(p=rng.normal() * 10.0 ** rng.integers(-3, 1), M=rng.normal())
+            for m in (0.5, 2.0, 20.0):
+                maxi, mini = greedy_controls(inp, m, params, DIRS_1D, side)
+                tp, dp, tm, dm = brute_greedy(inp.xi, inp.p, inp.M, m, params.mu,
+                                              params.sigma, DIRS_1D.dirs, side)
+                assert np.array_equal(maxi.theta, tp) and maxi.d == dp
+                assert np.array_equal(mini.theta, tm) and mini.d == dm
+
     def test_batch_matches_singles(self, rng):
         params = params_1d()
         B = 6
@@ -450,9 +530,12 @@ def test_chunked_batches_match_one_chunk(n, count, side, rng, monkeypatch):
     whole_hm = hm_values_batch(xi, p, M, 3.0, params, dirs, side)
     whole_greedy = greedy_controls_batch(xi, p, M, 3.0, params, dirs, side)
     K = dirs.count + (0 if n == 1 else 2)
-    # three rows per chunk, so the batch spans four chunks with a ragged last one
-    monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", 3 * K * K)
-    assert np.array_equal(hm_values_batch(xi, p, M, 3.0, params, dirs, side), whole_hm)
-    for got, want in zip(greedy_controls_batch(xi, p, M, 3.0, params, dirs, side),
-                         whole_greedy):
-        assert np.array_equal(got, want)
+    # three rows per chunk, so the batch spans four chunks with a ragged last
+    # one; then 5 K entries, which in 2-D (K * K > 5 K) leaves one row per
+    # chunk and splits its outer directions into slices of five
+    for cap in (3 * K * K, 5 * K):
+        monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", cap)
+        assert np.array_equal(hm_values_batch(xi, p, M, 3.0, params, dirs, side), whole_hm)
+        for got, want in zip(greedy_controls_batch(xi, p, M, 3.0, params, dirs, side),
+                             whole_greedy):
+            assert np.array_equal(got, want)

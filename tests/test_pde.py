@@ -44,6 +44,18 @@ class TestGridSpec:
         assert np.array_equal(pts[:3, 0], np.zeros(3))
         assert np.array_equal(pts[:3, 1], spec.axes[1])
 
+    def test_equality_is_by_value(self):
+        def spec(hi=(1.0, 2.0), nx=(5, 4), nt=7):
+            return GridSpec(lo=np.array([0.0, -1.0]), hi=np.array(hi), nx=nx, nt=nt)
+
+        assert spec() == spec() and not spec() != spec()
+        assert spec(nt=None) == spec(nt=None)
+        assert spec() != spec(hi=(1.0, 2.5))
+        assert spec() != spec(nx=(5, 5))
+        assert spec() != spec(nt=8)
+        assert spec() != spec(nt=None)
+        assert spec() != "not a grid"
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(2,))
