@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -326,10 +327,15 @@ def _parse_outputs(node: _Node | None, n: int) -> dict:
             raise ValidationError("outputs.points must be a non-empty list")
         points = [_vector(p, f"outputs.points[{i}]", n) for i, p in enumerate(points_raw)]
     node.close()
+    taken = {"resolved_config.json": "resolved_config.json"}  # normalised path -> owner
     for name, val in (("surface_path", surface), ("report_path", report),
                       ("table_path", table)):
         if not isinstance(val, str) or not val:
             raise ValidationError(f"outputs.{name} must be a non-empty string")
+        key = os.path.normpath(val)
+        if key in taken:
+            raise ValidationError(f"outputs.{name} ({val!r}) collides with {taken[key]}")
+        taken[key] = f"outputs.{name}"
     return {"surface_path": surface, "report_path": report, "table_path": table,
             "points": points}
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it at import, not in the first simulation
 
 from . import pde
 from ._interp import multilinear
@@ -554,20 +555,6 @@ def write_value_table_csv(path, tables: GameValueTables,
 
     All populated sides are written, lower (minus) table first.
     """
-    spec = tables.spec
-    n = spec.n
-    pts = spec.points()
-    assert spec.nt is not None
-    with open(path, "w", newline="") as fh:
-        if config_digest is not None:
-            fh.write(f"# config_digest={config_digest}\n")
-        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["u", "side"]) + "\n")
-        for side, arr in (("minus", tables.u_minus), ("plus", tables.u_plus)):
-            if arr is None:
-                continue
-            block = np.empty((pts.shape[0], n + 2))
-            block[:, 1:n + 1] = pts
-            for k in range(spec.nt, -1, -1):
-                block[:, 0] = k * tables.dt
-                block[:, n + 1] = arr[k].reshape(-1)
-                np.savetxt(fh, block, fmt=",".join(["%.17g"] * (n + 2)) + f",{side}")
+    stacks = [(f",{side}", arr) for side, arr in (("minus", tables.u_minus),
+                                                 ("plus", tables.u_plus)) if arr is not None]
+    pde._write_slices(path, tables.spec, tables.dt, ["u", "side"], stacks, config_digest)

@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .errors import GradientDegenerateError, ValidationError
+from .market import _halton
 
 Array = np.ndarray
 
@@ -154,8 +154,8 @@ class DirectionSet:
             ang = np.pi * (3.0 - np.sqrt(5.0)) * i
             d = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), z])
         else:
-            u = qmc.Halton(d=n, scramble=False).random(count)
-            d = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+            from scipy.special import ndtri  # here, so only n >= 4 fans load scipy
+            d = ndtri(np.clip(_halton(n, count), 1e-12, 1.0 - 1e-12))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         return cls(d)
 

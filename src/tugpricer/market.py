@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._interp import check_axes, multilinear
 from .errors import CertificationError, ValidationError
@@ -307,6 +306,31 @@ def tabulated_payoff_from_csv(path, lipschitz_bound: float | None = None,
                            sup_bound=sup_bound)
 
 
+def _halton(d: int, count: int) -> Array:
+    """The first ``count`` points of the unscrambled d-dimensional Halton sequence.
+
+    Axis j holds the radical inverses of 0, 1, ..., count - 1 in the j-th
+    prime base, summed least significant digit first as
+    ``scipy.stats.qmc.Halton(d, scramble=False).random(count)`` sums them, so
+    the two agree bit for bit.
+    """
+    bases: list[int] = []
+    p = 2
+    while len(bases) < d:
+        if all(p % b for b in bases):
+            bases.append(p)
+        p += 1
+    out = np.zeros((count, d))
+    for j, base in enumerate(bases):
+        q = np.arange(count)
+        b2r = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * b2r
+            b2r /= base
+            q //= base
+    return out
+
+
 @dataclass(frozen=True)
 class PayoffCertificate:
     observed_sup: float
@@ -329,7 +353,7 @@ def certify_payoff(payoff: Payoff, region: tuple, samples: int) -> PayoffCertifi
         raise ValidationError("samples must be >= 2")
 
     n = payoff.n
-    unit = qmc.Halton(d=n, scramble=False).random(samples)
+    unit = _halton(n, samples)
     pts = lo + unit * (hi - lo)
     delta = 1e-5 * float(np.min(hi - lo))
 

@@ -64,6 +64,10 @@ class GridSpec:
         return (self.nx == other.nx and self.nt == other.nt
                 and np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi))
 
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash(((self.lo + 0.0).tobytes(), (self.hi + 0.0).tobytes(), self.nx, self.nt))
+
     @property
     def n(self) -> int:
         return self.lo.size
@@ -414,18 +418,30 @@ def interior_mask(spec: GridSpec, margin) -> Array:
 
 def write_surface_csv(path, grid: PriceGrid, config_digest: str | None = None) -> None:
     """Surface CSV: header t,x_1,...,x_n,u; slices run from T down to 0."""
-    n = grid.n
-    pts = grid.spec.points()
+    _write_slices(path, grid.spec, grid.dt, ["u"], [("", grid.values)], config_digest)
+
+
+def _write_slices(path, spec: GridSpec, dt: float, columns: list[str],
+                  stacks: list[tuple[str, Array]], config_digest: str | None) -> None:
+    """The one CSV writer of value surfaces and tables.
+
+    Writes the optional ``# config_digest=`` line, the header
+    ``t,x_1,...,x_n,<columns>`` and, for each ``(suffix, values)`` in
+    ``stacks``, the slices k = nt..0 as rows ``t,x_1,...,x_n,u<suffix>`` in
+    node (C) order.  Every number is ``%.17g``, so the bytes are those of
+    ``np.savetxt(fmt="%.17g")`` on the same rows.  Each node's coordinates are
+    formatted once per file into a row template; a slice formats t once and
+    fills all its values with one ``%``, and is written as one string.
+    """
+    coords = ["".join([",%.17g" % v for v in p]) for p in spec.points().tolist()]
     with open(path, "w", newline="") as fh:
         if config_digest is not None:
             fh.write(f"# config_digest={config_digest}\n")
-        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["u"]) + "\n")
-        block = np.empty((pts.shape[0], n + 2))
-        block[:, 1:n + 1] = pts
-        for k in range(grid.nt, -1, -1):
-            block[:, 0] = k * grid.dt
-            block[:, n + 1] = grid.values[k].reshape(-1)
-            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(spec.n)] + columns) + "\n")
+        for suffix, values in stacks:
+            rows = [""] + [f"{c},%.17g{suffix}\n" for c in coords]
+            for k in range(values.shape[0] - 1, -1, -1):
+                fh.write(("%.17g" % (k * dt)).join(rows) % tuple(values[k].ravel().tolist()))
 
 
 def read_surface_csv(path) -> tuple[Array, Array, Array]:

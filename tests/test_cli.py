@@ -9,9 +9,11 @@ from __future__ import annotations
 import filecmp
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,19 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="unknown config key market.vol"):
             load(tmp_path, cfg)
 
+    @pytest.mark.parametrize("outputs,message", [
+        ({"surface_path": "report.json"},
+         r"outputs.report_path \('report.json'\) collides with outputs.surface_path"),
+        ({"table_path": "./surface.csv"}, "outputs.table_path .* outputs.surface_path"),
+        ({"report_path": "resolved_config.json"},
+         "outputs.report_path .* resolved_config.json"),
+        ({"surface_path": "a/../t.csv", "table_path": "t.csv"},
+         "outputs.table_path .* outputs.surface_path"),
+    ])
+    def test_output_paths_must_differ(self, tmp_path, outputs, message):
+        with pytest.raises(ValidationError, match=message):
+            load(tmp_path, base_config(outputs=outputs))
+
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown config key extras"):
             load(tmp_path, base_config(extras={}))
@@ -173,6 +188,14 @@ class TestExitCodes:
         code = cli.main(["price", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_colliding_output_paths_return_2(self, run_cli, tmp_path, capsys):
+        out = tmp_path / "collide"
+        cfg = base_config(grid={"lo": [LOG_K - 2.0], "hi": [LOG_K + 2.0], "nx": 41},
+                          outputs={"surface_path": "report.json"})
+        assert run_cli("price", cfg, out) == 2
+        assert "outputs.report_path" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_zero_threads_returns_2(self, run_cli, tmp_path, capsys):
         code = run_cli("price", base_config(), tmp_path / "t0", "--threads", "0")
@@ -464,3 +487,14 @@ class TestSubprocess:
         assert (out / "report.json").exists()
         assert (out / "surface.csv").exists()
         assert (out / "resolved_config.json").exists()
+
+    def test_import_loads_no_scipy(self):
+        # scipy is needed only for n >= 4 direction fans; importing the CLI
+        # must not pay for it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, tugpricer.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -423,6 +423,51 @@ class TestDppSolve:
         assert [float(r[2]) for r in rows[6:9]] == [3.0, 4.0, 5.0]
 
 
+def savetxt_tables(path, tables: GameValueTables, config_digest=None) -> None:
+    """The value-table writer as one ``np.savetxt`` block per slice: the reference."""
+    spec = tables.spec
+    n = spec.n
+    pts = spec.points()
+    with open(path, "w", newline="") as fh:
+        if config_digest is not None:
+            fh.write(f"# config_digest={config_digest}\n")
+        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["u", "side"]) + "\n")
+        for side, arr in (("minus", tables.u_minus), ("plus", tables.u_plus)):
+            if arr is None:
+                continue
+            block = np.empty((pts.shape[0], n + 2))
+            block[:, 1:n + 1] = pts
+            for k in range(spec.nt, -1, -1):
+                block[:, 0] = k * tables.dt
+                block[:, n + 1] = arr[k].reshape(-1)
+                np.savetxt(fh, block, fmt=",".join(["%.17g"] * (n + 2)) + f",{side}")
+
+
+class TestValueTableCsvBytes:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_both_sides_match_savetxt(self, tmp_path, n):
+        rng = np.random.default_rng(6 + n)
+        spec = GridSpec(lo=np.full(n, 3.7), hi=np.linspace(5.0, 5.9, n), nx=(13, 6)[:n], nt=4)
+        lower = rng.standard_normal((5, *spec.nx)) * 1e3
+        tables = GameValueTables(spec=spec, dt=0.7 / 3.0, m=10.0, u_minus=lower,
+                                 u_plus=lower + rng.random((5, *spec.nx)))
+        write_value_table_csv(tmp_path / "new.csv", tables, config_digest="deadbeef")
+        savetxt_tables(tmp_path / "old.csv", tables, config_digest="deadbeef")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_special_values_match_savetxt(self, tmp_path, side):
+        spec = GridSpec(lo=np.array([-1.0, -0.0]), hi=np.array([1.0, 5e-324]), nx=(4, 3), nt=1)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
+        values = np.stack([np.resize(special, 12), np.resize(special[::-1], 12)])
+        tables = GameValueTables(spec=spec, dt=1.0, m=1.0, **{f"u_{side}": values.reshape(2, 4, 3)})
+        write_value_table_csv(tmp_path / "new.csv", tables)
+        savetxt_tables(tmp_path / "old.csv", tables)
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "old.csv").read_text()
+        assert f",nan,{side}\n" in text and f",-inf,{side}\n" in text
+
+
 class TestMcValue:
     def test_constant_payoff(self):
         sp, sm = null_strategy_pair(1)

@@ -95,6 +95,15 @@ class TestDirectionSet:
         assert ds.count == count and ds.n == n
         assert np.max(np.abs(np.linalg.norm(ds.dirs, axis=1) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_halton_fan_matches_norm_ppf(self, n):
+        from scipy.stats import norm, qmc
+
+        u = qmc.Halton(d=n, scramble=False).random(64)
+        ref = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+        ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+        assert DirectionSet.for_dimension(n, 64).dirs.tobytes() == ref.tobytes()
+
     def test_default_counts(self):
         assert DirectionSet.for_dimension(2).count == 720
         assert DirectionSet.for_dimension(3).count == 2048

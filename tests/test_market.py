@@ -12,6 +12,7 @@ from tugpricer import (BasketPut, CertificationError, MarketParams,
                        constant_payoff, constant_running_cost,
                        payoff_basket_put, read_payoff_table,
                        tabulated_payoff_from_csv, write_payoff_table)
+from tugpricer.market import _halton
 
 
 class TestBasketPutFunction:
@@ -123,6 +124,16 @@ class TestCertification:
         pay = TabulatedPayoff(axes=(xs,), table=table, lipschitz_bound=0.5)
         with pytest.raises(CertificationError):
             certify_payoff(pay, (np.array([-2.0]), np.array([2.0])), 4096)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_scipy_bitwise(self, d):
+        from scipy.stats import qmc
+
+        for count in (1, 2, 4096, 100003):
+            ref = qmc.Halton(d=d, scramble=False).random(count)
+            assert _halton(d, count).tobytes() == ref.tobytes(), (d, count)
 
 
 class TestTabulatedPayoff:

@@ -56,6 +56,15 @@ class TestGridSpec:
         assert spec() != spec(nt=None)
         assert spec() != "not a grid"
 
+    def test_equal_specs_hash_equal(self):
+        def spec(lo=(0.0, -1.0), nt=7):
+            return GridSpec(lo=np.array(lo), hi=np.array([1.0, 2.0]), nx=(5, 4), nt=nt)
+
+        assert hash(spec()) == hash(spec())
+        assert hash(spec(nt=None)) == hash(spec(nt=None))
+        assert spec(lo=(-0.0, -1.0)) == spec() and hash(spec(lo=(-0.0, -1.0))) == hash(spec())
+        assert len({spec(), spec(), spec(nt=8)}) == 2
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(2,))
@@ -379,6 +388,22 @@ class TestBarriers:
             barrier_pair(np.array([0.0, 0.0]), 0.5, bp, 0.0, 1.0)
 
 
+def savetxt_surface(path, grid: PriceGrid, config_digest=None) -> None:
+    """The surface writer as one ``np.savetxt`` block per slice: the reference."""
+    n = grid.n
+    pts = grid.spec.points()
+    with open(path, "w", newline="") as fh:
+        if config_digest is not None:
+            fh.write(f"# config_digest={config_digest}\n")
+        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + ["u"]) + "\n")
+        block = np.empty((pts.shape[0], n + 2))
+        block[:, 1:n + 1] = pts
+        for k in range(grid.nt, -1, -1):
+            block[:, 0] = k * grid.dt
+            block[:, n + 1] = grid.values[k].reshape(-1)
+            np.savetxt(fh, block, fmt="%.17g", delimiter=",")
+
+
 class TestSurfaceCsv:
     def _small_grid(self):
         spec = GridSpec(lo=np.array([0.0, 0.0]), hi=np.array([1.0, 1.0]),
@@ -407,6 +432,30 @@ class TestSurfaceCsv:
         assert first == "# config_digest=ab12"
         times, _, _ = read_surface_csv(path)
         assert times.size == 36
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bytes_match_savetxt(self, tmp_path, n):
+        rng = np.random.default_rng(5 + n)
+        spec = GridSpec(lo=np.full(n, -1.3), hi=np.linspace(2.0, 3.1, n),
+                        nx=(17, 9)[:n], nt=5)
+        values = rng.standard_normal((6, *spec.nx)) * 10.0 ** rng.integers(-8, 8, (6, *spec.nx))
+        grid = PriceGrid(spec=spec, dt=1.0 / 3.0, values=values)
+        write_surface_csv(tmp_path / "new.csv", grid, config_digest="ab12")
+        savetxt_surface(tmp_path / "old.csv", grid, config_digest="ab12")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_special_values_match_savetxt(self, tmp_path):
+        spec = GridSpec(lo=np.array([-0.0]), hi=np.array([1e-300]), nx=(8,), nt=2)
+        # nan, +-inf, -0.0, the smallest subnormal and values near the largest double
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308, 0.1])
+        values = np.stack([special, special[::-1], -special])
+        grid = PriceGrid(spec=spec, dt=0.1, values=values)
+        write_surface_csv(tmp_path / "new.csv", grid)
+        savetxt_surface(tmp_path / "old.csv", grid)
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "old.csv").read_text()
+        for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1e+308"):
+            assert f",{token}\n" in text
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
