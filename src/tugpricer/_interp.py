@@ -10,9 +10,9 @@ from .errors import ValidationError
 def check_axes(axes: tuple[np.ndarray, ...]) -> None:
     for i, ax in enumerate(axes):
         if ax.ndim != 1 or ax.size < 2:
-            raise ValidationError(f"axis {i} must be 1-D with at least 2 points")
+            raise ValidationError(f"axes[{i}] must be 1-D with at least 2 points")
         if np.any(np.diff(ax) <= 0):
-            raise ValidationError(f"axis {i} must be strictly increasing")
+            raise ValidationError(f"axes[{i}] must be strictly increasing")
 
 
 def multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray, points: np.ndarray) -> np.ndarray:

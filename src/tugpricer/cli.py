@@ -33,9 +33,8 @@ import numpy as np
 from . import game, isaacs, pde
 from ._interp import multilinear
 from .errors import CertificationError, PreconditionError, PricingError, ValidationError
-from .market import (BasketPut, MarketParams, Payoff, certify_payoff,
-                     constant_payoff, constant_running_cost,
-                     tabulated_payoff_from_csv)
+from .market import (BasketPut, MarketParams, Payoff, TabulatedPayoff, certify_payoff,
+                     constant_payoff, constant_running_cost, read_payoff_table)
 
 _MISSING = object()
 
@@ -62,12 +61,13 @@ class _Node:
             raise ValidationError(f"missing required key {self.key(name)}")
         return default
 
-    def child(self, name: str, required: bool = False) -> "_Node | None":
+    def child(self, name: str, required: bool = False) -> "_Node":
+        """The named section; an optional one that is absent or null is empty."""
         raw = self.take(name, None)
         if raw is None:
             if required:
                 raise ValidationError(f"missing required section {self.key(name)}")
-            return None
+            raw = {}
         return _Node(raw, self.key(name))
 
     def close(self) -> None:
@@ -105,35 +105,40 @@ def _vector(value, path: str, n: int | None = None) -> list[float]:
     return out
 
 
+def _build(section: str, make, *args, **kwargs):
+    """Call a library constructor; its ValidationError gains the section key.
+
+    The library messages lead with the field name, so the result names the
+    dotted config key, e.g. ``market.sigma[0] must be > 0``.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{section}.{exc}") from exc
+
+
+def _optional(node: _Node, name: str) -> float | None:
+    value = node.take(name, None)
+    return None if value is None else _scalar(value, node.key(name))
+
+
 def _parse_market(node: _Node) -> tuple[MarketParams, dict]:
     sigma = _vector(node.take("sigma"), "market.sigma")
-    n = len(sigma)
-    for i, s in enumerate(sigma):
-        if s <= 0:
-            raise ValidationError(f"market.sigma[{i}] must be > 0")
-    mu = _vector(node.take("mu", 0.0), "market.mu", n)
+    mu = _vector(node.take("mu", 0.0), "market.mu", len(sigma))
     r = _scalar(node.take("r", 0.0), "market.r")
-    if r < 0:
-        raise ValidationError("market.r must be >= 0")
     T = _scalar(node.take("T"), "market.T")
-    if T <= 0:
-        raise ValidationError("market.T must be > 0")
-    rc_node = node.child("running_cost")
     rc = None
     rc_echo = None
-    if rc_node is not None:
+    if node.take("running_cost", None) is not None:
+        rc_node = node.child("running_cost")
         value = _scalar(rc_node.take("value"), "market.running_cost.value")
-        alpha = rc_node.take("alpha", None)
-        if alpha is not None:
-            alpha = _scalar(alpha, "market.running_cost.alpha")
+        alpha = _optional(rc_node, "alpha")
         rc_node.close()
-        if value >= 0:
-            raise ValidationError("market.running_cost.value must be < 0")
-        rc = constant_running_cost(value, alpha)
+        rc = _build("market.running_cost", constant_running_cost, value, alpha)
         rc_echo = {"value": value, "alpha": rc.alpha}
     node.close()
-    params = MarketParams(mu=np.array(mu), sigma=np.array(sigma), r=r, T=T,
-                          running_cost=rc)
+    params = _build("market", MarketParams, mu=np.array(mu), sigma=np.array(sigma),
+                    r=r, T=T, running_cost=rc)
     echo = {"mu": mu, "sigma": sigma, "r": r, "T": T, "running_cost": rc_echo}
     return params, echo
 
@@ -142,43 +147,30 @@ def _parse_payoff(node: _Node, n: int, base: Path) -> tuple[Payoff, dict]:
     kind = node.take("kind")
     if kind == "basket_put":
         weights = _vector(node.take("weights"), "payoff.weights", n)
-        for i, w in enumerate(weights):
-            if w < 0:
-                raise ValidationError(f"payoff.weights[{i}] must be >= 0")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValidationError(
-                f"payoff.weights must sum to 1 within 1e-12 (got {sum(weights)!r})"
-            )
         strike = _scalar(node.take("strike"), "payoff.strike")
-        if strike <= 0:
-            raise ValidationError("payoff.strike must be > 0")
-        lip = node.take("lipschitz_bound", None)
-        sup = node.take("sup_bound", None)
+        lip = _optional(node, "lipschitz_bound")
+        sup = _optional(node, "sup_bound")
         node.close()
-        payoff = BasketPut(weights=np.array(weights), strike=strike,
-                           lipschitz_bound=None if lip is None else _scalar(lip, "payoff.lipschitz_bound"),
-                           sup_bound=None if sup is None else _scalar(sup, "payoff.sup_bound"))
+        payoff = _build("payoff", BasketPut, weights=np.array(weights), strike=strike,
+                        lipschitz_bound=lip, sup_bound=sup)
         echo = {"kind": kind, "weights": weights, "strike": strike,
                 "lipschitz_bound": payoff.lipschitz_bound, "sup_bound": payoff.sup_bound}
         return payoff, echo
     if kind == "constant":
         value = _scalar(node.take("value"), "payoff.value")
         node.close()
-        if value < 0:
-            raise ValidationError("payoff.value must be >= 0")
-        return constant_payoff(value, n), {"kind": kind, "value": value}
+        return _build("payoff", constant_payoff, value, n), {"kind": kind, "value": value}
     if kind == "table":
         rel = node.take("path")
         if not isinstance(rel, str):
             raise ValidationError("payoff.path must be a string")
-        lip = node.take("lipschitz_bound", None)
-        sup = node.take("sup_bound", None)
+        lip = _optional(node, "lipschitz_bound")
+        sup = _optional(node, "sup_bound")
         node.close()
         path = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-        payoff = tabulated_payoff_from_csv(
-            path,
-            lipschitz_bound=None if lip is None else _scalar(lip, "payoff.lipschitz_bound"),
-            sup_bound=None if sup is None else _scalar(sup, "payoff.sup_bound"))
+        axes, table = read_payoff_table(path)  # its messages lead with the file path
+        payoff = _build("payoff", TabulatedPayoff, axes=axes, table=table,
+                        lipschitz_bound=lip, sup_bound=sup)
         if payoff.n != n:
             raise ValidationError(
                 f"payoff.path table has {payoff.n} axes but market.sigma implies n={n}")
@@ -189,16 +181,9 @@ def _parse_payoff(node: _Node, n: int, base: Path) -> tuple[Payoff, dict]:
         f"payoff.kind must be one of basket_put, constant, table (got {kind!r})")
 
 
-def _parse_grid(node: _Node | None, params: MarketParams,
+def _parse_grid(node: _Node, params: MarketParams,
                 payoff: Payoff) -> tuple[pde.GridSpec, dict]:
     n = params.n
-    if node is None:
-        lo, hi = pde.default_domain(params, payoff.center())
-        nx = tuple([101] * n)
-        spec = pde.GridSpec(lo=lo, hi=hi, nx=nx, nt=None)
-        echo = {"lo": [float(v) for v in lo], "hi": [float(v) for v in hi],
-                "nx": list(nx), "nt": None}
-        return spec, echo
     lo_raw = node.take("lo", None)
     hi_raw = node.take("hi", None)
     if (lo_raw is None) != (hi_raw is None):
@@ -211,49 +196,42 @@ def _parse_grid(node: _Node | None, params: MarketParams,
     nx_raw = node.take("nx", 101)
     if isinstance(nx_raw, list):
         nx = tuple(_integer(v, f"grid.nx[{i}]") for i, v in enumerate(nx_raw))
-        if len(nx) != n:
-            raise ValidationError(f"grid.nx must have {n} entries")
     else:
         nx = tuple([_integer(nx_raw, "grid.nx")] * n)
     nt = node.take("nt", None)
     if nt is not None:
         nt = _integer(nt, "grid.nt")
     node.close()
-    spec = pde.GridSpec(lo=lo, hi=hi, nx=nx, nt=nt)
+    spec = _build("grid", pde.GridSpec, lo=lo, hi=hi, nx=nx, nt=nt)
     echo = {"lo": [float(v) for v in lo], "hi": [float(v) for v in hi],
             "nx": list(nx), "nt": nt}
     return spec, echo
 
 
-def _parse_solver(node: _Node | None, params: MarketParams) -> tuple[pde.SolverConfig, dict]:
-    if node is None:
-        node = _Node({}, "solver")
+def _parse_solver(node: _Node, params: MarketParams) -> tuple[pde.SolverConfig, dict]:
     mode = node.take("mode", "limit_F")
-    m = node.take("m", None)
-    eps = node.take("eps_grad", None)
+    m = _optional(node, "m")
+    eps = _optional(node, "eps_grad")
     n_dirs = node.take("n_dirs", None)
+    if n_dirs is not None:
+        n_dirs = _integer(n_dirs, "solver.n_dirs")
     cfl = _scalar(node.take("cfl", 0.5), "solver.cfl")
     boundary = node.take("boundary", "discounted_payoff")
     node.close()
-    cfg = pde.SolverConfig(mode=mode,
-                           m=None if m is None else _scalar(m, "solver.m"),
-                           eps_grad=None if eps is None else _scalar(eps, "solver.eps_grad"),
-                           n_dirs=None if n_dirs is None else _integer(n_dirs, "solver.n_dirs"),
-                           cfl=cfl, boundary=boundary)
+    cfg = _build("solver", pde.SolverConfig, mode=mode, m=m, eps_grad=eps, n_dirs=n_dirs,
+                 cfl=cfl, boundary=boundary)
     echo = {"mode": cfg.mode, "m": cfg.m,
             "eps_grad": cfg.resolved_eps_grad(params),
-            "n_dirs": _resolved_dirs(params.n, cfg.n_dirs),
+            "n_dirs": _directions("solver", params.n, cfg.n_dirs).count,
             "cfl": cfg.cfl, "boundary": cfg.boundary}
     return cfg, echo
 
 
-def _resolved_dirs(n: int, n_dirs: int | None) -> int:
-    return isaacs.DirectionSet.for_dimension(n, n_dirs).dirs.shape[0]
+def _directions(section: str, n: int, n_dirs: int | None) -> isaacs.DirectionSet:
+    return _build(section, isaacs.DirectionSet.for_dimension, n, n_dirs)
 
 
-def _parse_strategies(node: _Node | None, n: int) -> dict:
-    if node is None:
-        return {"kind": "null"}
+def _parse_strategies(node: _Node, n: int) -> dict:
     kind = node.take("kind", "null")
     if kind == "null":
         node.close()
@@ -262,13 +240,11 @@ def _parse_strategies(node: _Node | None, n: int) -> dict:
         out = {"kind": "constant"}
         for name in ("plus", "minus"):
             sub = node.child(name, required=True)
-            assert sub is not None
             theta = _vector(sub.take("theta"), f"game.strategies.{name}.theta", n)
             d = _scalar(sub.take("d"), f"game.strategies.{name}.d")
             sub.close()
             out[name] = {"theta": theta, "d": d}
-        m = node.take("m", None)
-        out["m"] = None if m is None else _scalar(m, "game.strategies.m")
+        out["m"] = _optional(node, "m")
         node.close()
         return out
     if kind == "greedy":
@@ -282,24 +258,31 @@ def _parse_strategies(node: _Node | None, n: int) -> dict:
         f"game.strategies.kind must be one of null, constant, greedy (got {kind!r})")
 
 
-def _parse_game(node: _Node | None, params: MarketParams, payoff: Payoff) -> dict:
+def _parse_game(node: _Node, params: MarketParams, payoff: Payoff) -> dict:
     n = params.n
-    if node is None:
-        node = _Node({}, "game")
     m = _scalar(node.take("m", 10.0), "game.m")
     if m <= 0:
         raise ValidationError("game.m must be > 0")
     n_dirs = node.take("n_dirs", None)
+    if n_dirs is not None:
+        n_dirs = _integer(n_dirs, "game.n_dirs")
+        _directions("game", n, n_dirs)
     N = _integer(node.take("N", 100), "game.N")
+    if N < 1:
+        raise ValidationError("game.N must be >= 1")
     paths = _integer(node.take("paths", 10000), "game.paths")
-    seed = node.take("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError("game.seed must be an unsigned 64-bit integer")
+    if paths < 0:
+        raise ValidationError("game.paths must be >= 0")
+    seed = game._check_seed(node.take("seed", 0), "game.seed")
     start_raw = node.take("start", None)
     start = (list(payoff.center()) if start_raw is None
              else _vector(start_raw, "game.start", n))
     t0 = _scalar(node.take("t0", 0.0), "game.t0")
+    if not 0.0 <= t0 < params.T:
+        raise ValidationError("game.t0 must lie in [0, market.T)")
     nt_sim = _integer(node.take("nt_sim", 200), "game.nt_sim")
+    if nt_sim < 1:
+        raise ValidationError("game.nt_sim must be >= 1")
     side = node.take("side", "both")
     if side not in ("plus", "minus", "both"):
         raise ValidationError("game.side must be plus, minus or both")
@@ -308,15 +291,12 @@ def _parse_game(node: _Node | None, params: MarketParams, payoff: Payoff) -> dic
         raise ValidationError("game.dynamics must be sde or discrete")
     strategies = _parse_strategies(node.child("strategies"), n)
     node.close()
-    return {"m": m, "n_dirs": None if n_dirs is None else _integer(n_dirs, "game.n_dirs"),
-            "N": N, "paths": paths, "seed": seed, "start": [float(v) for v in start],
-            "t0": t0, "nt_sim": nt_sim, "side": side, "dynamics": dynamics,
-            "strategies": strategies}
+    return {"m": m, "n_dirs": n_dirs, "N": N, "paths": paths, "seed": seed,
+            "start": [float(v) for v in start], "t0": t0, "nt_sim": nt_sim,
+            "side": side, "dynamics": dynamics, "strategies": strategies}
 
 
-def _parse_outputs(node: _Node | None, n: int) -> dict:
-    if node is None:
-        node = _Node({}, "outputs")
+def _parse_outputs(node: _Node, n: int) -> dict:
     surface = node.take("surface_path", "surface.csv")
     report = node.take("report_path", "report.json")
     table = node.take("table_path", "game_table.csv")
@@ -340,9 +320,7 @@ def _parse_outputs(node: _Node | None, n: int) -> dict:
             "points": points}
 
 
-def _parse_operators(node: _Node | None) -> dict:
-    if node is None:
-        node = _Node({}, "operators")
+def _parse_operators(node: _Node) -> dict:
     ladder_raw = node.take("m_ladder", [1, 10, 100, 1000])
     if not isinstance(ladder_raw, list) or not ladder_raw:
         raise ValidationError("operators.m_ladder must be a non-empty list")
@@ -352,9 +330,7 @@ def _parse_operators(node: _Node | None) -> dict:
     inputs = _integer(node.take("inputs", 100), "operators.inputs")
     if inputs < 1:
         raise ValidationError("operators.inputs must be >= 1")
-    seed = node.take("seed", 7)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError("operators.seed must be an unsigned 64-bit integer")
+    seed = game._check_seed(node.take("seed", 7), "operators.seed")
     p_min = _scalar(node.take("p_min", 0.5), "operators.p_min")
     p_max = _scalar(node.take("p_max", 2.0), "operators.p_max")
     if not 0 < p_min <= p_max:
@@ -378,13 +354,9 @@ class RunConfig:
         self.game = _parse_game(root.child("game"), self.params, self.payoff)
         self.outputs = _parse_outputs(root.child("outputs"), n)
         self.operators = _parse_operators(root.child("operators"))
-        certify_node = root.child("certify")
-        if certify_node is None:
-            self.certify_samples = 4096
-        else:
-            self.certify_samples = _integer(certify_node.take("samples", 4096),
-                                            "certify.samples")
-            certify_node.close()
+        certify = root.child("certify")
+        self.certify_samples = _integer(certify.take("samples", 4096), "certify.samples")
+        certify.close()
         if self.certify_samples < 2:
             raise ValidationError("certify.samples must be >= 2")
         root.close()
@@ -395,10 +367,7 @@ class RunConfig:
         }
 
     def override_seed(self, seed: int) -> None:
-        if not 0 <= seed < 2**64:
-            raise ValidationError("--seed must be an unsigned 64-bit integer")
-        self.game["seed"] = int(seed)
-        self.resolved["game"]["seed"] = int(seed)
+        self.game["seed"] = game._check_seed(seed, "--seed")
 
     @property
     def digest(self) -> str:
@@ -423,11 +392,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_resolved(cfg: RunConfig, out: Path) -> None:
-    _write_json(out / "resolved_config.json",
-                {"config": cfg.resolved, "config_digest": cfg.digest})
-
-
 def _certify(cfg: RunConfig) -> None:
     region = (cfg.grid.lo, cfg.grid.hi)
     certify_payoff(cfg.payoff, region, cfg.certify_samples)
@@ -444,7 +408,9 @@ def _points(cfg: RunConfig) -> np.ndarray:
     return arr
 
 
-def _build_strategies(cfg: RunConfig, threads: int):
+def _build_strategies(cfg: RunConfig, surface: pde.PriceGrid | None = None):
+    """The configured strategy pair; a greedy pair reuses ``surface``, the
+    solve under ``cfg.solver``, when its own solver settings are the same."""
     spec = cfg.game["strategies"]
     n = cfg.params.n
     if spec["kind"] == "null":
@@ -453,28 +419,34 @@ def _build_strategies(cfg: RunConfig, threads: int):
         m = spec["m"]
         if m is None:
             m = max(spec["plus"]["d"], spec["minus"]["d"])
-        plus = game.ConstantStrategy(theta=np.array(spec["plus"]["theta"]),
-                                     d=spec["plus"]["d"], m=m)
-        minus = game.ConstantStrategy(theta=np.array(spec["minus"]["theta"]),
-                                      d=spec["minus"]["d"], m=m)
-        return plus, minus
+        return tuple(_build(f"game.strategies.{name}", game.ConstantStrategy,
+                            theta=np.array(spec[name]["theta"]), d=spec[name]["d"], m=m)
+                     for name in ("plus", "minus"))
     solver = pde.SolverConfig(mode=spec["mode"], m=cfg.game["m"],
                               n_dirs=cfg.solver.n_dirs, cfl=cfg.solver.cfl,
                               eps_grad=cfg.solver.eps_grad)
-    surface = pde.solve_terminal_value(cfg.payoff, cfg.params, solver, cfg.grid)
+    if surface is None or solver != cfg.solver:
+        surface = pde.solve_terminal_value(cfg.payoff, cfg.params, solver, cfg.grid)
     side = "minus" if spec["mode"] == "bounded_minus" else "plus"
     dirs = isaacs.DirectionSet.for_dimension(n, cfg.game["n_dirs"])
     return game.greedy_strategy_pair(surface, cfg.params, cfg.game["m"], dirs, side)
 
 
-def cmd_price(cfg: RunConfig, out: Path, threads: int) -> None:
+def _sde_value(cfg: RunConfig, strategies, threads: int) -> game.McEstimate:
+    scfg = _build("game", game.SimConfig, start=np.array(cfg.game["start"]),
+                  t0=cfg.game["t0"], paths=cfg.game["paths"], seed=cfg.game["seed"],
+                  nt=cfg.game["nt_sim"])
+    return game.mc_value(cfg.payoff, cfg.params, *strategies, scfg, threads=threads)
+
+
+def cmd_price(cfg: RunConfig, out: Path, threads: int) -> dict:
     _certify(cfg)
     surface = pde.solve_terminal_value(cfg.payoff, cfg.params, cfg.solver, cfg.grid)
     pts = _points(cfg)
     u0 = multilinear(surface.spec.axes, surface.values[0], pts)
     pde.write_surface_csv(out / cfg.outputs["surface_path"], surface,
                           config_digest=cfg.digest)
-    report = {
+    return {
         "command": "price",
         "mode": cfg.solver.mode,
         "m": cfg.solver.m,
@@ -484,10 +456,7 @@ def cmd_price(cfg: RunConfig, out: Path, threads: int) -> None:
         "a_design": pde.a_design(cfg.params, cfg.payoff.lipschitz_bound),
         "points": [{"x": [float(v) for v in p], "t": 0.0, "u": float(u)}
                    for p, u in zip(pts, u0)],
-        "config_digest": cfg.digest,
     }
-    _write_json(out / cfg.outputs["report_path"], report)
-    _write_resolved(cfg, out)
 
 
 def _solve_tables(cfg: RunConfig) -> game.GameValueTables:
@@ -505,7 +474,7 @@ def _solve_tables(cfg: RunConfig) -> game.GameValueTables:
     return tables
 
 
-def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> None:
+def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> dict:
     _certify(cfg)
     tables = _solve_tables(cfg)
     game.write_value_table_csv(out / cfg.outputs["table_path"], tables,
@@ -517,7 +486,6 @@ def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> None:
         "nt": tables.spec.nt,
         "dt": tables.dt,
         "points": [],
-        "config_digest": cfg.digest,
     }
     for p in pts:
         entry = {"x": [float(v) for v in p], "t": 0.0}
@@ -527,33 +495,24 @@ def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> None:
         report["points"].append(entry)
     if tables.u_plus is not None and tables.u_minus is not None:
         report["max_lower_minus_upper"] = float(np.max(tables.u_minus - tables.u_plus))
-    _write_json(out / cfg.outputs["report_path"], report)
-    _write_resolved(cfg, out)
+    return report
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> None:
+def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> dict:
     _certify(cfg)
-    strat_plus, strat_minus = _build_strategies(cfg, threads)
-    start = np.array(cfg.game["start"])
+    strategies = _build_strategies(cfg)
     if cfg.game["dynamics"] == "discrete":
-        dcfg = game.DiscreteGameConfig(start=start, t0=cfg.game["t0"],
-                                       N=cfg.game["N"], paths=cfg.game["paths"],
-                                       seed=cfg.game["seed"])
-        est = game.simulate_discrete_game(dcfg, cfg.payoff, cfg.params,
-                                          strat_plus, strat_minus, threads=threads)
+        dcfg = _build("game", game.DiscreteGameConfig, start=np.array(cfg.game["start"]),
+                      t0=cfg.game["t0"], N=cfg.game["N"], paths=cfg.game["paths"],
+                      seed=cfg.game["seed"])
+        est = game.simulate_discrete_game(dcfg, cfg.payoff, cfg.params, *strategies,
+                                          threads=threads)
     else:
-        scfg = game.SimConfig(start=start, t0=cfg.game["t0"],
-                              paths=cfg.game["paths"], seed=cfg.game["seed"],
-                              nt=cfg.game["nt_sim"])
-        est = game.mc_value(cfg.payoff, cfg.params, strat_plus, strat_minus,
-                            scfg, threads=threads)
-    report = {"mean": est.mean, "stderr": est.stderr, "paths": est.paths,
-              "seed": est.seed, "config_digest": cfg.digest}
-    _write_json(out / cfg.outputs["report_path"], report)
-    _write_resolved(cfg, out)
+        est = _sde_value(cfg, strategies, threads)
+    return {"mean": est.mean, "stderr": est.stderr, "paths": est.paths, "seed": est.seed}
 
 
-def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> None:
+def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> dict:
     params = cfg.params
     n = params.n
     ops = cfg.operators
@@ -594,20 +553,17 @@ def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> None:
             block = np.column_stack([np.arange(B), np.full(B, m), err_plus[k],
                                      err_minus[k], norm_M])
             np.savetxt(fh, block, fmt="%d,%.17g,%.17g,%.17g,%.17g")
-    report = {
+    return {
         "command": "check-operators",
         "n": n,
         "n_dirs": dirs.dirs.shape[0],
         "m_ladder": ops["m_ladder"],
         "max_err_plus": [float(np.max(e)) for e in err_plus],
         "max_err_minus": [float(np.max(e)) for e in err_minus],
-        "config_digest": cfg.digest,
     }
-    _write_json(out / cfg.outputs["report_path"], report)
-    _write_resolved(cfg, out)
 
 
-def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> None:
+def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> dict:
     _certify(cfg)
     tables = _solve_tables(cfg)
     surface = pde.solve_terminal_value(cfg.payoff, cfg.params, cfg.solver, cfg.grid)
@@ -621,7 +577,6 @@ def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> None:
         "pde_nt": surface.nt,
         "dpp_nt": tables.spec.nt,
         "points": [],
-        "config_digest": cfg.digest,
     }
     for p in pts:
         entry = {"x": [float(v) for v in p], "t": 0.0,
@@ -638,17 +593,11 @@ def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> None:
     if tables.u_plus is not None and tables.u_minus is not None:
         report["max_lower_minus_upper"] = float(np.max(tables.u_minus - tables.u_plus))
     if cfg.game["paths"] > 0:
-        strat_plus, strat_minus = _build_strategies(cfg, threads)
-        scfg = game.SimConfig(start=np.array(cfg.game["start"]), t0=cfg.game["t0"],
-                              paths=cfg.game["paths"], seed=cfg.game["seed"],
-                              nt=cfg.game["nt_sim"])
-        est = game.mc_value(cfg.payoff, cfg.params, strat_plus, strat_minus,
-                            scfg, threads=threads)
+        est = _sde_value(cfg, _build_strategies(cfg, surface), threads)
         report["mc"] = {"mean": est.mean, "stderr": est.stderr,
                         "paths": est.paths, "seed": est.seed,
                         "start": cfg.game["start"]}
-    _write_json(out / cfg.outputs["report_path"], report)
-    _write_resolved(cfg, out)
+    return report
 
 
 _COMMANDS = {
@@ -687,7 +636,11 @@ def main(argv=None) -> int:
             raise ValidationError("--threads must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out, args.threads)
+        report = _COMMANDS[args.command](cfg, out, args.threads)
+        report["config_digest"] = cfg.digest
+        _write_json(out / cfg.outputs["report_path"], report)
+        _write_json(out / "resolved_config.json",
+                    {"config": cfg.resolved, "config_digest": cfg.digest})
     except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, PreconditionError):

@@ -45,9 +45,10 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_seed(seed: int) -> int:
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
-        raise ValidationError("seed must be an unsigned 64-bit integer")
+def _check_seed(seed: int, name: str = "seed") -> int:
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer))
+                                      and 0 <= int(seed) < 2**64):
+        raise ValidationError(f"{name} must be an unsigned 64-bit integer")
     return int(seed)
 
 
@@ -154,7 +155,7 @@ class ConstantStrategy(FeedbackStrategy):
         if self.m is None:
             self.m = self.d
         if self.d > self.m:
-            raise ValidationError("constant strategy requires d <= m")
+            raise ValidationError(f"d must be <= m = {self.m!r}, got {self.d!r}")
 
     def controls(self, x: Array, t: float) -> tuple[Array, Array]:
         B = x.shape[0]
@@ -251,10 +252,6 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
     pre-step state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds
     the discounted left-endpoint sums of the running cost `rc` (0 when None).
     """
-    if cfg.start.size != params.n:
-        raise ValidationError(f"start must have {params.n} coordinates")
-    if not 0.0 <= cfg.t0 < params.T:
-        raise ValidationError("t0 must lie in [0, T)")
     if steps < 1:
         raise ValidationError("the horizon must cover at least one game step")
 
@@ -280,6 +277,14 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
             list(pool.map(worker, starts))
 
 
+def _check_start(cfg: SimConfig | DiscreteGameConfig, params: MarketParams) -> None:
+    """Refuse a start the market cannot play from, before any clock arithmetic."""
+    if cfg.start.size != params.n:
+        raise ValidationError(f"start must have {params.n} coordinates")
+    if not 0.0 <= cfg.t0 < params.T:
+        raise ValidationError("t0 must lie in [0, T)")
+
+
 def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
                        strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy,
                        threads: int = 1, accumulate_running_cost: bool = False):
@@ -289,6 +294,7 @@ def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
     Returns terminals with shape (paths, n); with the running-cost flag also
     returns the per-path discounted left-endpoint Riemann sums.
     """
+    _check_start(cfg, params)
     n = params.n
     dt = (params.T - cfg.t0) / cfg.nt
     sqdt = np.sqrt(dt)
@@ -321,6 +327,7 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
     ``theta_k = min(d / sqrt(N), 1) * theta / sqrt(N)``, which keeps every
     lattice control inside the 1/sqrt(N) ball by construction.
     """
+    _check_start(cfg, params)
     n = params.n
     steps = int(round((params.T - cfg.t0) * cfg.N))
     root_n = np.sqrt(cfg.N)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GradientDegenerateError, ValidationError
-from .market import _halton
+from .market import _as_vector, _halton
 
 Array = np.ndarray
 
@@ -46,13 +46,6 @@ SYMMETRY_TOL = 1e-12
 # 2**17 doubles (1 MiB) stay in a core's L2 cache, and larger blocks ran
 # slower (2-D kernel, K=724)
 _CHUNK_ELEMS = 1 << 17
-
-
-def _vector(value, name: str) -> Array:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} must be a finite 1-D vector")
-    return v
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class OperatorInput:
     def __post_init__(self) -> None:
         if not np.isfinite(self.xi):
             raise ValidationError("xi must be finite")
-        p = _vector(self.p, "p")
+        p = _as_vector(self.p, "p")
         M = np.asarray(self.M, dtype=float)
         if M.shape != (p.size, p.size) or not np.all(np.isfinite(M)):
             raise ValidationError(f"M must be a finite {p.size}x{p.size} matrix")
@@ -74,8 +67,6 @@ class OperatorInput:
         if skew > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(M), initial=0.0))):
             raise ValidationError(f"M must be symmetric within {SYMMETRY_TOL}, skew={skew:g}")
         M = 0.5 * (M + M.T)
-        p = p.copy()
-        p.flags.writeable = False
         M.flags.writeable = False
         object.__setattr__(self, "xi", float(self.xi))
         object.__setattr__(self, "p", p)
@@ -94,13 +85,11 @@ class ControlPoint:
     d: float
 
     def __post_init__(self) -> None:
-        theta = _vector(self.theta, "theta")
+        theta = _as_vector(self.theta, "theta")
         if abs(np.linalg.norm(theta) - 1.0) > UNIT_TOL:
             raise ValidationError(f"theta must be a unit vector within {UNIT_TOL}")
         if not (np.isfinite(self.d) and self.d >= 0):
             raise ValidationError("d must be finite and >= 0")
-        theta = theta.copy()
-        theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "d", float(self.d))
 
@@ -143,7 +132,7 @@ class DirectionSet:
         if count is None:
             count = 720 if n == 2 else 2048
         if count < 2:
-            raise ValidationError("direction count must be >= 2")
+            raise ValidationError("n_dirs must be >= 2")
         if n == 2:
             ang = 2.0 * np.pi * np.arange(count) / count
             d = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -172,8 +161,8 @@ def _trace_s2m(M: Array, sigma: Array) -> Array:
 def phi(theta_plus: ControlPoint | Array, theta_minus: ControlPoint | Array,
         d_plus: float, d_minus: float, inp: OperatorInput, params) -> float:
     """Joint running term of the game for one pair of actions."""
-    tp = theta_plus.theta if isinstance(theta_plus, ControlPoint) else _vector(theta_plus, "theta_plus")
-    tm = theta_minus.theta if isinstance(theta_minus, ControlPoint) else _vector(theta_minus, "theta_minus")
+    tp = theta_plus.theta if isinstance(theta_plus, ControlPoint) else _as_vector(theta_plus, "theta_plus")
+    tm = theta_minus.theta if isinstance(theta_minus, ControlPoint) else _as_vector(theta_minus, "theta_minus")
     for name, th in (("theta_plus", tp), ("theta_minus", tm)):
         if th.size != inp.n:
             raise ValidationError(f"{name} must have length {inp.n}")

@@ -50,7 +50,7 @@ class RunningCost:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError("running_cost.alpha must be a finite value > 0")
+            raise ValidationError("alpha must be finite and > 0")
 
     def __call__(self, x: Array, t: float) -> Array:
         vals = np.asarray(self.h(np.asarray(x, dtype=float), float(t)), dtype=float)
@@ -65,15 +65,15 @@ class RunningCost:
 
 
 def constant_running_cost(value: float, alpha: float | None = None) -> RunningCost:
-    """Wrap a constant h(x, t) = value; alpha defaults to ``-value``."""
+    """Wrap a constant h(x, t) = value < 0; alpha defaults to ``-value``."""
     value = float(value)
-    if alpha is None:
-        alpha = -value
-    elif value > -float(alpha):
-        raise ValidationError(
-            f"constant running cost {value} violates the declared bound -alpha={-float(alpha)}"
-        )
-    return RunningCost(h=lambda x, t: np.full(np.shape(x)[0], value), alpha=alpha)
+    if value >= 0:
+        raise ValidationError(f"value must be < 0, got {value!r}")
+    cost = RunningCost(h=lambda x, t: np.full(np.shape(x)[0], value),
+                       alpha=-value if alpha is None else alpha)
+    if value > -cost.alpha:
+        raise ValidationError(f"alpha must be <= -value = {-value!r}, got {cost.alpha!r}")
+    return cost
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class MarketParams:
         sigma = _as_vector(self.sigma, "sigma", mu.size)
         if np.any(sigma <= 0):
             idx = int(np.argmax(sigma <= 0))
-            raise ValidationError(f"sigma[{idx}] must be strictly positive")
+            raise ValidationError(f"sigma[{idx}] must be > 0")
         if not (np.isfinite(self.r) and self.r >= 0):
             raise ValidationError("r must be finite and >= 0")
         if not (np.isfinite(self.T) and self.T > 0):
@@ -137,9 +137,9 @@ class Payoff:
 
     def _check_bounds(self) -> None:
         if not (np.isfinite(self.sup_bound) and self.sup_bound >= 0):
-            raise ValidationError("payoff.sup_bound must be finite and >= 0")
+            raise ValidationError("sup_bound must be finite and >= 0")
         if not (np.isfinite(self.lipschitz_bound) and self.lipschitz_bound >= 0):
-            raise ValidationError("payoff.lipschitz_bound must be finite and >= 0")
+            raise ValidationError("lipschitz_bound must be finite and >= 0")
 
 
 def payoff_basket_put(x, weights, strike: float):
@@ -174,7 +174,8 @@ class BasketPut(Payoff):
             idx = int(np.argmax(w < 0))
             raise ValidationError(f"weights[{idx}] must be >= 0")
         if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-            raise ValidationError(f"weights must sum to 1 within {WEIGHT_TOL}, got {w.sum()!r}")
+            raise ValidationError(
+                f"weights must sum to 1 within {WEIGHT_TOL}, got {float(w.sum())!r}")
         if not (np.isfinite(self.strike) and self.strike > 0):
             raise ValidationError("strike must be finite and > 0")
         object.__setattr__(self, "weights", w)
@@ -249,7 +250,9 @@ class TabulatedPayoff(Payoff):
 
 
 def constant_payoff(value: float, n: int) -> TabulatedPayoff:
-    """A payoff that is identically ``value`` (flat table, flat extrapolation)."""
+    """A payoff that is identically ``value`` >= 0 (flat table, flat extrapolation)."""
+    if value < 0:
+        raise ValidationError(f"value must be >= 0, got {value!r}")
     axes = tuple(np.array([0.0, 1.0]) for _ in range(n))
     table = np.full((2,) * n, float(value))
     return TabulatedPayoff(axes=axes, table=table, lipschitz_bound=0.0,

@@ -41,15 +41,15 @@ class GridSpec:
     nt: int | None = None
 
     def __post_init__(self) -> None:
-        lo = _as_vector(self.lo, "grid lo")
-        hi = _as_vector(self.hi, "grid hi", lo.size)
+        lo = _as_vector(self.lo, "lo")
+        hi = _as_vector(self.hi, "hi", lo.size)
         nx = tuple(int(k) for k in np.atleast_1d(self.nx))
         if len(nx) != lo.size:
             raise ValidationError(f"nx must have {lo.size} entries")
         if any(k < 3 for k in nx):
             raise ValidationError("nx must be >= 3 per axis")
         if np.any(hi <= lo):
-            raise ValidationError("grid must satisfy lo < hi per axis")
+            raise ValidationError("lo must be < hi per axis")
         if self.nt is not None and int(self.nt) < 1:
             raise ValidationError("nt must be >= 1")
         object.__setattr__(self, "lo", lo)
@@ -103,7 +103,9 @@ class SolverConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode != "limit_F":
             if self.m is None or not (np.isfinite(self.m) and self.m > 0):
-                raise ValidationError("bounded modes require finite m > 0")
+                raise ValidationError("m must be finite and > 0 in the bounded modes")
+        if self.eps_grad is not None and not (np.isfinite(self.eps_grad) and self.eps_grad > 0):
+            raise ValidationError("eps_grad must be finite and > 0")
         if not (0.0 < self.cfl <= 1.0):
             raise ValidationError("cfl must lie in (0, 1]")
         if self.boundary != "discounted_payoff":
@@ -111,8 +113,6 @@ class SolverConfig:
 
     def resolved_eps_grad(self, params: MarketParams) -> float:
         if self.eps_grad is not None:
-            if not (np.isfinite(self.eps_grad) and self.eps_grad > 0):
-                raise ValidationError("eps_grad must be finite and > 0")
             return float(self.eps_grad)
         return 1e-8 * float(np.max(params.sigma))
 

@@ -257,6 +257,39 @@ class TestExitCodes:
         assert err == "error: internal: RuntimeError: boom\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,section,value", [
+        ("grid.nx", "grid", {"nx": 2}),
+        ("grid.lo", "grid", {"lo": [LOG_K + 1.0], "hi": [LOG_K - 1.0]}),
+        ("solver.mode", "solver", {"mode": "implicit"}),
+        ("solver.cfl", "solver", {"cfl": 1.5}),
+        ("solver.m", "solver", {"mode": "bounded_minus"}),
+        ("solver.eps_grad", "solver", {"eps_grad": -1.0}),
+        ("market.running_cost.alpha", "market",
+         {"running_cost": {"value": -0.5, "alpha": -1.0}}),
+        ("payoff.sup_bound", "payoff", {"sup_bound": -1.0}),
+        ("game.paths", "game", {"paths": -1}),
+        ("game.t0", "game", {"t0": 1.0}),
+        ("game.nt_sim", "game", {"nt_sim": 0}),
+        ("game.N", "game", {"N": 0}),
+        ("game.n_dirs", "game", {"n_dirs": 1}),
+        ("game.strategies.plus.d", "game", {"strategies": {
+            "kind": "constant", "plus": {"theta": [1.0], "d": -1.0},
+            "minus": {"theta": [-1.0], "d": 0.0}}}),
+        ("game.strategies.minus.d", "game", {"strategies": {
+            "kind": "constant", "plus": {"theta": [1.0], "d": 0.5},
+            "minus": {"theta": [-1.0], "d": 2.0}, "m": 1.0}}),
+    ])
+    def test_rejected_value_names_its_dotted_key(self, run_cli, tmp_path, capsys,
+                                                 key, section, value):
+        cfg = base_config()
+        if key == "game.n_dirs":  # the direction count matters only for n >= 2
+            cfg["market"]["sigma"] = [0.2, 0.2]
+            cfg["payoff"]["weights"] = [0.5, 0.5]
+        cfg.setdefault(section, {}).update(value)
+        assert run_cli("simulate", cfg, tmp_path / "bad") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
+
     def test_point_outside_box_returns_2(self, run_cli, tmp_path):
         cfg = base_config(grid={"lo": [LOG_K - 2], "hi": [LOG_K + 2], "nx": 11},
                           outputs={"points": [[10.0]]})

@@ -104,6 +104,11 @@ class TestRunningCost:
         with pytest.raises(ValidationError):
             constant_running_cost(-0.5, alpha=1.0)
 
+    @pytest.mark.parametrize("alpha", [None, 1.0])
+    def test_cost_must_be_negative(self, alpha):
+        with pytest.raises(ValidationError, match="^value must be < 0"):
+            constant_running_cost(0.5, alpha=alpha)
+
 
 class TestCertification:
     def test_constant_payoff_certificate(self):
@@ -154,6 +159,11 @@ class TestTabulatedPayoff:
         assert pay.lipschitz_bound == 0.0
         assert pay.sup_bound == 3.0
         assert pay(np.array([0.7, -0.2])) == pytest.approx(3.0)
+
+    def test_constant_payoff_must_be_nonnegative(self):
+        with pytest.raises(ValidationError, match="^value must be >= 0"):
+            constant_payoff(-1.0, 2)
+        assert constant_payoff(0.0, 1).sup_bound == 0.0
 
 
 class TestPayoffTableCsv:
