@@ -21,6 +21,13 @@ def multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray, points: np.ndar
     ``axes`` are strictly increasing 1-D coordinate arrays, ``table`` has shape
     ``tuple(len(ax) for ax in axes)`` and ``points`` has shape (B, n).
     """
+    return multilinear_apply(multilinear_plan(axes, points), table)
+
+
+def multilinear_plan(axes: tuple[np.ndarray, ...], points: np.ndarray):
+    """The table-independent half of :func:`multilinear`: ``(offsets, frac)``, the
+    (2^n, B) flat offsets of each point's cell corners (corner c takes the upper
+    node on axis i when bit i of c is set) and the (n, B) clamped fractions."""
     pts = np.asarray(points, dtype=float)
     n = len(axes)
     if pts.ndim == 1:
@@ -28,33 +35,32 @@ def multilinear(axes: tuple[np.ndarray, ...], table: np.ndarray, points: np.ndar
     if pts.shape[-1] != n:
         raise ValidationError(f"points must have {n} coordinates, got {pts.shape[-1]}")
 
-    cell = np.empty(pts.shape, dtype=np.intp)
-    frac = np.empty(pts.shape, dtype=float)
-    for i, ax in enumerate(axes):
+    base = np.zeros(pts.shape[0], dtype=np.intp)
+    corner = np.zeros(1 << n, dtype=np.intp)
+    frac = np.empty((n, pts.shape[0]), dtype=float)
+    stride = 1
+    for i in range(n - 1, -1, -1):
+        ax = axes[i]
         idx = np.clip(np.searchsorted(ax, pts[:, i], side="right") - 1, 0, ax.size - 2)
-        cell[:, i] = idx
-        width = ax[idx + 1] - ax[idx]
-        frac[:, i] = np.clip((pts[:, i] - ax[idx]) / width, 0.0, 1.0)
+        frac[i] = np.clip((pts[:, i] - ax[idx]) / (ax[idx + 1] - ax[idx]), 0.0, 1.0)
+        base += idx * stride
+        corner += ((np.arange(1 << n) >> i) & 1) * stride
+        stride *= ax.size
+    offsets = corner[:, None] + base[None, :]
+    return offsets, frac
 
-    flat = np.ascontiguousarray(table).reshape(-1)
-    strides = np.empty(n, dtype=np.intp)
-    acc = 1
-    for i in range(n - 1, -1, -1):
-        strides[i] = acc
-        acc *= table.shape[i]
 
-    # gather the 2^n corner values, then collapse one axis at a time with
-    # v0 + f*(v1 - v0); unlike the weighted corner sum this is exact on
-    # locally constant data, so flat tables interpolate without jitter
-    corners = np.empty((pts.shape[0],) + (2,) * n, dtype=float)
-    for corner in range(1 << n):
-        offs = np.zeros(pts.shape[0], dtype=np.intp)
-        for i in range(n):
-            offs += (cell[:, i] + ((corner >> i) & 1)) * strides[i]
-        corners[(slice(None),) + tuple((corner >> i) & 1 for i in range(n))] = flat[offs]
-    out = corners
+def multilinear_apply(plan, table: np.ndarray) -> np.ndarray:
+    """Interpolate ``table`` at the points a :func:`multilinear_plan` was made for."""
+    offsets, frac = plan
+    n = frac.shape[0]
+    # gather the 2^n corner values, then collapse one axis at a time, the last
+    # axis first, with v0 + f*(v1 - v0); unlike the weighted corner sum this is
+    # exact on locally constant data, so flat tables interpolate without jitter
+    out = np.ascontiguousarray(table).reshape(-1).take(offsets)
     for i in range(n - 1, -1, -1):
-        v0 = out[..., 0]
-        v1 = out[..., 1]
-        out = v0 + frac[:, i].reshape((-1,) + (1,) * i) * (v1 - v0)
-    return out
+        v0, v1 = np.split(out, 2)  # corners without and with the upper node on axis i
+        v1 -= v0
+        v1 *= frac[i]
+        out = np.add(v0, v1, out=v0 if i else None)
+    return out[0]

@@ -440,9 +440,9 @@ def _sde_value(cfg: RunConfig, strategies, threads: int) -> game.McEstimate:
 
 
 def cmd_price(cfg: RunConfig, out: Path, threads: int) -> dict:
+    pts = _points(cfg)
     _certify(cfg)
     surface = pde.solve_terminal_value(cfg.payoff, cfg.params, cfg.solver, cfg.grid)
-    pts = _points(cfg)
     u0 = multilinear(surface.spec.axes, surface.values[0], pts)
     pde.write_surface_csv(out / cfg.outputs["surface_path"], surface,
                           config_digest=cfg.digest)
@@ -475,11 +475,11 @@ def _solve_tables(cfg: RunConfig) -> game.GameValueTables:
 
 
 def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> dict:
+    pts = _points(cfg)
     _certify(cfg)
     tables = _solve_tables(cfg)
     game.write_value_table_csv(out / cfg.outputs["table_path"], tables,
                                config_digest=cfg.digest)
-    pts = _points(cfg)
     report = {
         "command": "game-value",
         "m": cfg.game["m"],
@@ -564,10 +564,10 @@ def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> dict:
 
 
 def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> dict:
+    pts = _points(cfg)
     _certify(cfg)
     tables = _solve_tables(cfg)
     surface = pde.solve_terminal_value(cfg.payoff, cfg.params, cfg.solver, cfg.grid)
-    pts = _points(cfg)
     band = np.sqrt(5.0) * cfg.params.sigma * np.sqrt(cfg.params.T)
     inner = pde.interior_mask(cfg.grid, band)
     report = {

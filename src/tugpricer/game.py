@@ -22,7 +22,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not in the first simulation
 
 from . import pde
-from ._interp import multilinear
+from ._interp import multilinear_apply, multilinear_plan
 from .errors import PreconditionError, StrategyContractError, ValidationError
 from .isaacs import ControlPoint, DirectionSet, greedy_controls_batch
 from .market import MarketParams, Payoff, _as_vector
@@ -30,8 +30,9 @@ from .market import MarketParams, Payoff, _as_vector
 Array = np.ndarray
 
 _BLOCK = 8192  # paths per work block and per RNG stream; fixed so threads never change results
-# cap on the interpolation query coordinates of one DPP sweep; a sweep peaks
-# near 75 bytes of scratch per coordinate, so this bounds it near 1.3 GB
+# cap on the interpolation query coordinates of one DPP sweep; tracemalloc puts a
+# sweep's peak at 42 (11^2, K=8) to 45 (21^2, K=16) bytes per coordinate, so this
+# bounds it near 0.75 GB
 _DPP_QUERY_BUDGET = 1 << 24
 
 
@@ -106,8 +107,9 @@ class FeedbackStrategy:
     """Markov control rule for one player: (x, t) -> (theta, d), d <= m.
 
     Implementations provide :meth:`controls` acting on state batches of shape
-    (B, n).  Outputs are validated on every call; violations raise
-    :class:`StrategyContractError` naming the offending state and time.
+    (B, n).  Outputs are validated on every call (a greedy pair's tables once,
+    when built); violations raise :class:`StrategyContractError` naming the
+    offending state and time.
     """
 
     m: float
@@ -124,20 +126,25 @@ def checked_controls(strategy: FeedbackStrategy, x: Array, t: float) -> tuple[Ar
     theta, d = strategy.controls(x, t)
     theta = np.asarray(theta, dtype=float)
     d = np.asarray(d, dtype=float)
+    _check_controls(theta, d, strategy.m, lambda i: f"x={x[i]}, t={t}")
+    return theta, d
+
+
+def _check_controls(theta: Array, d: Array, m: float, where: Callable[[int], str]) -> None:
+    """Refuse a non-unit theta row or a d outside [0, m]; ``where(i)`` names row i."""
     norms = np.linalg.norm(theta, axis=1)
     bad = np.abs(norms - 1.0) > 1e-9
     if np.any(bad):
         i = int(np.argmax(bad))
         raise StrategyContractError(
-            f"strategy returned non-unit theta (|theta|={norms[i]!r}) at x={x[i]}, t={t}"
+            f"strategy returned non-unit theta (|theta|={norms[i]!r}) at {where(i)}"
         )
-    bad = (d < 0) | (d > strategy.m * (1.0 + 1e-12) + 1e-12)
+    bad = (d < 0) | (d > m * (1.0 + 1e-12) + 1e-12)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise StrategyContractError(
-            f"strategy returned d={d[i]!r} outside [0, m={strategy.m}] at x={x[i]}, t={t}"
+            f"strategy returned d={d[i]!r} outside [0, m={m}] at {where(i)}"
         )
-    return theta, d
 
 
 @dataclass
@@ -171,7 +178,8 @@ def null_strategy_pair(n: int) -> tuple[ConstantStrategy, ConstantStrategy]:
 
 
 class _GreedyCore:
-    """Shared cache of greedy lattice controls extracted from a solved surface."""
+    """Greedy lattice controls of a solved surface: per time slice, one checked
+    (interior nodes, 2n + 2) table with the columns (theta+, d+, theta-, d-)."""
 
     def __init__(self, grid: pde.PriceGrid, params: MarketParams, m: float,
                  dirs: DirectionSet, side: str):
@@ -183,9 +191,9 @@ class _GreedyCore:
         self.dirs = dirs
         self.side = side
         self.h = grid.spec.h
-        self._tables: dict[int, tuple[Array, Array, Array, Array]] = {}
+        self._tables: dict[int, Array] = {}
 
-    def _slice_tables(self, k: int):
+    def _slice_table(self, k: int) -> Array:
         cached = self._tables.get(k)
         if cached is not None:
             return cached
@@ -195,15 +203,19 @@ class _GreedyCore:
         xi = u[tuple(slice(1, -1) for _ in range(n))].reshape(-1)
         tp, dp, tm, dm = greedy_controls_batch(xi, p.reshape(-1, n), M.reshape(-1, n, n),
                                                self.m, self.params, self.dirs, self.side)
-        tables = (tp, dp, tm, dm)
-        self._tables[k] = tables
-        return tables
+        t = k * self.grid.dt
+        for theta, d in ((tp, dp), (tm, dm)):
+            _check_controls(theta, d, self.m, lambda i: f"interior node {i} of the slice t={t}")
+        table = np.column_stack([tp, dp, tm, dm])
+        self._tables[k] = table
+        return table
 
-    def lookup(self, x: Array, t: float):
+    def lookup(self, x: Array, t: float) -> tuple[Array, Array, Array, Array]:
+        """(theta+, d+, theta-, d-) at the interior node nearest each row of x."""
         spec = self.grid.spec
         n = spec.n
         k = int(np.clip(round(t / self.grid.dt), 0, self.grid.nt))
-        tp, dp, tm, dm = self._slice_tables(k)
+        table = self._slice_table(k)
         flat = np.zeros(x.shape[0], dtype=np.intp)
         stride = 1
         for a in range(n - 1, -1, -1):
@@ -211,7 +223,8 @@ class _GreedyCore:
                           1, spec.nx[a] - 2) - 1
             flat += idx * stride
             stride *= spec.nx[a] - 2
-        return tp[flat], dp[flat], tm[flat], dm[flat]
+        rows = table.take(flat, axis=0)
+        return rows[:, :n], rows[:, n], rows[:, n + 1:2 * n + 1], rows[:, 2 * n + 1]
 
 
 @dataclass
@@ -254,6 +267,14 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
     """
     if steps < 1:
         raise ValidationError("the horizon must cover at least one game step")
+    if (isinstance(strat_plus, _GreedyView) and isinstance(strat_minus, _GreedyView)
+            and strat_plus.core is strat_minus.core
+            and (strat_plus.player, strat_minus.player) == ("plus", "minus")):
+        # one lookup per step serves both views; the core checked its tables
+        read = strat_plus.core.lookup
+    else:
+        def read(X, t):
+            return (*checked_controls(strat_plus, X, t), *checked_controls(strat_minus, X, t))
 
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)
@@ -262,8 +283,7 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
         acc = np.zeros(hi - lo)
         for k in range(steps):
             t_k = cfg.t0 + k * dt
-            tp, dp = checked_controls(strat_plus, X, t_k)
-            tm, dm = checked_controls(strat_minus, X, t_k)
+            tp, dp, tm, dm = read(X, t_k)
             if rc is not None:
                 acc += np.exp(-params.r * (params.T - t_k)) * rc(X, t_k) * dt
             X = step(X, tp, dp, tm, dm, noise[:, k])
@@ -465,6 +485,62 @@ def _coin_matrix(n: int) -> Array:
     return 1.0 - 2.0 * ((rows[:, None] >> np.arange(n + 1)[None, :]) & 1)
 
 
+class _Sweep:
+    """A DPP sweep's node-independent geometry, built once per solve: the queries'
+    ``lo <= q <= hi`` split, the interpolation plan of those inside and the payoff
+    at those outside. Calling it on a next slice gathers, discounts and optimizes."""
+
+    def __init__(self, spec: pde.GridSpec, dt: float, m: float, payoff: Payoff,
+                 params: MarketParams, dirs: DirectionSet, side: str):
+        if side not in ("plus", "minus"):
+            raise ValidationError("side must be 'plus' or 'minus'")
+        n = spec.n
+        _margin_check(spec, params, m, dt)
+        _query_check(spec, dirs)
+        D = dirs.dirs
+        K = D.shape[0]
+        dvals = np.array([0.0, m])
+        sqdt = np.sqrt(dt)
+        sigma = params.sigma
+
+        tsum = D[:, None, :] + D[None, :, :]          # (K, K, n): theta+ + theta-
+        tdiff = D[:, None, :] - D[None, :, :]
+        dsum = dvals[:, None] + dvals[None, :]        # (2, 2): d+ + d-
+        coins = _coin_matrix(n)                       # (C, n+1)
+        C = coins.shape[0]
+
+        drift = (params.mu[None, None, None, None, :]
+                 + sigma * dsum[None, :, None, :, None] * tsum[:, None, :, None, :]) * dt
+        move = (drift[:, :, :, :, None, :]
+                + sigma * coins[None, None, None, None, :, :n] * sqdt
+                + sigma * tdiff[:, None, :, None, None, :] * coins[None, None, None, None, :, n:] * sqdt)
+        # move axes: (k_plus, j_plus, k_minus, j_minus, coin, i)
+        move = move.reshape(-1, C, n)
+
+        pts = spec.points()
+        queries = (pts[:, None, None, :] + move[None, :, :, :]).reshape(-1, n)
+        self.inside = inside = np.all((queries >= spec.lo) & (queries <= spec.hi), axis=1)
+        self.outside = None if np.all(inside) else payoff.values(queries[~inside])
+        queries = queries[inside]
+        self.plan = multilinear_plan(spec.axes, queries) if queries.size else None
+        self.shape = (pts.shape[0], move.shape[0], C)
+        self.nx, self.K, self.side = spec.nx, K, side
+        self.r, self.T, self.dt = params.r, params.T, dt
+
+    def __call__(self, values_next: Array, t_next: float) -> Array:
+        vals = np.empty(self.inside.size)
+        if self.plan is not None:
+            vals[self.inside] = multilinear_apply(self.plan, values_next)
+        if self.outside is not None:
+            vals[~self.inside] = np.exp(-self.r * (self.T - t_next)) * self.outside
+        table = np.exp(-self.r * self.dt) * vals.reshape(self.shape).mean(axis=2)
+        table = table.reshape(self.shape[0], self.K, 2, self.K, 2)
+        if self.side == "minus":
+            # plus player commits, minus player answers
+            return np.max(np.min(table, axis=(3, 4)), axis=(1, 2)).reshape(self.nx)
+        return np.min(np.max(table, axis=(1, 2)), axis=(1, 2)).reshape(self.nx)
+
+
 def dpp_step(values_next: Array, t_next: float, spec: pde.GridSpec, dt: float,
              m: float, payoff: Payoff, params: MarketParams, dirs: DirectionSet,
              side: str) -> Array:
@@ -474,50 +550,7 @@ def dpp_step(values_next: Array, t_next: float, spec: pde.GridSpec, dt: float,
     value over all coin scenarios, optimized over both players' lattice
     actions; queries leaving the box fall back to the discounted payoff.
     """
-    if side not in ("plus", "minus"):
-        raise ValidationError("side must be 'plus' or 'minus'")
-    n = spec.n
-    _margin_check(spec, params, m, dt)
-    _query_check(spec, dirs)
-    D = dirs.dirs
-    K = D.shape[0]
-    dvals = np.array([0.0, m])
-    sqdt = np.sqrt(dt)
-    sigma = params.sigma
-
-    tsum = D[:, None, :] + D[None, :, :]          # (K, K, n): theta+ + theta-
-    tdiff = D[:, None, :] - D[None, :, :]
-    dsum = dvals[:, None] + dvals[None, :]        # (2, 2): d+ + d-
-    coins = _coin_matrix(n)                       # (C, n+1)
-    C = coins.shape[0]
-
-    drift = (params.mu[None, None, None, None, :]
-             + sigma * dsum[None, :, None, :, None] * tsum[:, None, :, None, :]) * dt
-    move = (drift[:, :, :, :, None, :]
-            + sigma * coins[None, None, None, None, :, :n] * sqdt
-            + sigma * tdiff[:, None, :, None, None, :] * coins[None, None, None, None, :, n:] * sqdt)
-    # move axes: (k_plus, j_plus, k_minus, j_minus, coin, i)
-    move = move.reshape(-1, C, n)
-    P = move.shape[0]
-
-    pts = spec.points()
-    B = pts.shape[0]
-    queries = (pts[:, None, None, :] + move[None, :, :, :]).reshape(-1, n)
-    inside = np.ones(queries.shape[0], dtype=bool)
-    for a in range(n):
-        inside &= (queries[:, a] >= spec.lo[a]) & (queries[:, a] <= spec.hi[a])
-    vals = np.empty(queries.shape[0])
-    if np.any(inside):
-        vals[inside] = multilinear(spec.axes, values_next, queries[inside])
-    if not np.all(inside):
-        disc_next = np.exp(-params.r * (params.T - t_next))
-        vals[~inside] = disc_next * payoff.values(queries[~inside])
-    table = np.exp(-params.r * dt) * vals.reshape(B, P, C).mean(axis=2)
-    table = table.reshape(B, K, 2, K, 2)
-    if side == "minus":
-        # plus player commits, minus player answers
-        return np.max(np.min(table, axis=(3, 4)), axis=(1, 2)).reshape(spec.nx)
-    return np.min(np.max(table, axis=(1, 2)), axis=(1, 2)).reshape(spec.nx)
+    return _Sweep(spec, dt, m, payoff, params, dirs, side)(values_next, t_next)
 
 
 def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec,
@@ -535,12 +568,11 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
     if nt < 1:
         raise ValidationError("nt must be >= 1")
     dt = params.T / nt
-    _margin_check(spec, params, m, dt)
-    _query_check(spec, dirs)
+    sweep = _Sweep(spec, dt, m, payoff, params, dirs, side)
     values = np.empty((nt + 1, *spec.nx))
     values[nt] = np.asarray(payoff.values(spec.points()), dtype=float).reshape(spec.nx)
     for k in range(nt, 0, -1):
-        values[k - 1] = dpp_step(values[k], k * dt, spec, dt, m, payoff, params, dirs, side)
+        values[k - 1] = sweep(values[k], k * dt)
     out_spec = pde.GridSpec(lo=spec.lo, hi=spec.hi, nx=spec.nx, nt=nt)
     if side == "plus":
         return GameValueTables(spec=out_spec, dt=dt, m=m, u_plus=values)

@@ -8,7 +8,7 @@ a CFL restriction ``dt <= cfl * min h_i^2 / (5 n max sigma_i^2)``.
 
 Under that restriction the step is monotone in 1-D.  For n >= 2 it is not:
 with the four-corner cross term, raising a neighbour value can lower a node's
-next value (ROADMAP item 3 tracks a monotone replacement).
+next value (ROADMAP item 1 tracks a monotone replacement).
 """
 
 from __future__ import annotations

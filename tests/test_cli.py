@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tugpricer import cli, pde
+from tugpricer import cli, game, pde
 from tugpricer._interp import multilinear
 from tugpricer.errors import ValidationError
 from tugpricer.market import BasketPut, MarketParams
@@ -294,6 +294,21 @@ class TestExitCodes:
         cfg = base_config(grid={"lo": [LOG_K - 2], "hi": [LOG_K + 2], "nx": 11},
                           outputs={"points": [[10.0]]})
         assert run_cli("price", cfg, tmp_path / "pts") == 2
+
+    @pytest.mark.parametrize("command", ["price", "game-value", "compare"])
+    def test_point_outside_box_is_refused_before_solving(self, run_cli, tmp_path, capsys,
+                                                         monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking outputs.points")
+
+        monkeypatch.setattr(pde, "solve_terminal_value", no_solve)
+        monkeypatch.setattr(game, "dpp_solve", no_solve)
+        cfg = base_config(grid={"lo": [LOG_K - 2], "hi": [LOG_K + 2], "nx": 11, "nt": 8},
+                          outputs={"points": [[20.0]]})
+        out = tmp_path / "pts"
+        assert run_cli(command, cfg, out) == 2
+        assert capsys.readouterr().err == "error: outputs.points[0] lies outside the grid box\n"
+        assert sorted(f.name for f in out.iterdir()) == ["config.json"]
 
 
 class TestPriceCommand:

@@ -16,6 +16,7 @@ from tugpricer import (BasketPut, ConstantStrategy, DirectionSet,
                        simulate_sde_paths, solve_terminal_value,
                        write_value_table_csv)
 from tugpricer import game
+from tugpricer._interp import multilinear
 from tugpricer.game import _BLOCK
 
 from oracles import binomial_walk_mean, brute_dpp_value, put_value_oracle
@@ -352,7 +353,70 @@ class TestDppStep:
                      DirectionSet.for_dimension(1), "upper")
 
 
+def per_sweep_reference(values_next, t_next, spec, dt, m, payoff, params, dirs, side):
+    """One DPP sweep that builds its queries and interpolates them from scratch."""
+    n = spec.n
+    D = dirs.dirs
+    K = D.shape[0]
+    dvals = np.array([0.0, m])
+    sqdt = np.sqrt(dt)
+    sigma = params.sigma
+    tsum = D[:, None, :] + D[None, :, :]
+    tdiff = D[:, None, :] - D[None, :, :]
+    dsum = dvals[:, None] + dvals[None, :]
+    rows = np.arange(1 << (n + 1))
+    coins = 1.0 - 2.0 * ((rows[:, None] >> np.arange(n + 1)[None, :]) & 1)
+    C = coins.shape[0]
+    drift = (params.mu[None, None, None, None, :]
+             + sigma * dsum[None, :, None, :, None] * tsum[:, None, :, None, :]) * dt
+    move = (drift[:, :, :, :, None, :]
+            + sigma * coins[None, None, None, None, :, :n] * sqdt
+            + sigma * tdiff[:, None, :, None, None, :] * coins[None, None, None, None, :, n:] * sqdt)
+    move = move.reshape(-1, C, n)
+    pts = spec.points()
+    B, P = pts.shape[0], move.shape[0]
+    queries = (pts[:, None, None, :] + move[None, :, :, :]).reshape(-1, n)
+    inside = np.all((queries >= spec.lo) & (queries <= spec.hi), axis=1)
+    vals = np.empty(queries.shape[0])
+    vals[inside] = multilinear(spec.axes, values_next, queries[inside])
+    vals[~inside] = np.exp(-params.r * (params.T - t_next)) * payoff.values(queries[~inside])
+    table = np.exp(-params.r * dt) * vals.reshape(B, P, C).mean(axis=2)
+    table = table.reshape(B, K, 2, K, 2)
+    if side == "minus":
+        return np.max(np.min(table, axis=(3, 4)), axis=(1, 2)).reshape(spec.nx)
+    return np.min(np.max(table, axis=(1, 2)), axis=(1, 2)).reshape(spec.nx)
+
+
 class TestDppSolve:
+    CASES = {
+        "1d": (GridSpec(lo=np.array([LOG_K - 1.5]), hi=np.array([LOG_K + 1.5]), nx=(31,)),
+               params_1d(mu=0.03, sigma=0.25, r=0.05), PUT, 4.0, 1, 10),
+        "2d": (GridSpec(lo=np.array([LOG_K - 2.0] * 2), hi=np.array([LOG_K + 2.0] * 2),
+                        nx=(9, 11)),
+               params_2d(), BasketPut(weights=np.array([0.5, 0.5]), strike=K), 1.0, 4, 3),
+    }
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solve_equals_the_per_sweep_reference(self, case, side):
+        spec, params, payoff, m, n_dirs, nt = self.CASES[case]
+        dirs = DirectionSet.for_dimension(spec.n, n_dirs)
+        solved = dpp_solve(payoff, params, m, spec, side, dirs=dirs, nt=nt)
+        got = solved.u_minus if side == "minus" else solved.u_plus
+        dt = params.T / nt
+        # both the interpolated and the out-of-box payoff branches are exercised
+        split = game._Sweep(spec, dt, m, payoff, params, dirs, side).inside
+        assert split.any() and not split.all()
+        want = np.empty_like(got)
+        want[nt] = payoff.values(spec.points()).reshape(spec.nx)
+        for k in range(nt, 0, -1):
+            want[k - 1] = per_sweep_reference(want[k], k * dt, spec, dt, m, payoff, params,
+                                              dirs, side)
+            assert np.array_equal(
+                dpp_step(want[k], k * dt, spec, dt, m, payoff, params, dirs, side),
+                want[k - 1])
+        assert np.array_equal(got, want)
+
     def test_constant_payoff_discounts_exactly(self):
         spec = GridSpec(lo=np.array([-4.0]), hi=np.array([4.0]), nx=(17,))
         params = params_1d(sigma=0.2, r=0.1)
@@ -535,6 +599,45 @@ class TestGreedyStrategies:
         cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=4000, seed=17, nt=100)
         est = mc_value(PUT, params, gp, gm, cfg)
         assert abs(est.mean - u0) <= 3.0 * est.stderr + 0.02 * u0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shared_lookup_matches_the_checked_path(self, monkeypatch, threads):
+        class Delegate(FeedbackStrategy):
+            def __init__(self, inner):
+                self.inner = inner
+                self.m = inner.m
+
+            def controls(self, x, t):
+                return self.inner.controls(x, t)
+
+        params, grid = self._solved()
+        gp, gm = greedy_strategy_pair(grid, params, 2.0)
+        cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=_BLOCK + 808, seed=5, nt=30)
+        checked = mc_value(PUT, params, Delegate(gp), Delegate(gm), cfg, threads=threads)
+        calls = []
+        real = game.checked_controls
+        monkeypatch.setattr(game, "checked_controls",
+                            lambda *a: calls.append(a[2]) or real(*a))
+        shared = mc_value(PUT, params, gp, gm, cfg, threads=threads)
+        assert calls == []  # one table lookup per step serves both views
+        assert shared.mean == checked.mean and shared.stderr == checked.stderr
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_table_contract_is_checked_on_first_read(self, monkeypatch, mixed):
+        real = game.greedy_controls_batch
+
+        def stretched(*args):
+            tp, dp, tm, dm = real(*args)
+            return 1.5 * tp, dp, tm, dm
+
+        monkeypatch.setattr(game, "greedy_controls_batch", stretched)
+        params, grid = self._solved()
+        gp, gm = greedy_strategy_pair(grid, params, 2.0)
+        if mixed:
+            gm = ConstantStrategy(theta=np.array([-1.0]), d=1.0)
+        cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=10, seed=5, nt=30)
+        with pytest.raises(StrategyContractError, match=r"non-unit theta .* t=0\.0"):
+            mc_value(PUT, params, gp, gm, cfg)
 
     def test_greedy_maximizer_defends_the_lower_value(self):
         # against the greedy maximizer no minimizer drags the estimate
