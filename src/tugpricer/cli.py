@@ -22,6 +22,7 @@ query budget), 4 payoff certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -461,17 +462,21 @@ def cmd_price(cfg: RunConfig, out: Path, threads: int) -> dict:
 
 def _solve_tables(cfg: RunConfig) -> game.GameValueTables:
     dirs = isaacs.DirectionSet.for_dimension(cfg.params.n, cfg.game["n_dirs"])
-    nt = cfg.grid.nt
-    if nt is None:
-        nt = game.aligned_time_steps(cfg.grid, cfg.params)
     sides = ("minus", "plus") if cfg.game["side"] == "both" else (cfg.game["side"],)
-    tables = None
-    for side in sides:
-        solved = game.dpp_solve(cfg.payoff, cfg.params, cfg.game["m"], cfg.grid,
-                                side, dirs=dirs, nt=nt)
-        tables = solved if tables is None else tables.merged(solved)
-    assert tables is not None
-    return tables
+    solved = [game.dpp_solve(cfg.payoff, cfg.params, cfg.game["m"], cfg.grid, side, dirs=dirs)
+              for side in sides]
+    return functools.reduce(game.GameValueTables.merged, solved)
+
+
+def _report_dpp(report: dict, tables: game.GameValueTables, pts: np.ndarray, key: str) -> None:
+    """Add each solved side's t = 0 value at the points as ``<key>_<side>``, and
+    ``max_lower_minus_upper`` when both sides were solved."""
+    for entry, p in zip(report["points"], pts):
+        for side, arr in (("minus", tables.u_minus), ("plus", tables.u_plus)):
+            if arr is not None:
+                entry[f"{key}_{side}"] = multilinear(tables.spec.axes, arr[0], p).item()
+    if tables.u_plus is not None and tables.u_minus is not None:
+        report["max_lower_minus_upper"] = float(np.max(tables.u_minus - tables.u_plus))
 
 
 def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> dict:
@@ -485,16 +490,9 @@ def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> dict:
         "m": cfg.game["m"],
         "nt": tables.spec.nt,
         "dt": tables.dt,
-        "points": [],
+        "points": [{"x": [float(v) for v in p], "t": 0.0} for p in pts],
     }
-    for p in pts:
-        entry = {"x": [float(v) for v in p], "t": 0.0}
-        for side, arr in (("minus", tables.u_minus), ("plus", tables.u_plus)):
-            if arr is not None:
-                entry[f"u_{side}"] = multilinear(tables.spec.axes, arr[0], p).item()
-        report["points"].append(entry)
-    if tables.u_plus is not None and tables.u_minus is not None:
-        report["max_lower_minus_upper"] = float(np.max(tables.u_minus - tables.u_plus))
+    _report_dpp(report, tables, pts, "u")
     return report
 
 
@@ -576,22 +574,16 @@ def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> dict:
         "m": cfg.game["m"],
         "pde_nt": surface.nt,
         "dpp_nt": tables.spec.nt,
-        "points": [],
+        "points": [{"x": [float(v) for v in p], "t": 0.0,
+                    "u_pde": multilinear(surface.spec.axes, surface.values[0], p).item()}
+                   for p in pts],
     }
-    for p in pts:
-        entry = {"x": [float(v) for v in p], "t": 0.0,
-                 "u_pde": multilinear(surface.spec.axes, surface.values[0], p).item()}
-        for side, arr in (("minus", tables.u_minus), ("plus", tables.u_plus)):
-            if arr is not None:
-                entry[f"u_dpp_{side}"] = multilinear(tables.spec.axes, arr[0], p).item()
-        report["points"].append(entry)
+    _report_dpp(report, tables, pts, "u_dpp")
     for side, arr in (("minus", tables.u_minus), ("plus", tables.u_plus)):
         if arr is not None:
             gap = np.abs(arr[0] - surface.values[0])
             report[f"max_gap_dpp_{side}_vs_pde"] = float(np.max(gap))
             report[f"max_interior_gap_dpp_{side}_vs_pde"] = float(np.max(gap[inner]))
-    if tables.u_plus is not None and tables.u_minus is not None:
-        report["max_lower_minus_upper"] = float(np.max(tables.u_minus - tables.u_plus))
     if cfg.game["paths"] > 0:
         est = _sde_value(cfg, _build_strategies(cfg, surface), threads)
         report["mc"] = {"mean": est.mean, "stderr": est.stderr,

@@ -15,7 +15,7 @@ so a path's draws depend only on (seed, path index, steps, n), never on threads.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy.random  # numpy loads it lazily; load it at import, not in the firs
 from . import pde
 from ._interp import multilinear_apply, multilinear_plan
 from .errors import PreconditionError, StrategyContractError, ValidationError
-from .isaacs import ControlPoint, DirectionSet, greedy_controls_batch
+from .isaacs import ControlPoint, DirectionSet, _check_m, _sign, greedy_controls_batch
 from .market import MarketParams, Payoff, _as_vector
 
 Array = np.ndarray
@@ -183,11 +183,12 @@ class _GreedyCore:
 
     def __init__(self, grid: pde.PriceGrid, params: MarketParams, m: float,
                  dirs: DirectionSet, side: str):
-        if side not in ("plus", "minus"):
-            raise ValidationError("side must be 'plus' or 'minus'")
+        _sign(side)  # refuses any side but 'plus' and 'minus'
+        if not dirs.n == params.n == grid.n:
+            raise ValidationError("directions, params and surface dimensions must agree")
         self.grid = grid
         self.params = params
-        self.m = float(m)
+        self.m = _check_m(m)
         self.dirs = dirs
         self.side = side
         self.h = grid.spec.h
@@ -197,11 +198,7 @@ class _GreedyCore:
         cached = self._tables.get(k)
         if cached is not None:
             return cached
-        u = self.grid.values[k]
-        n = self.grid.n
-        p, M = pde.interior_derivatives(u, self.h)
-        xi = u[tuple(slice(1, -1) for _ in range(n))].reshape(-1)
-        tp, dp, tm, dm = greedy_controls_batch(xi, p.reshape(-1, n), M.reshape(-1, n, n),
+        tp, dp, tm, dm = greedy_controls_batch(*pde._interior_inputs(self.grid.values[k], self.h),
                                                self.m, self.params, self.dirs, self.side)
         t = k * self.grid.dt
         for theta, d in ((tp, dp), (tm, dm)):
@@ -305,15 +302,8 @@ def _check_start(cfg: SimConfig | DiscreteGameConfig, params: MarketParams) -> N
         raise ValidationError("t0 must lie in [0, T)")
 
 
-def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
-                       strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy,
-                       threads: int = 1, accumulate_running_cost: bool = False):
-    """Euler-Maruyama terminal states of the controlled log-price dynamics.
-
-    Controls are read from the feedback strategies at the pre-step state.
-    Returns terminals with shape (paths, n); with the running-cost flag also
-    returns the per-path discounted left-endpoint Riemann sums.
-    """
+def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callable]:
+    """The Euler-Maruyama clock of a run, its normal draw and its step, for ``_play``."""
     _check_start(cfg, params)
     n = params.n
     dt = (params.T - cfg.t0) / cfg.nt
@@ -325,17 +315,37 @@ def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
         return (X + drift * dt + sigma * sqdt * z[:, :n]
                 + sigma * (tp - tm) * sqdt * z[:, n][:, None])
 
-    terminals = np.empty((cfg.paths, n))
-    rc_sums = np.zeros(cfg.paths)
+    return dt, lambda gen, shape: gen.standard_normal(shape), step
+
+
+def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketParams,
+           strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy, threads: int,
+           steps: int, dt: float, draw: Callable, step: Callable) -> McEstimate:
+    """Play every path (see ``_play``); estimate the discounted payoff plus running cost."""
+    rewards = np.empty(cfg.paths)
+
+    def store(lo, hi, X, acc):
+        rewards[lo:hi] = discounted_reward(X, cfg.t0, params, payoff) + acc
+
+    _play(cfg, params, strat_plus, strat_minus, threads, steps, dt, params.running_cost,
+          draw, step, store)
+    return _estimate(rewards, cfg.paths, cfg.seed)
+
+
+def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
+                       strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy,
+                       threads: int = 1) -> Array:
+    """Euler-Maruyama terminal states, shape (paths, n), of the controlled
+    log-price dynamics; controls are read at the pre-step state.  The value of
+    a run, running cost included, is :func:`mc_value`."""
+    dt, draw, step = _sde(cfg, params)
+    terminals = np.empty((cfg.paths, params.n))
 
     def store(lo, hi, X, acc):
         terminals[lo:hi] = X
-        rc_sums[lo:hi] = acc
 
-    _play(cfg, params, strat_plus, strat_minus, threads, cfg.nt, dt,
-          params.running_cost if accumulate_running_cost else None,
-          lambda gen, shape: gen.standard_normal(shape), step, store)
-    return (terminals, rc_sums) if accumulate_running_cost else terminals
+    _play(cfg, params, strat_plus, strat_minus, threads, cfg.nt, dt, None, draw, step, store)
+    return terminals
 
 
 def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: MarketParams,
@@ -367,14 +377,7 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
                 + sigma * (scaled_p - scaled_m) * c[:, n][:, None]
                 + sigma * (scaled_p + scaled_m))
 
-    rewards = np.empty(cfg.paths)
-
-    def store(lo, hi, X, acc):
-        rewards[lo:hi] = discounted_reward(X, cfg.t0, params, payoff) + acc
-
-    _play(cfg, params, strat_plus, strat_minus, threads, steps, dt, params.running_cost,
-          draw, step, store)
-    return _estimate(rewards, cfg.paths, cfg.seed)
+    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, steps, dt, draw, step)
 
 
 def _estimate(rewards: Array, paths: int, seed: int) -> McEstimate:
@@ -417,14 +420,9 @@ class GameValueTables:
     def __post_init__(self) -> None:
         if self.u_plus is None and self.u_minus is None:
             raise ValidationError("at least one side must be populated")
-        for name in ("u_plus", "u_minus"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != (self.spec.nt + 1, *self.spec.nx):
-                raise ValidationError(f"{name} shape {arr.shape} does not match the grid")
-            object.__setattr__(self, name, arr)
+        for name, arr in (("u_plus", self.u_plus), ("u_minus", self.u_minus)):
+            if arr is not None:
+                object.__setattr__(self, name, pde._slice_stack(arr, self.spec, name))
         if self.u_plus is not None and self.u_minus is not None:
             worst = float(np.max(self.u_minus - self.u_plus, initial=-np.inf))
             if worst > 1e-9:
@@ -492,11 +490,9 @@ class _Sweep:
 
     def __init__(self, spec: pde.GridSpec, dt: float, m: float, payoff: Payoff,
                  params: MarketParams, dirs: DirectionSet, side: str):
-        if side not in ("plus", "minus"):
-            raise ValidationError("side must be 'plus' or 'minus'")
+        _sign(side)  # refuses any side but 'plus' and 'minus'
         n = spec.n
         _margin_check(spec, params, m, dt)
-        _query_check(spec, dirs)
         D = dirs.dirs
         K = D.shape[0]
         dvals = np.array([0.0, m])
@@ -550,6 +546,7 @@ def dpp_step(values_next: Array, t_next: float, spec: pde.GridSpec, dt: float,
     value over all coin scenarios, optimized over both players' lattice
     actions; queries leaving the box fall back to the discounted payoff.
     """
+    _query_check(spec, dirs)
     return _Sweep(spec, dt, m, payoff, params, dirs, side)(values_next, t_next)
 
 
@@ -557,35 +554,24 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
               side: str, dirs: DirectionSet | None = None,
               nt: int | None = None) -> GameValueTables:
     """Backward induction from the payoff at T; returns one side's table."""
-    if params.n != spec.n or payoff.n != spec.n:
-        raise ValidationError("payoff, params and grid dimensions must agree")
-    if not (np.isfinite(m) and m > 0):
-        raise ValidationError("m must be finite and > 0")
+    m = _check_m(m)
     if dirs is None:
         dirs = DirectionSet.for_dimension(spec.n)
+    _query_check(spec, dirs)  # before any node-sized allocation
+    terminal = pde._lattice(payoff, params, spec)
     if nt is None:
         nt = spec.nt if spec.nt is not None else aligned_time_steps(spec, params)
-    if nt < 1:
-        raise ValidationError("nt must be >= 1")
-    dt = params.T / nt
-    sweep = _Sweep(spec, dt, m, payoff, params, dirs, side)
-    values = np.empty((nt + 1, *spec.nx))
-    values[nt] = np.asarray(payoff.values(spec.points()), dtype=float).reshape(spec.nx)
-    for k in range(nt, 0, -1):
-        values[k - 1] = sweep(values[k], k * dt)
-    out_spec = pde.GridSpec(lo=spec.lo, hi=spec.hi, nx=spec.nx, nt=nt)
-    if side == "plus":
-        return GameValueTables(spec=out_spec, dt=dt, m=m, u_plus=values)
-    return GameValueTables(spec=out_spec, dt=dt, m=m, u_minus=values)
+    spec = replace(spec, nt=nt)  # refuses nt < 1
+    dt = params.T / spec.nt
+    values = pde._march(terminal, spec.nt, dt, _Sweep(spec, dt, m, payoff, params, dirs, side))
+    return GameValueTables(spec=spec, dt=dt, m=m, **{f"u_{side}": values})
 
 
 def mc_value(payoff: Payoff, params: MarketParams, strat_plus: FeedbackStrategy,
              strat_minus: FeedbackStrategy, cfg: SimConfig, threads: int = 1) -> McEstimate:
     """Monte Carlo estimate of the expected discounted reward under two strategies."""
-    terminals, rc_sums = simulate_sde_paths(cfg, params, strat_plus, strat_minus,
-                                            threads=threads, accumulate_running_cost=True)
-    return _estimate(discounted_reward(terminals, cfg.t0, params, payoff) + rc_sums,
-                     cfg.paths, cfg.seed)
+    dt, draw, step = _sde(cfg, params)
+    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, cfg.nt, dt, draw, step)
 
 
 def write_value_table_csv(path, tables: GameValueTables,

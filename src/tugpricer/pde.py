@@ -137,6 +137,15 @@ class BarrierParams:
         object.__setattr__(self, "y", y)
 
 
+def _slice_stack(values, spec: GridSpec, name: str) -> Array:
+    """``values`` as floats, refused unless shaped (nt + 1, *nx) for a spec with a fixed nt."""
+    arr = np.asarray(values, dtype=float)
+    if spec.nt is None or arr.shape != (spec.nt + 1, *spec.nx):
+        raise ValidationError(f"{name} shape {arr.shape} does not fit (nt + 1, *nx) of a grid "
+                              f"with nt={spec.nt}, nx={spec.nx}")
+    return arr
+
+
 @dataclass(frozen=True)
 class PriceGrid:
     """A solved space-time surface; ``values[k]`` is the slice at t = k*dt."""
@@ -146,16 +155,10 @@ class PriceGrid:
     values: Array
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.nt + 1, *self.spec.nx):
-            raise ValidationError(
-                f"values shape {vals.shape} does not match grid {(self.nt + 1, *self.spec.nx)}"
-            )
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _slice_stack(self.values, self.spec, "values"))
 
     @property
     def nt(self) -> int:
-        assert self.spec.nt is not None
         return self.spec.nt
 
     @property
@@ -251,12 +254,19 @@ def interior_derivatives(u: Array, h: Array) -> tuple[Array, Array]:
     return p, M
 
 
+def _interior_inputs(u: Array, h: Array) -> tuple[Array, Array, Array]:
+    """Operator inputs (xi, p, M) of the interior nodes of slice u, flat in node (C) order."""
+    n = u.ndim
+    p, M = interior_derivatives(u, h)
+    xi = u[tuple(slice(1, -1) for _ in range(n))].reshape(-1)
+    return xi, p.reshape(-1, n), M.reshape(-1, n, n)
+
+
 def discrete_derivatives(grid: PriceGrid, node: tuple[int, ...], slice_index: int) -> isaacs.OperatorInput:
     """OperatorInput at one interior node of one time slice."""
-    n = grid.n
     node = tuple(int(i) for i in node)
-    if len(node) != n:
-        raise ValidationError(f"node must have {n} indices")
+    if len(node) != grid.n:
+        raise ValidationError(f"node must have {grid.n} indices")
     if not 0 <= slice_index <= grid.nt:
         raise ValidationError(f"slice_index must lie in [0, {grid.nt}]")
     for a, i in enumerate(node):
@@ -264,9 +274,9 @@ def discrete_derivatives(grid: PriceGrid, node: tuple[int, ...], slice_index: in
             raise OutOfDomainError(
                 f"node {node} touches the boundary on axis {a}; derivatives need interior nodes"
             )
-    u = grid.values[slice_index]
-    p, M = interior_derivatives(u[tuple(slice(i - 1, i + 2) for i in node)], grid.spec.h)
-    return isaacs.OperatorInput(xi=float(u[node]), p=p.reshape(n), M=M.reshape(n, n))
+    patch = grid.values[slice_index][tuple(slice(i - 1, i + 2) for i in node)]
+    xi, p, M = _interior_inputs(patch, grid.spec.h)
+    return isaacs.OperatorInput(xi=float(xi[0]), p=p[0], M=M[0])
 
 
 def _limit_values(xi: Array, p: Array, M: Array, params: MarketParams, eps_grad: float) -> Array:
@@ -299,48 +309,48 @@ def apply_operator(inp: isaacs.OperatorInput, config: SolverConfig, params: Mark
     return float(op(np.array([inp.xi]), inp.p[None, :], inp.M[None, :, :])[0])
 
 
+def _lattice(payoff: Payoff, params: MarketParams, spec: GridSpec) -> Array:
+    """The payoff on the grid's nodes, shaped nx: the terminal slice of both backward solvers."""
+    if params.n != spec.n or payoff.n != spec.n:
+        raise ValidationError("payoff, params and grid dimensions must agree")
+    return np.asarray(payoff.values(spec.points()), dtype=float).reshape(spec.nx)
+
+
+def _march(terminal: Array, nt: int, dt: float, step) -> Array:
+    """The one backward loop: values[nt] = terminal, values[k - 1] = step(values[k], k * dt)."""
+    values = np.empty((nt + 1, *terminal.shape))
+    values[nt] = terminal
+    for k in range(nt, 0, -1):
+        values[k - 1] = step(values[k], k * dt)
+    return values
+
+
 class _Workspace:
-    """Precomputed geometry shared by every backward step."""
+    """The explicit step, set up once per solve; ``ws(values_next, t_next)`` steps back dt."""
 
     def __init__(self, payoff: Payoff, params: MarketParams, config: SolverConfig,
-                 spec: GridSpec):
-        if params.n != spec.n or payoff.n != spec.n:
-            raise ValidationError("payoff, params and grid dimensions must agree")
+                 spec: GridSpec, dt: float):
         if spec.n > 4:
             raise ValidationError("solver supports at most 4 spatial dimensions")
-        self.spec = spec
-        self.params = params
-        self.h = spec.h
-        self.points = spec.points()
-        self.terminal = np.asarray(payoff.values(self.points), dtype=float).reshape(spec.nx)
-        mask = np.zeros(spec.nx, dtype=bool)
-        for a in range(spec.n):
-            sl = [slice(None)] * spec.n
-            sl[a] = 0
-            mask[tuple(sl)] = True
-            sl[a] = -1
-            mask[tuple(sl)] = True
-        self.boundary_mask = mask
-        self.boundary_payoff = self.terminal[mask]
-        self.interior_points = self.points.reshape(*spec.nx, spec.n)[
-            tuple(slice(1, -1) for _ in range(spec.n))].reshape(-1, spec.n)
+        self.terminal = _lattice(payoff, params, spec)
+        self.params, self.h, self.dt = params, spec.h, dt
+        interior = np.zeros(spec.nx, dtype=bool)
+        interior[tuple(slice(1, -1) for _ in range(spec.n))] = True
+        self.interior, self.boundary = interior, ~interior
+        self.boundary_payoff = self.terminal[self.boundary]
+        self.interior_points = spec.points()[interior.reshape(-1)]
         self.operator = _batched_operator(config, params)
 
-    def step(self, values_next: Array, t_next: float, dt: float) -> Array:
-        n = self.spec.n
-        p, M = interior_derivatives(values_next, self.h)
-        interior_shape = p.shape[:-1]
-        xi = values_next[tuple(slice(1, -1) for _ in range(n))].reshape(-1)
-        rhs = self.operator(xi, p.reshape(-1, n), M.reshape(-1, n, n))
+    def __call__(self, values_next: Array, t_next: float) -> Array:
+        xi, p, M = _interior_inputs(values_next, self.h)
+        rhs = self.operator(xi, p, M)
         if self.params.running_cost is not None:
             rhs = rhs + self.params.running_cost(self.interior_points, t_next)
         out = np.empty_like(values_next)
-        out[tuple(slice(1, -1) for _ in range(n))] = (
-            values_next[tuple(slice(1, -1) for _ in range(n))] + dt * rhs.reshape(interior_shape)
-        )
-        t = t_next - dt
+        out[self.interior] = xi + self.dt * rhs
+        t = t_next - self.dt
         disc = np.exp(-self.params.r * (self.params.T - t))
-        out[self.boundary_mask] = disc * self.boundary_payoff
+        out[self.boundary] = disc * self.boundary_payoff
         return out
 
 
@@ -352,11 +362,10 @@ def step_backward(values_next: Array, t_next: float, payoff: Payoff, params: Mar
             raise ValidationError("dt is required when the grid does not fix nt")
         dt = params.T / spec.nt
     _check_cfl(dt, spec, params, config)
-    ws = _Workspace(payoff, params, config, spec)
     vals = np.asarray(values_next, dtype=float)
     if vals.shape != spec.nx:
         raise ValidationError(f"values shape {vals.shape} does not match grid {spec.nx}")
-    return ws.step(vals, float(t_next), float(dt))
+    return _Workspace(payoff, params, config, spec, float(dt))(vals, float(t_next))
 
 
 def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverConfig,
@@ -365,11 +374,8 @@ def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverCon
     nt = resolve_time_steps(spec, params, config)
     spec = replace(spec, nt=nt)
     dt = params.T / nt
-    ws = _Workspace(payoff, params, config, spec)
-    values = np.empty((nt + 1, *spec.nx))
-    values[nt] = ws.terminal
-    for k in range(nt, 0, -1):
-        values[k - 1] = ws.step(values[k], k * dt, dt)
+    ws = _Workspace(payoff, params, config, spec, dt)
+    values = _march(ws.terminal, nt, dt, ws)
     if not np.all(np.isfinite(values)):
         raise PreconditionError("solver produced non-finite values (unstable configuration)")
     if params.running_cost is None:

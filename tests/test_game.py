@@ -468,6 +468,12 @@ class TestDppSolve:
         with pytest.raises(ValidationError):
             tables.merged(GameValueTables(spec=spec, dt=1.0, m=2.0, u_plus=flat))
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_tables_need_a_spec_with_nt(self, side):
+        spec = GridSpec(lo=[0.0], hi=[1.0], nx=(3,))
+        with pytest.raises(ValidationError, match="nt=None"):
+            GameValueTables(spec=spec, dt=1.0, m=1.0, **{f"u_{side}": np.zeros((2, 3))})
+
     def test_table_csv_layout(self, tmp_path):
         spec = GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(3,), nt=1)
         tables = GameValueTables(spec=spec, dt=1.0, m=1.0,
@@ -574,6 +580,26 @@ class TestMcValue:
         assert abs(est.mean - want) <= 1.0 * params.r * dt * params.T
         assert est.stderr == 0.0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_running_cost_rewards_rebuild_from_the_paths(self, threads):
+        # the value is the mean of discounted payoff plus the left-endpoint cost
+        # sum, accumulated step by step as the paths are played
+        rc = constant_running_cost(-1.0)
+        params = params_1d(mu=0.01, r=0.05, running_cost=rc)
+        sp = ConstantStrategy(theta=np.array([1.0]), d=1.0)
+        sm = ConstantStrategy(theta=np.array([-1.0]), d=0.5)
+        cfg = SimConfig(start=np.array([LOG_K]), t0=0.25, paths=_BLOCK + 808, seed=9, nt=12)
+        est = mc_value(PUT, params, sp, sm, cfg, threads=threads)
+        term = simulate_sde_paths(cfg, params, sp, sm, threads=threads)
+        dt = (params.T - cfg.t0) / cfg.nt
+        acc = np.zeros(cfg.paths)
+        for k in range(cfg.nt):
+            t_k = cfg.t0 + k * dt
+            acc += np.exp(-params.r * (params.T - t_k)) * rc(term, t_k) * dt
+        want = game._estimate(discounted_reward(term, cfg.t0, params, PUT) + acc,
+                              cfg.paths, cfg.seed)
+        assert est.mean == want.mean and est.stderr == want.stderr
+
 
 class TestGreedyStrategies:
     def _solved(self):
@@ -599,6 +625,18 @@ class TestGreedyStrategies:
         cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=4000, seed=17, nt=100)
         est = mc_value(PUT, params, gp, gm, cfg)
         assert abs(est.mean - u0) <= 3.0 * est.stderr + 0.02 * u0
+
+    @pytest.mark.parametrize("bad", [{"m": -1.0}, {"m": float("nan")}, {"side": "both"},
+                                     {"dirs": DirectionSet.for_dimension(2, 8)}])
+    def test_inputs_are_checked_when_built(self, bad):
+        params, grid = self._solved()
+        with pytest.raises(ValidationError):
+            greedy_strategy_pair(grid, params, **{"m": 2.0, **bad})
+
+    def test_market_of_another_dimension_is_refused(self):
+        _, grid = self._solved()
+        with pytest.raises(ValidationError, match="dimensions must agree"):
+            greedy_strategy_pair(grid, params_2d(), 2.0, DirectionSet.for_dimension(1))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_shared_lookup_matches_the_checked_path(self, monkeypatch, threads):

@@ -333,6 +333,28 @@ class TestSolveTerminalValue:
                                   SolverConfig(mode="bounded_minus", m=2.0), spec)
         assert np.all(up.values >= um.values - 1e-9)
 
+    @pytest.mark.parametrize("case", ["limit_F", "bounded_plus", "bounded_minus",
+                                      "limit_F_2d", "running_cost"])
+    def test_each_slice_is_one_step_backward(self, case):
+        # the solve and the standalone step run the same kernel, bit for bit
+        if case == "limit_F_2d":
+            params = MarketParams(mu=np.array([0.01, -0.02]), sigma=np.array([0.2, 0.3]),
+                                  r=0.03, T=1.0)
+            payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+            spec = GridSpec(lo=np.full(2, LOG_K - 2), hi=np.full(2, LOG_K + 2), nx=(11, 9))
+        else:
+            rc = constant_running_cost(-1.0) if case == "running_cost" else None
+            params = params_1d(mu=0.02, sigma=0.2, r=0.03, running_cost=rc)
+            payoff = BasketPut(weights=np.array([1.0]), strike=K)
+            spec = spec_1d(lo=LOG_K - 2, hi=LOG_K + 2, nx=41)
+        config = (SolverConfig(mode=case, m=2.0) if case.startswith("bounded")
+                  else SolverConfig())
+        grid = solve_terminal_value(payoff, params, config, spec)
+        for k in range(grid.nt, 0, -1):
+            step = step_backward(grid.values[k], k * grid.dt, payoff, params, config,
+                                 grid.spec, dt=grid.dt)
+            assert np.array_equal(grid.values[k - 1], step), k
+
 
 class TestBarriers:
     def test_terminal_cone_width(self):
@@ -475,3 +497,8 @@ class TestPriceGrid:
         spec = spec_1d(nx=5, nt=2)
         with pytest.raises(ValidationError):
             PriceGrid(spec=spec, dt=0.5, values=np.zeros((2, 5)))
+
+    def test_spec_without_nt_rejected(self):
+        spec = GridSpec(lo=[0.0], hi=[1.0], nx=(3,))
+        with pytest.raises(ValidationError, match="nt=None"):
+            PriceGrid(spec=spec, dt=1.0, values=np.zeros((2, 3)))
