@@ -107,9 +107,12 @@ class FeedbackStrategy:
     """Markov control rule for one player: (x, t) -> (theta, d), d <= m.
 
     Implementations provide :meth:`controls` acting on state batches of shape
-    (B, n).  Outputs are validated on every call (a greedy pair's tables once,
-    when built); violations raise :class:`StrategyContractError` naming the
-    offending state and time.
+    (B, n).  A simulation reads each player by one of three rules: a greedy
+    pair that shares one core makes one table lookup per step (its tables are
+    checked once per slice, when first read); an exact :class:`ConstantStrategy`
+    (not a subclass) is read and checked once per run, at the start state; any
+    other strategy is read and checked on every step.  Violations raise
+    :class:`StrategyContractError` naming the offending state and time.
     """
 
     m: float
@@ -261,6 +264,12 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
     ``X = step(X, tp, dp, tm, dm, noise[:, k])`` with the controls read at the
     pre-step state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds
     the discounted left-endpoint sums of the running cost `rc` (0 when None).
+
+    Controls are read by one of three rules: a greedy pair sharing one core
+    makes one ``lookup`` per step; an exact :class:`ConstantStrategy` is read
+    and checked once, at (cfg.start, cfg.t0) before any block is drawn, and its
+    (1, n) and (1,) rows broadcast against X; any other strategy goes through
+    ``checked_controls`` on every step.
     """
     if steps < 1:
         raise ValidationError("the horizon must cover at least one game step")
@@ -270,8 +279,10 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
         # one lookup per step serves both views; the core checked its tables
         read = strat_plus.core.lookup
     else:
+        read_plus, read_minus = _reader(strat_plus, cfg), _reader(strat_minus, cfg)
+
         def read(X, t):
-            return (*checked_controls(strat_plus, X, t), *checked_controls(strat_minus, X, t))
+            return (*read_plus(X, t), *read_minus(X, t))
 
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)
@@ -292,6 +303,15 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(worker, starts))
+
+
+def _reader(strategy: FeedbackStrategy, cfg: SimConfig | DiscreteGameConfig) -> Callable:
+    """One player's ``(X, t) -> (theta, d)``: an exact ConstantStrategy (a subclass
+    may override ``controls``) is checked here once, any other on every call."""
+    if type(strategy) is ConstantStrategy:
+        rows = checked_controls(strategy, cfg.start[None, :], cfg.t0)
+        return lambda X, t: rows
+    return lambda X, t: checked_controls(strategy, X, t)
 
 
 def _check_start(cfg: SimConfig | DiscreteGameConfig, params: MarketParams) -> None:
@@ -491,6 +511,9 @@ class _Sweep:
     def __init__(self, spec: pde.GridSpec, dt: float, m: float, payoff: Payoff,
                  params: MarketParams, dirs: DirectionSet, side: str):
         _sign(side)  # refuses any side but 'plus' and 'minus'
+        self.m = m = _check_m(m)
+        if not dirs.n == params.n == spec.n:
+            raise ValidationError("directions, params and grid dimensions must agree")
         n = spec.n
         _margin_check(spec, params, m, dt)
         D = dirs.dirs
@@ -554,7 +577,6 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
               side: str, dirs: DirectionSet | None = None,
               nt: int | None = None) -> GameValueTables:
     """Backward induction from the payoff at T; returns one side's table."""
-    m = _check_m(m)
     if dirs is None:
         dirs = DirectionSet.for_dimension(spec.n)
     _query_check(spec, dirs)  # before any node-sized allocation
@@ -563,8 +585,9 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
         nt = spec.nt if spec.nt is not None else aligned_time_steps(spec, params)
     spec = replace(spec, nt=nt)  # refuses nt < 1
     dt = params.T / spec.nt
-    values = pde._march(terminal, spec.nt, dt, _Sweep(spec, dt, m, payoff, params, dirs, side))
-    return GameValueTables(spec=spec, dt=dt, m=m, **{f"u_{side}": values})
+    sweep = _Sweep(spec, dt, m, payoff, params, dirs, side)
+    values = pde._march(terminal, spec.nt, dt, sweep)
+    return GameValueTables(spec=spec, dt=dt, m=sweep.m, **{f"u_{side}": values})
 
 
 def mc_value(payoff: Payoff, params: MarketParams, strat_plus: FeedbackStrategy,

@@ -352,6 +352,19 @@ class TestDppStep:
             dpp_step(np.zeros(spec.nx), 1.0, spec, 0.01, 1.0, PUT, params_1d(),
                      DirectionSet.for_dimension(1), "upper")
 
+    @pytest.mark.parametrize("m", [float("nan"), -1.0])
+    def test_bad_m_rejected(self, m):
+        spec = self._spec()
+        with pytest.raises(ValidationError, match="m must be finite"):
+            dpp_step(PUT.values(spec.points()).reshape(spec.nx), 1.0, spec, 0.25, m, PUT,
+                     params_1d(), DirectionSet.for_dimension(1), "minus")
+
+    def test_directions_of_another_dimension_rejected(self):
+        spec = self._spec()
+        with pytest.raises(ValidationError, match="dimensions must agree"):
+            dpp_step(np.zeros(spec.nx), 1.0, spec, 0.01, 1.0, PUT, params_1d(),
+                     DirectionSet.for_dimension(2, 4), "minus")
+
 
 def per_sweep_reference(values_next, t_next, spec, dt, m, payoff, params, dirs, side):
     """One DPP sweep that builds its queries and interpolates them from scratch."""
@@ -446,6 +459,13 @@ class TestDppSolve:
         tables = dpp_solve(PUT, params, 2.0, spec, side="minus", nt=16)
         assert tables.u_minus.min() >= -1e-9
         assert tables.u_minus.max() <= K + 1e-9
+
+    def test_directions_of_another_dimension_rejected(self):
+        spec = GridSpec(lo=np.array([LOG_K - 2]), hi=np.array([LOG_K + 2]), nx=(21,))
+        with pytest.raises(ValidationError,
+                           match="directions, params and grid dimensions must agree"):
+            dpp_solve(PUT, params_1d(), 2.0, spec, "minus",
+                      dirs=DirectionSet.for_dimension(2, 4), nt=50)
 
     def test_aligned_time_steps_formula(self):
         spec = GridSpec(lo=np.array([0.0]), hi=np.array([2.0]), nx=(21,))
@@ -690,3 +710,98 @@ class TestGreedyStrategies:
         for challenger in zoo:
             est = mc_value(PUT, params, gp, challenger, cfg)
             assert est.mean >= u0 - 3.0 * est.stderr - 0.02 * u0
+
+
+class _Delegate(FeedbackStrategy):
+    """Forwards to another strategy; not a ConstantStrategy, so it is read every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.m = inner.m
+
+    def controls(self, x, t):
+        return self.inner.controls(x, t)
+
+
+class TestConstantReads:
+    PARAMS = params_1d(mu=0.02, sigma=0.2, r=0.05)
+
+    @staticmethod
+    def _pair():
+        return (ConstantStrategy(theta=np.array([1.0]), d=0.7, m=1.0),
+                ConstantStrategy(theta=np.array([-1.0]), d=0.4, m=1.0))
+
+    def _run(self, sim, sp, sm, threads=1, paths=_BLOCK + 808):
+        if sim == "sde":
+            cfg = SimConfig(start=np.array([LOG_K]), t0=0.1, paths=paths, seed=5, nt=30)
+            return mc_value(PUT, self.PARAMS, sp, sm, cfg, threads=threads)
+        cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=0.1, N=30, paths=paths, seed=5)
+        return simulate_discrete_game(cfg, PUT, self.PARAMS, sp, sm, threads=threads)
+
+    def _count_reads(self, monkeypatch):
+        calls = []
+        real = game.checked_controls
+
+        def counted(strategy, x, t):
+            calls.append((strategy, x.shape[0], t))
+            return real(strategy, x, t)
+
+        monkeypatch.setattr(game, "checked_controls", counted)
+        return calls
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    @pytest.mark.parametrize("null", [False, True])
+    def test_read_once_matches_the_checked_path(self, sim, threads, null):
+        sp, sm = null_strategy_pair(1) if null else self._pair()
+        checked = self._run(sim, _Delegate(sp), _Delegate(sm), threads)
+        once = self._run(sim, sp, sm, threads)
+        assert once.mean == checked.mean and once.stderr == checked.stderr
+
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    def test_one_checked_read_per_constant_player(self, monkeypatch, sim):
+        sp, sm = self._pair()
+        calls = self._count_reads(monkeypatch)
+        self._run(sim, sp, sm, threads=2)
+        assert calls == [(sp, 1, 0.1), (sm, 1, 0.1)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_greedy_and_constant_mixed_pair(self, monkeypatch, threads):
+        spec = GridSpec(lo=np.array([LOG_K - 2]), hi=np.array([LOG_K + 2]), nx=(101,))
+        grid = solve_terminal_value(PUT, self.PARAMS,
+                                    SolverConfig(mode="bounded_minus", m=2.0), spec)
+        gp, _ = greedy_strategy_pair(grid, self.PARAMS, 2.0)
+        cm = ConstantStrategy(theta=np.array([-1.0]), d=1.0)
+        checked = self._run("sde", _Delegate(gp), _Delegate(cm), threads)
+        calls = self._count_reads(monkeypatch)
+        mixed = self._run("sde", gp, cm, threads)
+        assert mixed.mean == checked.mean and mixed.stderr == checked.stderr
+        # the greedy view is read on each of 30 steps of 2 blocks, the constant once
+        assert sum(s is cm for s, _, _ in calls) == 1
+        assert sum(s is gp for s, _, _ in calls) == 2 * 30
+
+    def test_subclass_that_reads_the_state_stays_per_step(self, monkeypatch):
+        class Contrarian(ConstantStrategy):
+            def controls(self, x, t):
+                sign = np.where(x[:, :1] > LOG_K, -1.0, 1.0)
+                return sign * self.theta, np.full(x.shape[0], self.d)
+
+        sp = Contrarian(theta=np.array([1.0]), d=1.0)
+        _, sm = null_strategy_pair(1)
+        checked = self._run("discrete", _Delegate(sp), _Delegate(sm))
+        calls = self._count_reads(monkeypatch)
+        est = self._run("discrete", sp, sm)
+        assert est.mean == checked.mean and est.stderr == checked.stderr
+        assert sum(s is sp for s, _, _ in calls) == 2 * 27  # 27 steps from t0 = 0.1
+        assert est.mean != self._run("discrete", ConstantStrategy(theta=np.array([1.0]), d=1.0),
+                                     sm).mean
+
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    def test_mutated_constant_is_refused_before_any_draw(self, monkeypatch, sim):
+        sp, sm = self._pair()
+        sm.d = 2.0  # above m = 1.0, past the constructor's check
+        draws = []
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a))
+        with pytest.raises(StrategyContractError, match=r"outside \[0, m=1\.0\] at x=\[4\.605"):
+            self._run(sim, sp, sm, threads=2)
+        assert draws == []
