@@ -11,46 +11,38 @@ Carlo play of the game itself.
 
 from __future__ import annotations
 
-from .errors import (CertificationError, GradientDegenerateError,
-                     OutOfDomainError, PreconditionError, PricingError,
+from .errors import (CertificationError, PreconditionError, PricingError,
                      StrategyContractError, ValidationError)
 from .game import (ConstantStrategy, DiscreteGameConfig, FeedbackStrategy,
                    GameValueTables, McEstimate, SimConfig, aligned_time_steps,
-                   discounted_reward, dpp_solve, dpp_step, greedy_strategy_pair,
-                   mc_value, null_strategy_pair, path_rng, simulate_discrete_game,
+                   discounted_reward, dpp_solve, greedy_strategy_pair, mc_value,
+                   null_strategy_pair, path_rng, simulate_discrete_game,
                    simulate_sde_paths, write_value_table_csv)
-from .isaacs import (ControlPoint, DirectionSet, OperatorInput, f_envelopes,
-                     f_limit, f_mean_eigenvalue, greedy_controls, hm_minus,
-                     hm_plus, phi)
+from .isaacs import DirectionSet
 from .market import (BasketPut, MarketParams, Payoff, PayoffCertificate,
                      RunningCost, TabulatedPayoff, certify_payoff,
                      constant_payoff, constant_running_cost, payoff_basket_put,
                      read_payoff_table, tabulated_payoff_from_csv,
                      write_payoff_table)
 from .pde import (BarrierParams, GridSpec, PriceGrid, SolverConfig, a_design,
-                  apply_operator, barrier_pair, cfl_max_dt, default_domain,
-                  discrete_derivatives, interior_derivatives, interior_mask,
-                  read_surface_csv, resolve_time_steps, solve_terminal_value,
-                  step_backward, write_surface_csv)
+                  barrier_pair, cfl_max_dt, default_domain, interior_derivatives,
+                  interior_mask, read_surface_csv, resolve_time_steps,
+                  solve_terminal_value, write_surface_csv)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarrierParams", "BasketPut", "CertificationError", "ConstantStrategy",
-    "ControlPoint", "DirectionSet", "DiscreteGameConfig", "FeedbackStrategy",
-    "GameValueTables", "GradientDegenerateError", "GridSpec", "MarketParams",
-    "McEstimate", "OperatorInput", "OutOfDomainError", "Payoff",
-    "PayoffCertificate", "PreconditionError", "PriceGrid", "PricingError",
-    "RunningCost", "SimConfig", "SolverConfig", "StrategyContractError",
-    "TabulatedPayoff", "ValidationError", "a_design", "aligned_time_steps",
-    "apply_operator", "barrier_pair", "certify_payoff", "cfl_max_dt",
-    "constant_payoff", "constant_running_cost", "default_domain",
-    "discounted_reward", "discrete_derivatives", "dpp_solve", "dpp_step",
-    "f_envelopes", "f_limit", "f_mean_eigenvalue", "greedy_controls",
-    "greedy_strategy_pair", "hm_minus", "hm_plus", "interior_derivatives",
-    "interior_mask", "mc_value", "null_strategy_pair", "path_rng",
-    "payoff_basket_put", "phi", "read_payoff_table", "read_surface_csv",
+    "DirectionSet", "DiscreteGameConfig", "FeedbackStrategy", "GameValueTables",
+    "GridSpec", "MarketParams", "McEstimate", "Payoff", "PayoffCertificate",
+    "PreconditionError", "PriceGrid", "PricingError", "RunningCost", "SimConfig",
+    "SolverConfig", "StrategyContractError", "TabulatedPayoff", "ValidationError",
+    "a_design", "aligned_time_steps", "barrier_pair", "certify_payoff",
+    "cfl_max_dt", "constant_payoff", "constant_running_cost", "default_domain",
+    "discounted_reward", "dpp_solve", "greedy_strategy_pair",
+    "interior_derivatives", "interior_mask", "mc_value", "null_strategy_pair",
+    "path_rng", "payoff_basket_put", "read_payoff_table", "read_surface_csv",
     "resolve_time_steps", "simulate_discrete_game", "simulate_sde_paths",
-    "solve_terminal_value", "step_backward", "tabulated_payoff_from_csv",
-    "write_payoff_table", "write_surface_csv", "write_value_table_csv",
+    "solve_terminal_value", "tabulated_payoff_from_csv", "write_payoff_table",
+    "write_surface_csv", "write_value_table_csv",
 ]

@@ -15,8 +15,9 @@ canonical resolved config, and reruns with identical config, seed and any
 ``--threads`` value are byte-identical.
 
 Exit codes: 0 ok, 1 internal error, 2 configuration or contract error or
-unwritable output, 3 numerical precondition (CFL / displacement margin / DPP
-query budget), 4 payoff certification failure.
+unwritable output, 3 numerical precondition (the CFL bound, the DPP
+displacement margin, the DPP query budget, a non-finite solve, or a solution
+leaving [0, sup g]), 4 payoff certification failure.
 """
 
 from __future__ import annotations
@@ -534,8 +535,7 @@ def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> dict:
         M = M / norm[:, None, None] * rng.uniform(0.25, 1.0, B)[:, None, None]
     norm_M = np.max(np.abs(np.linalg.eigvalsh(M)), axis=1)
     dirs = isaacs.DirectionSet.for_dimension(n, cfg.solver.n_dirs)
-    f_vals = np.array([isaacs.f_limit(isaacs.OperatorInput(xi=xi[i], p=p[i], M=M[i]),
-                                      params) for i in range(B)])
+    f_vals = isaacs.limit_values_batch(xi, p, M, params, cfg.solver.resolved_eps_grad(params))
     err_plus = []
     err_minus = []
     for m in ops["m_ladder"]:

@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the package.
 
 The command line front end maps these onto exit codes: validation and
-strategy-contract problems exit with 2, numerical preconditions (CFL bound,
-displacement margin, blow-up detection) with 3, certification failures with 4;
-any other exception is an internal error and exits with 1.
+strategy-contract problems exit with 2; numerical preconditions exit with 3
+(the CFL bound, the DPP displacement margin, the DPP query budget, a
+non-finite solve, and a solution leaving [0, sup g]); certification failures
+exit with 4; any other exception is an internal error and exits with 1.
 """
 
 
@@ -15,16 +16,8 @@ class ValidationError(PricingError):
     """Invalid input value or malformed configuration."""
 
 
-class OutOfDomainError(ValidationError):
-    """A requested node lies outside the usable interior of a grid."""
-
-
-class GradientDegenerateError(PricingError):
-    """The gradient-normalized limit operator was evaluated at p = 0."""
-
-
 class PreconditionError(PricingError):
-    """A numerical precondition failed (CFL bound, step margin, blow-up)."""
+    """A numerical precondition failed (CFL bound, step margin, query budget, blow-up, range)."""
 
 
 class CertificationError(PricingError):

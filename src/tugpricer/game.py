@@ -24,7 +24,7 @@ import numpy.random  # numpy loads it lazily; load it at import, not in the firs
 from . import pde
 from ._interp import multilinear_apply, multilinear_plan
 from .errors import PreconditionError, StrategyContractError, ValidationError
-from .isaacs import ControlPoint, DirectionSet, _check_m, _sign, greedy_controls_batch
+from .isaacs import UNIT_TOL, DirectionSet, _check_m, _sign, greedy_controls_batch
 from .market import MarketParams, Payoff, _as_vector
 
 Array = np.ndarray
@@ -120,10 +120,6 @@ class FeedbackStrategy:
     def controls(self, x: Array, t: float) -> tuple[Array, Array]:
         raise NotImplementedError
 
-    def at(self, x, t: float) -> ControlPoint:
-        theta, d = checked_controls(self, np.atleast_2d(np.asarray(x, dtype=float)), float(t))
-        return ControlPoint(theta=theta[0], d=float(d[0]))
-
 
 def checked_controls(strategy: FeedbackStrategy, x: Array, t: float) -> tuple[Array, Array]:
     theta, d = strategy.controls(x, t)
@@ -159,9 +155,12 @@ class ConstantStrategy(FeedbackStrategy):
     m: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        point = ControlPoint(theta=np.asarray(self.theta, dtype=float), d=self.d)
-        self.theta = point.theta
-        self.d = point.d
+        self.theta = _as_vector(self.theta, "theta")
+        if abs(np.linalg.norm(self.theta) - 1.0) > UNIT_TOL:
+            raise ValidationError(f"theta must be a unit vector within {UNIT_TOL}")
+        if not (np.isfinite(self.d) and self.d >= 0):
+            raise ValidationError("d must be finite and >= 0")
+        self.d = float(self.d)
         if self.m is None:
             self.m = self.d
         if self.d > self.m:
@@ -406,24 +405,13 @@ def _estimate(rewards: Array, paths: int, seed: int) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, paths=paths, seed=seed)
 
 
-def discounted_reward(terminal, t0: float, params: MarketParams, payoff: Payoff,
-                      running_cost_samples=None, dt: float | None = None):
-    """Discounted payoff plus the left-endpoint running-cost Riemann sum.
-
-    ``running_cost_samples[..., k]`` holds h at time t0 + k*dt; the sum adds
-    ``exp(-r (T - s_k)) h_k dt`` over the sampled clock.
-    """
+def discounted_reward(terminal, t0: float, params: MarketParams, payoff: Payoff):
+    """The payoff at the terminal states, discounted from T back to t0."""
     arr = np.asarray(terminal, dtype=float)
     scalar = arr.ndim == 1
     if scalar:
         arr = arr[None, :]
     out = np.exp(-params.r * (params.T - t0)) * np.asarray(payoff.values(arr), dtype=float)
-    if running_cost_samples is not None:
-        if dt is None or dt <= 0:
-            raise ValidationError("running-cost samples require the sampling dt")
-        samples = np.atleast_2d(np.asarray(running_cost_samples, dtype=float))
-        times = t0 + dt * np.arange(samples.shape[1])
-        out = out + dt * np.sum(samples * np.exp(-params.r * (params.T - times)), axis=1)
     return float(out[0]) if scalar else out
 
 
@@ -460,16 +448,13 @@ class GameValueTables:
         )
 
 
-def aligned_time_steps(spec: pde.GridSpec, params: MarketParams, cells: int = 1) -> int:
-    """Step count whose coin displacement sigma*sqrt(dt) spans ~`cells` grid cells.
+def aligned_time_steps(spec: pde.GridSpec, params: MarketParams) -> int:
+    """Step count whose coin displacement sigma*sqrt(dt) spans about one grid cell.
 
     Aligning the walk with the lattice keeps the interpolation bias of the
     backward induction near zero on the dominant scenarios.
     """
-    if cells < 1:
-        raise ValidationError("cells must be >= 1")
-    h = spec.h
-    target = float(np.min((cells * h / params.sigma) ** 2))
+    target = float(np.min((spec.h / params.sigma) ** 2))
     return max(1, int(round(params.T / target)))
 
 
@@ -560,23 +545,15 @@ class _Sweep:
         return np.min(np.max(table, axis=(1, 2)), axis=(1, 2)).reshape(self.nx)
 
 
-def dpp_step(values_next: Array, t_next: float, spec: pde.GridSpec, dt: float,
-             m: float, payoff: Payoff, params: MarketParams, dirs: DirectionSet,
-             side: str) -> Array:
-    """One backward-induction sweep of the bounded game on the value lattice.
+def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec,
+              side: str, dirs: DirectionSet | None = None,
+              nt: int | None = None) -> GameValueTables:
+    """Backward induction from the payoff at T; returns one side's table.
 
     Every node takes the discounted average of the interpolated next-slice
     value over all coin scenarios, optimized over both players' lattice
     actions; queries leaving the box fall back to the discounted payoff.
     """
-    _query_check(spec, dirs)
-    return _Sweep(spec, dt, m, payoff, params, dirs, side)(values_next, t_next)
-
-
-def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec,
-              side: str, dirs: DirectionSet | None = None,
-              nt: int | None = None) -> GameValueTables:
-    """Backward induction from the payoff at T; returns one side's table."""
     if dirs is None:
         dirs = DirectionSet.for_dimension(spec.n)
     _query_check(spec, dirs)  # before any node-sized allocation

@@ -1,4 +1,4 @@
-"""Pointwise Bellman-Isaacs operators for the two-player pricing game.
+"""Batched Bellman-Isaacs operators for the two-player pricing game.
 
 Both players steer the log-price diffusion: each picks a unit direction theta
 and an intensity d in [0, m].  The joint running term is
@@ -6,12 +6,12 @@ and an intensity d in [0, m].  The joint running term is
     phi = -1/2 (th+ - th-)' S M S (th+ - th-) - 1/2 trace(S^2 M)
           - (d+ + d-) (th+ + th-) . p - mu . p,          S = diag(sigma).
 
-``hm_plus`` takes sup over the minus controls of inf over the plus controls
-(``hm_minus`` the reverse order) and adds the discount term r*xi.  Because phi
-is affine in each intensity separately, restricting d to {0, m} is exact, and
-the direction search runs over a finite set augmented with +-p/|p|.  As m
-grows both operators approach ``-f_limit``, the gradient-weighted limit
-operator.
+``hm_values_batch`` on side 'plus' takes sup over the minus controls of inf
+over the plus controls (side 'minus' the reverse order) and adds the discount
+term r*xi.  Because phi is affine in each intensity separately, restricting d
+to {0, m} is exact, and the direction search runs over a finite set augmented
+with +-p/|p|.  As m grows both sides approach minus ``limit_values_batch``,
+the gradient-weighted limit operator.
 
 The lattice search works on a Gram matrix, not on the table of phi over all
 pairs of actions.  With Q = S M S, q_k = D_k' Q D_k, c_k = D_k . p and the
@@ -24,8 +24,8 @@ where lam = d+ + d- takes only the values 0, m and 2m.  For each lam one
 reduction over the inner player's directions of G shifted by q/2 + lam c
 gives that player's best reply to every outer direction, and the outer
 player's table follows from the three.  The split is symmetric in the two
-players, and the inf-sup of phi is minus the sup-inf of -phi, so
-``hm_minus`` runs the same search on negated pieces.
+players, and the inf-sup of phi is minus the sup-inf of -phi, so side
+'minus' runs the same search on negated pieces.
 """
 
 from __future__ import annotations
@@ -34,64 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradientDegenerateError, ValidationError
-from .market import _as_vector, _halton
+from .errors import ValidationError
+from .market import _halton
 
 Array = np.ndarray
 
 UNIT_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
 # cap on the elements of each scratch array of the lattice search, i.e. on
 # the Gram entries (input, outer direction, inner direction) shifted at once:
 # 2**17 doubles (1 MiB) stay in a core's L2 cache, and larger blocks ran
 # slower (2-D kernel, K=724)
 _CHUNK_ELEMS = 1 << 17
-
-
-@dataclass(frozen=True)
-class OperatorInput:
-    """A point (xi, p, M): value, gradient and symmetrized Hessian."""
-
-    xi: float
-    p: Array
-    M: Array
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.xi):
-            raise ValidationError("xi must be finite")
-        p = _as_vector(self.p, "p")
-        M = np.asarray(self.M, dtype=float)
-        if M.shape != (p.size, p.size) or not np.all(np.isfinite(M)):
-            raise ValidationError(f"M must be a finite {p.size}x{p.size} matrix")
-        skew = float(np.max(np.abs(M - M.T), initial=0.0))
-        if skew > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(M), initial=0.0))):
-            raise ValidationError(f"M must be symmetric within {SYMMETRY_TOL}, skew={skew:g}")
-        M = 0.5 * (M + M.T)
-        M.flags.writeable = False
-        object.__setattr__(self, "xi", float(self.xi))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "M", M)
-
-    @property
-    def n(self) -> int:
-        return self.p.size
-
-
-@dataclass(frozen=True)
-class ControlPoint:
-    """A single action: unit direction theta and intensity d >= 0."""
-
-    theta: Array
-    d: float
-
-    def __post_init__(self) -> None:
-        theta = _as_vector(self.theta, "theta")
-        if abs(np.linalg.norm(theta) - 1.0) > UNIT_TOL:
-            raise ValidationError(f"theta must be a unit vector within {UNIT_TOL}")
-        if not (np.isfinite(self.d) and self.d >= 0):
-            raise ValidationError("d must be finite and >= 0")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "d", float(self.d))
 
 
 @dataclass(frozen=True)
@@ -156,27 +109,6 @@ def _sms(M: Array, sigma: Array) -> Array:
 
 def _trace_s2m(M: Array, sigma: Array) -> Array:
     return np.sum(np.diagonal(M, axis1=-2, axis2=-1) * sigma**2, axis=-1)
-
-
-def phi(theta_plus: ControlPoint | Array, theta_minus: ControlPoint | Array,
-        d_plus: float, d_minus: float, inp: OperatorInput, params) -> float:
-    """Joint running term of the game for one pair of actions."""
-    tp = theta_plus.theta if isinstance(theta_plus, ControlPoint) else _as_vector(theta_plus, "theta_plus")
-    tm = theta_minus.theta if isinstance(theta_minus, ControlPoint) else _as_vector(theta_minus, "theta_minus")
-    for name, th in (("theta_plus", tp), ("theta_minus", tm)):
-        if th.size != inp.n:
-            raise ValidationError(f"{name} must have length {inp.n}")
-        if abs(np.linalg.norm(th) - 1.0) > UNIT_TOL:
-            raise ValidationError(f"{name} must be a unit vector within {UNIT_TOL}")
-    for name, d in (("d_plus", d_plus), ("d_minus", d_minus)):
-        if not (np.isfinite(d) and d >= 0):
-            raise ValidationError(f"{name} must be finite and >= 0")
-    sms = _sms(inp.M, params.sigma)
-    diff = tp - tm
-    quad = -0.5 * float(diff @ sms @ diff)
-    trace = -0.5 * float(_trace_s2m(inp.M, params.sigma))
-    drift = -(float(d_plus) + float(d_minus)) * float((tp + tm) @ inp.p)
-    return quad + trace + drift - float(params.mu @ inp.p)
 
 
 def _augment(dirs: Array, p: Array) -> Array:
@@ -297,24 +229,6 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
     return out + const + params.r * np.asarray(xi, dtype=float)
 
 
-def _hm_single(inp: OperatorInput, m: float, params, dirs: DirectionSet, side: str) -> float:
-    if dirs.n != inp.n or params.n != inp.n:
-        raise ValidationError("dimension mismatch between input, params and directions")
-    val = hm_values_batch(np.array([inp.xi]), inp.p[None, :], inp.M[None, :, :],
-                          m, params, dirs, side)
-    return float(val[0])
-
-
-def hm_plus(inp: OperatorInput, m: float, params, dirs: DirectionSet) -> float:
-    """sup over minus controls of inf over plus controls of phi, plus r*xi."""
-    return _hm_single(inp, m, params, dirs, "plus")
-
-
-def hm_minus(inp: OperatorInput, m: float, params, dirs: DirectionSet) -> float:
-    """inf over plus controls of sup over minus controls of phi, plus r*xi."""
-    return _hm_single(inp, m, params, dirs, "minus")
-
-
 def _reply(D: Array, QD: Array, q: Array, c: Array, k: Array, d: Array, m: float):
     """The inner player's best (direction index, intensity index) against
     outer direction k at intensity d: the first minimum, in the flattened
@@ -360,48 +274,19 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     return theta_p, d_p, theta_m, d_m
 
 
-def greedy_controls(inp: OperatorInput, m: float, params, dirs: DirectionSet,
-                    side: str) -> tuple[ControlPoint, ControlPoint]:
-    """Optimal (maximizer action, minimizer action) for one input."""
-    if dirs.n != inp.n or params.n != inp.n:
-        raise ValidationError("dimension mismatch between input, params and directions")
-    tp, dp, tm, dm = greedy_controls_batch(np.array([inp.xi]), inp.p[None, :],
-                                           inp.M[None, :, :], m, params, dirs, side)
-    return ControlPoint(theta=tp[0], d=float(dp[0])), ControlPoint(theta=tm[0], d=float(dm[0]))
+def limit_values_batch(xi: Array, p: Array, M: Array, params, eps_grad: float) -> Array:
+    """Gradient-weighted limit operator over a batch of (xi, p, M) triples.
 
-
-def f_limit(inp: OperatorInput, params) -> float:
-    """Gradient-weighted limit operator; requires a nonvanishing gradient."""
-    norm_sq = float(inp.p @ inp.p)
-    if norm_sq == 0.0:
-        raise GradientDegenerateError(
-            "f_limit is undefined at p = 0; use f_envelopes for the semicontinuous values"
-        )
-    sms = _sms(inp.M, params.sigma)
-    lead = 2.0 * float(inp.p @ sms @ inp.p) / norm_sq
-    return (lead + 0.5 * float(_trace_s2m(inp.M, params.sigma))
-            + float(params.mu @ inp.p) - params.r * inp.xi)
-
-
-def f_envelopes(inp: OperatorInput, params) -> tuple[float, float]:
-    """(lower, upper) semicontinuous envelopes of the limit operator.
-
-    Both collapse to f_limit away from p = 0; at p = 0 the leading term ranges
-    over [2 lambda_min, 2 lambda_max] of S M S.
+    F = 2 p' S M S p / |p|^2 + 1/2 trace(S^2 M) + mu . p - r xi.  Where
+    |p| < eps_grad the directional weight is undefined; it is replaced by
+    the eigenvalue average (2/n) trace(S M S), which lies between the
+    envelope values 2 lambda_min and 2 lambda_max of S M S.
     """
-    if float(inp.p @ inp.p) > 0.0:
-        val = f_limit(inp, params)
-        return val, val
-    eig = np.linalg.eigvalsh(_sms(inp.M, params.sigma))
-    rest = 0.5 * float(_trace_s2m(inp.M, params.sigma)) - params.r * inp.xi
-    return 2.0 * float(eig[0]) + rest, 2.0 * float(eig[-1]) + rest
-
-
-def f_mean_eigenvalue(inp: OperatorInput, params) -> float:
-    """Degenerate-gradient surrogate: replaces the directional weight by the
-    eigenvalue average (2/n) trace(S M S), which lies between the envelopes."""
-    n = inp.n
-    sms = _sms(inp.M, params.sigma)
-    lead = (2.0 / n) * float(np.trace(sms))
-    return (lead + 0.5 * float(_trace_s2m(inp.M, params.sigma))
-            + float(params.mu @ inp.p) - params.r * inp.xi)
+    sms = _sms(M, params.sigma)
+    norm_sq = np.sum(p * p, axis=1)
+    mask = np.sqrt(norm_sq) >= eps_grad
+    safe = np.where(mask, norm_sq, 1.0)
+    lead = np.where(mask,
+                    2.0 * np.einsum("bi,bij,bj->b", p, sms, p) / safe,
+                    (2.0 / params.n) * np.trace(sms, axis1=1, axis2=2))
+    return lead + 0.5 * _trace_s2m(M, params.sigma) + p @ params.mu - params.r * xi

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import isaacs
-from .errors import (OutOfDomainError, PreconditionError, ValidationError)
+from .errors import PreconditionError, ValidationError
 from .market import MarketParams, Payoff, _as_vector
 
 Array = np.ndarray
@@ -202,21 +202,17 @@ def cfl_max_dt(spec: GridSpec, params: MarketParams, cfl: float) -> float:
     return cfl * float(np.min(h) ** 2) / (5.0 * spec.n * float(np.max(params.sigma) ** 2))
 
 
-def _check_cfl(dt: float, spec: GridSpec, params: MarketParams, config: SolverConfig) -> None:
+def resolve_time_steps(spec: GridSpec, params: MarketParams, config: SolverConfig) -> int:
+    """The grid's nt if given (checked against CFL), else the smallest valid nt."""
     dt_max = cfl_max_dt(spec, params, config.cfl)
+    if spec.nt is None:
+        return max(1, int(np.ceil(params.T / dt_max * (1.0 - 1e-12))))
+    dt = params.T / spec.nt
     if dt > dt_max * (1.0 + 1e-12):
         raise PreconditionError(
             f"CFL violated: dt={dt:g} exceeds {dt_max:g} "
             f"(cfl={config.cfl}, min h={np.min(spec.h):g}, max sigma={np.max(params.sigma):g})"
         )
-
-
-def resolve_time_steps(spec: GridSpec, params: MarketParams, config: SolverConfig) -> int:
-    """The grid's nt if given (checked against CFL), else the smallest valid nt."""
-    if spec.nt is None:
-        dt_max = cfl_max_dt(spec, params, config.cfl)
-        return max(1, int(np.ceil(params.T / dt_max * (1.0 - 1e-12))))
-    _check_cfl(params.T / spec.nt, spec, params, config)
     return spec.nt
 
 
@@ -262,51 +258,14 @@ def _interior_inputs(u: Array, h: Array) -> tuple[Array, Array, Array]:
     return xi, p.reshape(-1, n), M.reshape(-1, n, n)
 
 
-def discrete_derivatives(grid: PriceGrid, node: tuple[int, ...], slice_index: int) -> isaacs.OperatorInput:
-    """OperatorInput at one interior node of one time slice."""
-    node = tuple(int(i) for i in node)
-    if len(node) != grid.n:
-        raise ValidationError(f"node must have {grid.n} indices")
-    if not 0 <= slice_index <= grid.nt:
-        raise ValidationError(f"slice_index must lie in [0, {grid.nt}]")
-    for a, i in enumerate(node):
-        if not 1 <= i <= grid.spec.nx[a] - 2:
-            raise OutOfDomainError(
-                f"node {node} touches the boundary on axis {a}; derivatives need interior nodes"
-            )
-    patch = grid.values[slice_index][tuple(slice(i - 1, i + 2) for i in node)]
-    xi, p, M = _interior_inputs(patch, grid.spec.h)
-    return isaacs.OperatorInput(xi=float(xi[0]), p=p[0], M=M[0])
-
-
-def _limit_values(xi: Array, p: Array, M: Array, params: MarketParams, eps_grad: float) -> Array:
-    """Vectorized limit operator with the mean-eigenvalue fallback below eps_grad."""
-    sig = params.sigma
-    sms = M * sig[None, :, None] * sig[None, None, :]
-    trace_s2m = np.sum(np.diagonal(M, axis1=1, axis2=2) * sig**2, axis=1)
-    norm_sq = np.sum(p * p, axis=1)
-    mask = np.sqrt(norm_sq) >= eps_grad
-    safe = np.where(mask, norm_sq, 1.0)
-    lead = np.where(mask,
-                    2.0 * np.einsum("bi,bij,bj->b", p, sms, p) / safe,
-                    (2.0 / params.n) * np.trace(sms, axis1=1, axis2=2))
-    return lead + 0.5 * trace_s2m + p @ params.mu - params.r * xi
-
-
 def _batched_operator(config: SolverConfig, params: MarketParams):
     """G(xi, p, M) over a batch of points, for the configured mode."""
     eps = config.resolved_eps_grad(params)
     if config.mode == "limit_F":
-        return lambda xi, p, M: _limit_values(xi, p, M, params, eps)
+        return lambda xi, p, M: isaacs.limit_values_batch(xi, p, M, params, eps)
     dirs = isaacs.DirectionSet.for_dimension(params.n, config.n_dirs)
     side = "plus" if config.mode == "bounded_plus" else "minus"
     return lambda xi, p, M: -isaacs.hm_values_batch(xi, p, M, config.m, params, dirs, side)
-
-
-def apply_operator(inp: isaacs.OperatorInput, config: SolverConfig, params: MarketParams) -> float:
-    """The term G in ``du/dt + G = 0`` at one point, for the configured mode."""
-    op = _batched_operator(config, params)
-    return float(op(np.array([inp.xi]), inp.p[None, :], inp.M[None, :, :])[0])
 
 
 def _lattice(payoff: Payoff, params: MarketParams, spec: GridSpec) -> Array:
@@ -352,20 +311,6 @@ class _Workspace:
         disc = np.exp(-self.params.r * (self.params.T - t))
         out[self.boundary] = disc * self.boundary_payoff
         return out
-
-
-def step_backward(values_next: Array, t_next: float, payoff: Payoff, params: MarketParams,
-                  config: SolverConfig, spec: GridSpec, dt: float | None = None) -> Array:
-    """One explicit backward step; standalone variant of the solver kernel."""
-    if dt is None:
-        if spec.nt is None:
-            raise ValidationError("dt is required when the grid does not fix nt")
-        dt = params.T / spec.nt
-    _check_cfl(dt, spec, params, config)
-    vals = np.asarray(values_next, dtype=float)
-    if vals.shape != spec.nx:
-        raise ValidationError(f"values shape {vals.shape} does not match grid {spec.nx}")
-    return _Workspace(payoff, params, config, spec, float(dt))(vals, float(t_next))
 
 
 def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverConfig,
@@ -465,6 +410,6 @@ def read_surface_csv(path) -> tuple[Array, Array, Array]:
 __all__ = [
     "GridSpec", "SolverConfig", "BarrierParams", "PriceGrid", "a_design",
     "default_domain", "cfl_max_dt", "resolve_time_steps", "interior_derivatives",
-    "discrete_derivatives", "apply_operator", "step_backward", "solve_terminal_value",
-    "barrier_pair", "interior_mask", "write_surface_csv", "read_surface_csv", "MODES",
+    "solve_terminal_value", "barrier_pair", "interior_mask", "write_surface_csv",
+    "read_surface_csv", "MODES",
 ]

@@ -43,6 +43,33 @@ def phi_formula(theta_p, theta_m, d_p, d_m, p, M, mu, sigma) -> float:
     return float(quad + tr + dterm - mu @ p)
 
 
+def limit_oracle(xi, p, M, mu, sigma, r, eps_grad) -> float:
+    """The limit operator F at one input, straight from its definition.
+
+    Away from p = 0 the leading term is 2 p'SMSp / |p|^2; where |p| < eps_grad
+    it is twice the mean eigenvalue of SMS.
+    """
+    p = np.asarray(p, dtype=float)
+    M = np.asarray(M, dtype=float)
+    S = np.diag(np.asarray(sigma, dtype=float))
+    sms = S @ M @ S
+    if np.linalg.norm(p) >= eps_grad:
+        lead = 2.0 * (p @ sms @ p) / (p @ p)
+    else:
+        lead = 2.0 * np.mean(np.linalg.eigvalsh(sms))
+    return float(lead + 0.5 * np.trace(S @ S @ M) + np.asarray(mu, dtype=float) @ p - r * xi)
+
+
+def limit_envelopes_oracle(xi, M, sigma, r) -> tuple[float, float]:
+    """(lower, upper) envelopes of F at p = 0, where the leading term ranges
+    over [2 lambda_min, 2 lambda_max] of SMS."""
+    M = np.asarray(M, dtype=float)
+    S = np.diag(np.asarray(sigma, dtype=float))
+    eig = np.linalg.eigvalsh(S @ M @ S)
+    rest = 0.5 * np.trace(S @ S @ M) - r * xi
+    return float(2.0 * eig[0] + rest), float(2.0 * eig[-1] + rest)
+
+
 def _augmented(dirs: np.ndarray, p: np.ndarray) -> list[np.ndarray]:
     out = [np.array(d, dtype=float) for d in dirs]
     # batched axis-norm, bit-identical to the implementation under test

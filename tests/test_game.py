@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from tugpricer import (BasketPut, ConstantStrategy, DirectionSet,
                        SolverConfig, StrategyContractError, ValidationError,
                        aligned_time_steps, constant_payoff,
                        constant_running_cost, discounted_reward, dpp_solve,
-                       dpp_step, greedy_strategy_pair, mc_value,
+                       greedy_strategy_pair, mc_value,
                        null_strategy_pair, path_rng, simulate_discrete_game,
                        simulate_sde_paths, solve_terminal_value,
                        write_value_table_csv)
@@ -117,11 +118,6 @@ class TestStrategies:
         assert np.array_equal(sp.theta, [1.0, 0.0])
         assert np.array_equal(sm.theta, [-1.0, 0.0])
         assert sp.d == sm.d == 0.0 and sp.m == 0.0
-
-    def test_at_returns_control_point(self):
-        s = ConstantStrategy(theta=np.array([0.0, 1.0]), d=1.5)
-        cp = s.at(np.array([0.3, -0.2]), 0.5)
-        assert np.array_equal(cp.theta, [0.0, 1.0]) and cp.d == 1.5
 
     def test_contract_violation_names_the_state(self):
         class Broken(FeedbackStrategy):
@@ -287,21 +283,12 @@ class TestDiscountedReward:
         x = np.array([LOG_K - 0.5])
         assert discounted_reward(x, 0.0, params_1d(r=0.0), PUT) == PUT(x)
 
-    def test_running_cost_closed_form(self):
-        params = params_1d(r=0.1)
-        payoff = constant_payoff(5.0, 1)
-        nt = 400
-        dt = params.T / nt
-        samples = np.full((1, nt), -1.0)
-        got = discounted_reward(np.array([[0.0]]), 0.0, params, payoff,
-                                running_cost_samples=samples, dt=dt)[0]
-        want = 5.0 * math.exp(-0.1) - (1.0 - math.exp(-0.1)) / 0.1
-        assert abs(got - want) <= 1.0 * params.r * dt * params.T
 
-    def test_samples_require_dt(self):
-        with pytest.raises(ValidationError):
-            discounted_reward(np.array([[0.0]]), 0.0, params_1d(), PUT,
-                              running_cost_samples=np.zeros((1, 3)))
+def one_sweep(spec, dt, m, payoff, params, dirs, side):
+    """One backward-induction sweep from the payoff at T: a solve with nt = 1
+    over the horizon dt."""
+    tables = dpp_solve(payoff, replace(params, T=dt), m, spec, side, dirs=dirs, nt=1)
+    return (tables.u_minus if side == "minus" else tables.u_plus)[0]
 
 
 class TestDppStep:
@@ -309,19 +296,15 @@ class TestDppStep:
         return GridSpec(lo=np.array([LOG_K - 2]), hi=np.array([LOG_K + 2]), nx=(nx,))
 
     def test_constant_without_discount(self):
-        spec = self._spec()
-        vals = np.full(spec.nx, 3.0)
-        out = dpp_step(vals, 1.0, spec, 0.01, 2.0, constant_payoff(3.0, 1),
-                       params_1d(), DirectionSet.for_dimension(1), "minus")
+        out = one_sweep(self._spec(), 0.01, 2.0, constant_payoff(3.0, 1), params_1d(),
+                        DirectionSet.for_dimension(1), "minus")
         assert np.max(np.abs(out - 3.0)) < 1e-13
 
     def test_constant_discount_factor(self):
-        spec = self._spec()
         params = params_1d(r=0.1)
-        vals = np.full(spec.nx, 3.0)
         dt = 0.01
-        out = dpp_step(vals, 1.0, spec, dt, 2.0, constant_payoff(3.0, 1),
-                       params, DirectionSet.for_dimension(1), "plus")
+        out = one_sweep(self._spec(), dt, 2.0, constant_payoff(3.0, 1), params,
+                        DirectionSet.for_dimension(1), "plus")
         assert np.max(np.abs(out - 3.0 * math.exp(-params.r * dt))) < 1e-13
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -331,39 +314,34 @@ class TestDppStep:
         dirs = DirectionSet.for_dimension(1)
         dt = 0.01
         terminal = PUT.values(spec.points()).reshape(spec.nx)
-        out = dpp_step(terminal, params.T, spec, dt, 2.0, PUT, params, dirs, side)
+        out = one_sweep(spec, dt, 2.0, PUT, params, dirs, side)
         for i, x in enumerate(spec.axes[0]):
             want = brute_dpp_value(np.array([x]), terminal, spec.axes, spec.lo,
-                                   spec.hi, params.T, dt, 2.0, PUT.values,
-                                   params.mu, params.sigma, params.r, params.T,
+                                   spec.hi, dt, dt, 2.0, PUT.values,
+                                   params.mu, params.sigma, params.r, dt,
                                    dirs.dirs, side)
             assert out[i] == pytest.approx(want, abs=1e-12)
 
     def test_step_displacement_must_fit_the_grid(self):
-        spec = self._spec()
-        vals = np.zeros(spec.nx)
         with pytest.raises(PreconditionError):
-            dpp_step(vals, 1.0, spec, 0.25, 50.0, PUT, params_1d(),
-                     DirectionSet.for_dimension(1), "minus")
+            one_sweep(self._spec(), 0.25, 50.0, PUT, params_1d(),
+                      DirectionSet.for_dimension(1), "minus")
 
     def test_unknown_side_rejected(self):
-        spec = self._spec()
         with pytest.raises(ValidationError):
-            dpp_step(np.zeros(spec.nx), 1.0, spec, 0.01, 1.0, PUT, params_1d(),
-                     DirectionSet.for_dimension(1), "upper")
+            one_sweep(self._spec(), 0.01, 1.0, PUT, params_1d(),
+                      DirectionSet.for_dimension(1), "upper")
 
     @pytest.mark.parametrize("m", [float("nan"), -1.0])
     def test_bad_m_rejected(self, m):
-        spec = self._spec()
         with pytest.raises(ValidationError, match="m must be finite"):
-            dpp_step(PUT.values(spec.points()).reshape(spec.nx), 1.0, spec, 0.25, m, PUT,
-                     params_1d(), DirectionSet.for_dimension(1), "minus")
+            one_sweep(self._spec(), 0.25, m, PUT, params_1d(),
+                      DirectionSet.for_dimension(1), "minus")
 
     def test_directions_of_another_dimension_rejected(self):
-        spec = self._spec()
         with pytest.raises(ValidationError, match="dimensions must agree"):
-            dpp_step(np.zeros(spec.nx), 1.0, spec, 0.01, 1.0, PUT, params_1d(),
-                     DirectionSet.for_dimension(2, 4), "minus")
+            one_sweep(self._spec(), 0.01, 1.0, PUT, params_1d(),
+                      DirectionSet.for_dimension(2, 4), "minus")
 
 
 def per_sweep_reference(values_next, t_next, spec, dt, m, payoff, params, dirs, side):
@@ -425,9 +403,6 @@ class TestDppSolve:
         for k in range(nt, 0, -1):
             want[k - 1] = per_sweep_reference(want[k], k * dt, spec, dt, m, payoff, params,
                                               dirs, side)
-            assert np.array_equal(
-                dpp_step(want[k], k * dt, spec, dt, m, payoff, params, dirs, side),
-                want[k - 1])
         assert np.array_equal(got, want)
 
     def test_constant_payoff_discounts_exactly(self):
@@ -472,7 +447,6 @@ class TestDppSolve:
         params = params_1d(sigma=0.2)
         # sigma*sqrt(dt) spans one cell: dt = (h/sigma)^2 = 0.25, four steps
         assert aligned_time_steps(spec, params) == 4
-        assert aligned_time_steps(spec, params, cells=2) == 1
 
     def test_tables_validation(self):
         spec = GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(5,), nt=1)
@@ -634,9 +608,9 @@ class TestGreedyStrategies:
         gp, gm = greedy_strategy_pair(grid, params, 2.0)
         assert isinstance(gp, FeedbackStrategy) and isinstance(gm, FeedbackStrategy)
         assert gp.m == 2.0 and gm.m == 2.0
-        cp = gp.at(np.array([LOG_K]), 0.0)
-        assert abs(np.linalg.norm(cp.theta) - 1.0) < 1e-9
-        assert 0.0 <= cp.d <= 2.0
+        theta, d = game.checked_controls(gp, np.array([[LOG_K]]), 0.0)
+        assert abs(np.linalg.norm(theta[0]) - 1.0) < 1e-9
+        assert 0.0 <= d[0] <= 2.0
 
     def test_feedback_reproduces_the_surface_value(self):
         params, grid = self._solved()

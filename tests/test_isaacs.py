@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tugpricer import (ControlPoint, DirectionSet, GradientDegenerateError,
-                       MarketParams, OperatorInput, ValidationError,
-                       f_envelopes, f_limit, f_mean_eigenvalue,
-                       greedy_controls, hm_minus, hm_plus, phi)
+from tugpricer import ConstantStrategy, DirectionSet, MarketParams, ValidationError
 from tugpricer import isaacs
-from tugpricer.isaacs import greedy_controls_batch, hm_values_batch
+from tugpricer.isaacs import greedy_controls_batch, hm_values_batch, limit_values_batch
 
-from oracles import brute_greedy, brute_hm, phi_formula
+from oracles import (brute_greedy, brute_hm, limit_envelopes_oracle, limit_oracle,
+                     phi_formula)
+
+EPS = 1e-8  # eps_grad of the limit operator: the solver's default at sigma = 1
 
 
 def params_1d(mu=0.0, sigma=1.0, r=0.0):
@@ -24,7 +24,31 @@ def params_nd(n, r=0.0):
 
 
 def inp_1d(xi=0.0, p=1.0, M=1.0):
-    return OperatorInput(xi=xi, p=np.array([p]), M=np.array([[M]]))
+    return xi, np.array([p]), np.array([[M]])
+
+
+def batch(xi, p, M):
+    """The one-row batch (xi, p, M) of a single input."""
+    return np.array([float(xi)]), np.asarray(p, dtype=float)[None], np.asarray(M, dtype=float)[None]
+
+
+def hm(inp, m, params, dirs, side) -> float:
+    return float(hm_values_batch(*batch(*inp), m, params, dirs, side)[0])
+
+
+def greedy(inp, m, params, dirs, side):
+    """(theta+, d+, theta-, d-) of one input."""
+    tp, dp, tm, dm = greedy_controls_batch(*batch(*inp), m, params, dirs, side)
+    return tp[0], dp[0], tm[0], dm[0]
+
+
+def phi_at(controls, inp, params) -> float:
+    tp, dp, tm, dm = controls
+    return phi_formula(tp, tm, dp, dm, inp[1], inp[2], params.mu, params.sigma)
+
+
+def limit(inp, params, eps_grad=EPS) -> float:
+    return float(limit_values_batch(*batch(*inp), params, eps_grad)[0])
 
 
 DIRS_1D = DirectionSet.for_dimension(1)
@@ -43,43 +67,23 @@ def random_unit(rng, n):
 
 
 class TestControlPoint:
+    """A single action (theta, d), checked where a ConstantStrategy takes it."""
+
     def test_rejects_non_unit_theta(self):
+        with pytest.raises(ValidationError, match="theta must be a unit vector"):
+            ConstantStrategy(theta=np.array([0.5]), d=0.0)
         with pytest.raises(ValidationError):
-            ControlPoint(theta=np.array([0.5]), d=0.0)
+            ConstantStrategy(theta=np.array([1.0 + 10 * isaacs.UNIT_TOL]), d=0.0)
 
     def test_rejects_negative_intensity(self):
-        with pytest.raises(ValidationError):
-            ControlPoint(theta=np.array([1.0]), d=-0.1)
+        for d in (-0.1, float("nan")):
+            with pytest.raises(ValidationError, match="d must be finite and >= 0"):
+                ConstantStrategy(theta=np.array([1.0]), d=d)
 
     def test_theta_is_frozen(self):
-        cp = ControlPoint(theta=np.array([1.0]), d=2.0)
+        cp = ConstantStrategy(theta=np.array([1.0]), d=2.0)
         with pytest.raises(ValueError):
             cp.theta[0] = 0.0
-
-
-class TestOperatorInput:
-    def test_symmetrizes_within_tolerance(self):
-        M = np.array([[1.0, 0.5 + 1e-14], [0.5, 2.0]])
-        inp = OperatorInput(xi=0.0, p=np.zeros(2), M=M)
-        assert np.array_equal(inp.M, inp.M.T)
-
-    def test_rejects_skew_beyond_tolerance(self):
-        M = np.array([[1.0, 0.6], [0.5, 2.0]])
-        with pytest.raises(ValidationError):
-            OperatorInput(xi=0.0, p=np.zeros(2), M=M)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            OperatorInput(xi=0.0, p=np.zeros(2), M=np.eye(3))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            OperatorInput(xi=np.nan, p=np.zeros(1), M=np.zeros((1, 1)))
-        with pytest.raises(ValidationError):
-            OperatorInput(xi=0.0, p=np.array([np.inf]), M=np.zeros((1, 1)))
-
-    def test_dimension(self):
-        assert OperatorInput(xi=0.0, p=np.zeros(3), M=np.zeros((3, 3))).n == 3
 
 
 class TestDirectionSet:
@@ -118,51 +122,43 @@ class TestDirectionSet:
 
 
 class TestPhi:
-    """The joint running term, checked against direct substitution."""
+    """The joint running term of tests/oracles.py, and the Gram split of the kernel."""
 
     def test_opposed_directions(self):
         # theta_plus + theta_minus = 0, so the intensity term drops out
-        val = phi(np.array([1.0]), np.array([-1.0]), 3.0, 7.0,
-                  inp_1d(p=2.0), params_1d())
+        val = phi_formula(np.array([1.0]), np.array([-1.0]), 3.0, 7.0,
+                          np.array([2.0]), np.array([[1.0]]), np.zeros(1), np.ones(1))
         assert val == pytest.approx(-2.5, abs=1e-14)
 
     def test_aligned_directions(self):
-        val = phi(np.array([1.0]), np.array([1.0]), 0.0, 0.0,
-                  inp_1d(p=1.0), params_1d())
+        val = phi_formula(np.array([1.0]), np.array([1.0]), 0.0, 0.0,
+                          np.array([1.0]), np.array([[1.0]]), np.zeros(1), np.ones(1))
         assert val == pytest.approx(-0.5, abs=1e-14)
 
     def test_drift_term(self):
-        val = phi(np.array([1.0]), np.array([1.0]), 0.0, 0.0,
-                  inp_1d(p=2.0), params_1d(mu=0.1))
+        val = phi_formula(np.array([1.0]), np.array([1.0]), 0.0, 0.0,
+                          np.array([2.0]), np.array([[1.0]]), np.array([0.1]), np.ones(1))
         assert val == pytest.approx(-0.7, abs=1e-14)
-
-    def test_accepts_control_points(self):
-        a = ControlPoint(theta=np.array([1.0]), d=3.0)
-        b = ControlPoint(theta=np.array([-1.0]), d=7.0)
-        assert phi(a, b, a.d, b.d, inp_1d(p=2.0), params_1d()) == pytest.approx(-2.5)
-
-    def test_rejects_non_unit_theta(self):
-        with pytest.raises(ValidationError):
-            phi(np.array([0.9]), np.array([1.0]), 0.0, 0.0, inp_1d(), params_1d())
-
-    def test_rejects_negative_intensity(self):
-        with pytest.raises(ValidationError):
-            phi(np.array([1.0]), np.array([1.0]), -1.0, 0.0, inp_1d(), params_1d())
 
     @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_matches_direct_formula(self, n, seed):
+        # phi(plus D_i, minus D_j) = G_ij - q_i/2 - q_j/2 - (d+ + d-)(c_i + c_j)
+        # + const, the split the lattice search ranks on
         rng = np.random.default_rng(seed)
-        tp, tm = random_unit(rng, n), random_unit(rng, n)
+        dirs = DirectionSet.for_dimension(n, 6)
         dp, dm = rng.uniform(0, 5, size=2)
         p = rng.normal(size=n)
         M = random_symmetric(rng, n)
         mu = rng.normal(size=n)
         sigma = rng.uniform(0.2, 2.0, size=n)
         params = MarketParams(mu=mu, sigma=sigma, r=0.0, T=1.0)
-        inp = OperatorInput(xi=0.0, p=p, M=M)
-        got = phi(tp, tm, dp, dm, inp, params)
-        want = phi_formula(tp, tm, dp, dm, p, M, mu, sigma)
-        assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
+        D, QD, q, c = (a[0] for a in isaacs._phi_pieces(p[None], M[None], params,
+                                                         dirs.dirs, 1.0))
+        const = -0.5 * float(np.sum(np.diag(M) * sigma**2)) - float(mu @ p)
+        for i, j in rng.integers(0, D.shape[0], size=(4, 2)):
+            got = D[i] @ QD[:, j] - 0.5 * q[i] - 0.5 * q[j] - (dp + dm) * (c[i] + c[j]) + const
+            want = phi_formula(D[i], D[j], dp, dm, p, M, mu, sigma)
+            assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
 
     def test_linear_in_curvature(self):
         # doubling M doubles exactly the M-dependent part of the value
@@ -173,8 +169,8 @@ class TestPhi:
         p = rng.normal(size=n)
         M = random_symmetric(rng, n)
         params = params_nd(n)
-        v1 = phi(tp, tm, dp, dm, OperatorInput(xi=0.0, p=p, M=M), params)
-        v2 = phi(tp, tm, dp, dm, OperatorInput(xi=0.0, p=p, M=2.0 * M), params)
+        v1 = phi_formula(tp, tm, dp, dm, p, M, params.mu, params.sigma)
+        v2 = phi_formula(tp, tm, dp, dm, p, 2.0 * M, params.mu, params.sigma)
         control_terms = -(dp + dm) * float((tp + tm) @ p) - float(params.mu @ p)
         assert v2 - v1 == pytest.approx(v1 - control_terms, abs=1e-12)
 
@@ -182,41 +178,37 @@ class TestPhi:
 class TestBoundedOperators:
     def test_values_with_gradient(self):
         inp = inp_1d(p=1.0, M=1.0)
-        assert hm_plus(inp, 10.0, params_1d(), DIRS_1D) == pytest.approx(-2.5, abs=1e-12)
-        assert hm_minus(inp, 10.0, params_1d(), DIRS_1D) == pytest.approx(-2.5, abs=1e-12)
+        assert hm(inp, 10.0, params_1d(), DIRS_1D, "plus") == pytest.approx(-2.5, abs=1e-12)
+        assert hm(inp, 10.0, params_1d(), DIRS_1D, "minus") == pytest.approx(-2.5, abs=1e-12)
 
     def test_values_split_at_degenerate_gradient(self):
         # with p = 0 the two optimization orders genuinely disagree
         inp = inp_1d(p=0.0, M=1.0)
-        assert hm_plus(inp, 10.0, params_1d(), DIRS_1D) == pytest.approx(-2.5, abs=1e-12)
-        assert hm_minus(inp, 10.0, params_1d(), DIRS_1D) == pytest.approx(-0.5, abs=1e-12)
+        assert hm(inp, 10.0, params_1d(), DIRS_1D, "plus") == pytest.approx(-2.5, abs=1e-12)
+        assert hm(inp, 10.0, params_1d(), DIRS_1D, "minus") == pytest.approx(-0.5, abs=1e-12)
 
     def test_discount_term_is_additive(self):
         p = params_1d(r=0.05)
-        inp = OperatorInput(xi=10.0, p=np.array([0.0]), M=np.array([[1.0]]))
-        assert hm_plus(inp, 10.0, p, DIRS_1D) == pytest.approx(-2.5 + 0.5, abs=1e-12)
-        base = hm_minus(inp_1d(xi=0.0, p=0.7, M=-0.4), 3.0, p, DIRS_1D)
-        shifted = hm_minus(OperatorInput(xi=4.0, p=np.array([0.7]), M=np.array([[-0.4]])),
-                           3.0, p, DIRS_1D)
+        inp = inp_1d(xi=10.0, p=0.0, M=1.0)
+        assert hm(inp, 10.0, p, DIRS_1D, "plus") == pytest.approx(-2.5 + 0.5, abs=1e-12)
+        base = hm(inp_1d(xi=0.0, p=0.7, M=-0.4), 3.0, p, DIRS_1D, "minus")
+        shifted = hm(inp_1d(xi=4.0, p=0.7, M=-0.4), 3.0, p, DIRS_1D, "minus")
         assert shifted == pytest.approx(base + 0.05 * 4.0, abs=1e-12)
 
     def test_flat_objective_reduces_to_discount(self):
         p = params_1d(r=0.3)
-        inp = OperatorInput(xi=2.0, p=np.array([0.0]), M=np.array([[0.0]]))
-        assert hm_plus(inp, 5.0, p, DIRS_1D) == pytest.approx(0.6, abs=1e-14)
-        assert hm_minus(inp, 5.0, p, DIRS_1D) == pytest.approx(0.6, abs=1e-14)
+        inp = inp_1d(xi=2.0, p=0.0, M=0.0)
+        assert hm(inp, 5.0, p, DIRS_1D, "plus") == pytest.approx(0.6, abs=1e-14)
+        assert hm(inp, 5.0, p, DIRS_1D, "minus") == pytest.approx(0.6, abs=1e-14)
 
     def test_rejects_bad_intensity_bound(self):
         with pytest.raises(ValidationError):
-            hm_plus(inp_1d(), 0.0, params_1d(), DIRS_1D)
+            hm(inp_1d(), 0.0, params_1d(), DIRS_1D, "plus")
         with pytest.raises(ValidationError):
-            hm_minus(inp_1d(), -1.0, params_1d(), DIRS_1D)
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            hm_plus(inp_1d(), 1.0, params_nd(2), DIRS_1D)
+            hm(inp_1d(), -1.0, params_1d(), DIRS_1D, "minus")
 
     def test_batch_matches_singles(self, rng):
+        # each row's value is independent of the rows batched with it
         n = 2
         params = params_nd(n, r=0.1)
         dirs = DirectionSet.for_dimension(n, 32)
@@ -224,22 +216,21 @@ class TestBoundedOperators:
         xi = rng.normal(size=B)
         p = rng.normal(size=(B, n))
         M = np.stack([random_symmetric(rng, n) for _ in range(B)])
-        for side, single in (("plus", hm_plus), ("minus", hm_minus)):
-            batch = hm_values_batch(xi, p, M, 2.0, params, dirs, side)
+        for side in ("plus", "minus"):
+            rows = hm_values_batch(xi, p, M, 2.0, params, dirs, side)
             for b in range(B):
-                one = single(OperatorInput(xi=xi[b], p=p[b], M=M[b]), 2.0, params, dirs)
-                assert batch[b] == pytest.approx(one, abs=1e-12)
+                one = hm((xi[b], p[b], M[b]), 2.0, params, dirs, side)
+                assert rows[b] == pytest.approx(one, abs=1e-12)
 
     def test_matches_enumeration_1d(self, rng):
         params = params_1d(mu=0.03, sigma=1.3, r=0.07)
         for _ in range(25):
             inp = inp_1d(xi=rng.normal(), p=rng.normal(), M=rng.normal())
             for m in (1.0, 10.0):
-                for side, op in (("plus", hm_plus), ("minus", hm_minus)):
-                    got = op(inp, m, params, DIRS_1D)
-                    want = brute_hm(inp.xi, inp.p, inp.M, m, params.mu,
-                                    params.sigma, params.r, DIRS_1D.dirs, side)
-                    assert got == pytest.approx(want, abs=1e-12)
+                for side in ("plus", "minus"):
+                    want = brute_hm(*inp, m, params.mu, params.sigma, params.r,
+                                    DIRS_1D.dirs, side)
+                    assert hm(inp, m, params, DIRS_1D, side) == pytest.approx(want, abs=1e-12)
 
     def test_matches_enumeration_2d(self, rng):
         n = 2
@@ -247,13 +238,10 @@ class TestBoundedOperators:
                               sigma=np.array([0.8, 1.4]), r=0.05, T=1.0)
         dirs = DirectionSet.for_dimension(n, 16)
         for _ in range(8):
-            inp = OperatorInput(xi=rng.normal(), p=rng.normal(size=n),
-                                M=random_symmetric(rng, n))
-            for side, op in (("plus", hm_plus), ("minus", hm_minus)):
-                got = op(inp, 4.0, params, dirs)
-                want = brute_hm(inp.xi, inp.p, inp.M, 4.0, params.mu,
-                                params.sigma, params.r, dirs.dirs, side)
-                assert got == pytest.approx(want, abs=1e-12)
+            inp = (rng.normal(), rng.normal(size=n), random_symmetric(rng, n))
+            for side in ("plus", "minus"):
+                want = brute_hm(*inp, 4.0, params.mu, params.sigma, params.r, dirs.dirs, side)
+                assert hm(inp, 4.0, params, dirs, side) == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.5, 20.0))
     def test_order_of_optimization(self, seed, m):
@@ -262,13 +250,12 @@ class TestBoundedOperators:
         n = int(rng.integers(1, 3))
         dirs = DirectionSet.for_dimension(n, 12)
         params = params_nd(n, r=0.1)
-        inp = OperatorInput(xi=rng.normal(), p=rng.normal(size=n),
-                            M=random_symmetric(rng, n))
-        assert hm_plus(inp, m, params, dirs) <= hm_minus(inp, m, params, dirs) + 1e-12
+        inp = (rng.normal(), rng.normal(size=n), random_symmetric(rng, n))
+        assert hm(inp, m, params, dirs, "plus") <= hm(inp, m, params, dirs, "minus") + 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     def test_degenerate_ellipticity(self, seed):
-        # adding positive semidefinite curvature lowers hm and raises f_limit
+        # adding positive semidefinite curvature lowers hm and raises the limit operator
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         dirs = DirectionSet.for_dimension(n, 12)
@@ -277,16 +264,16 @@ class TestBoundedOperators:
         Y = random_symmetric(rng, n)
         B = rng.normal(size=(n, n))
         X = Y + B @ B.T
-        ix = OperatorInput(xi=0.0, p=p, M=X)
-        iy = OperatorInput(xi=0.0, p=p, M=Y)
-        assert hm_plus(ix, 3.0, params, dirs) <= hm_plus(iy, 3.0, params, dirs) + 1e-12
-        assert hm_minus(ix, 3.0, params, dirs) <= hm_minus(iy, 3.0, params, dirs) + 1e-12
+        ix = (0.0, p, X)
+        iy = (0.0, p, Y)
+        for side in ("plus", "minus"):
+            assert hm(ix, 3.0, params, dirs, side) <= hm(iy, 3.0, params, dirs, side) + 1e-12
         if np.linalg.norm(p) > 1e-8:
-            assert f_limit(ix, params) >= f_limit(iy, params) - 1e-12
+            assert limit(ix, params) >= limit(iy, params) - 1e-12
 
     def test_exact_limit_in_one_dimension(self, rng):
-        # for n=1 the bounded operators hit -f_limit exactly once the
-        # intensity bound dominates the curvature-to-gradient ratio
+        # for n=1 the bounded operators hit minus the limit operator exactly
+        # once the intensity bound dominates the curvature-to-gradient ratio
         params = params_1d(mu=0.02, sigma=0.9, r=0.04)
         for m in (1.0, 10.0, 100.0):
             for _ in range(10):
@@ -294,20 +281,17 @@ class TestBoundedOperators:
                 cap = 0.99 * m * abs(p) / params.sigma[0] ** 2
                 M = rng.uniform(-cap, cap)
                 inp = inp_1d(xi=rng.normal(), p=p, M=M)
-                target = -f_limit(inp, params)
-                assert hm_plus(inp, m, params, DIRS_1D) == pytest.approx(target, abs=1e-12)
-                assert hm_minus(inp, m, params, DIRS_1D) == pytest.approx(target, abs=1e-12)
+                target = -limit(inp, params)
+                assert hm(inp, m, params, DIRS_1D, "plus") == pytest.approx(target, abs=1e-12)
+                assert hm(inp, m, params, DIRS_1D, "minus") == pytest.approx(target, abs=1e-12)
 
     def test_limit_convergence_2d(self):
         params = params_nd(2)
         dirs = DirectionSet.for_dimension(2, 256)
-        inp = OperatorInput(xi=0.0, p=np.array([0.6, -0.8]),
-                            M=np.array([[1.2, 0.3], [0.3, -0.5]]))
-        target = f_limit(inp, params)
+        inp = (0.0, np.array([0.6, -0.8]), np.array([[1.2, 0.3], [0.3, -0.5]]))
+        target = limit(inp, params)
         for side in ("plus", "minus"):
-            errs = [abs(hm_values_batch(np.array([0.0]), inp.p[None], inp.M[None],
-                                        m, params, dirs, side)[0] + target)
-                    for m in (1.0, 10.0, 100.0)]
+            errs = [abs(hm(inp, m, params, dirs, side) + target) for m in (1.0, 10.0, 100.0)]
             assert errs[1] <= errs[0] + 1e-12
             assert errs[2] <= errs[1] + 1e-12
             assert errs[2] < 0.02
@@ -319,22 +303,19 @@ class TestDegenerateInputs:
     DIRS = DirectionSet.for_dimension(2, 16)
 
     def check(self, inp, params, m, side, exact=True):
-        op = hm_plus if side == "plus" else hm_minus
-        want = brute_hm(inp.xi, inp.p, inp.M, m, params.mu, params.sigma, params.r,
-                        self.DIRS.dirs, side)
-        assert op(inp, m, params, self.DIRS) == pytest.approx(want, abs=1e-12)
-        maxi, mini = greedy_controls(inp, m, params, self.DIRS, side)
-        tp, dp, tm, dm = brute_greedy(inp.xi, inp.p, inp.M, m, params.mu, params.sigma,
-                                      self.DIRS.dirs, side)
-        assert maxi.d == dp and mini.d == dm
+        want = brute_hm(*inp, m, params.mu, params.sigma, params.r, self.DIRS.dirs, side)
+        assert hm(inp, m, params, self.DIRS, side) == pytest.approx(want, abs=1e-12)
+        gtp, gdp, gtm, gdm = greedy(inp, m, params, self.DIRS, side)
+        tp, dp, tm, dm = brute_greedy(*inp, m, params.mu, params.sigma, self.DIRS.dirs, side)
+        assert gdp == dp and gdm == dm
         if exact:
-            assert np.array_equal(maxi.theta, tp) and np.array_equal(mini.theta, tm)
+            assert np.array_equal(gtp, tp) and np.array_equal(gtm, tm)
         else:
             # phi is even in (theta_plus, theta_minus) at p = 0, and the fan's
             # opposite directions agree only to rounding, so either sign may win
-            sign = 1.0 if np.allclose(maxi.theta, tp, rtol=0, atol=1e-12) else -1.0
-            assert np.allclose(maxi.theta, sign * tp, rtol=0, atol=1e-12)
-            assert np.allclose(mini.theta, sign * tm, rtol=0, atol=1e-12)
+            sign = 1.0 if np.allclose(gtp, tp, rtol=0, atol=1e-12) else -1.0
+            assert np.allclose(gtp, sign * tp, rtol=0, atol=1e-12)
+            assert np.allclose(gtm, sign * tm, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_zero_gradient(self, side, rng):
@@ -342,21 +323,21 @@ class TestDegenerateInputs:
         for _ in range(6):
             params = MarketParams(mu=rng.normal(size=2), sigma=rng.uniform(0.3, 2.0, 2),
                                   r=0.05, T=1.0)
-            inp = OperatorInput(xi=rng.normal(), p=np.zeros(2), M=random_symmetric(rng, 2))
+            inp = (rng.normal(), np.zeros(2), random_symmetric(rng, 2))
             for m in (0.5, 20.0):
                 self.check(inp, params, m, side, exact=False)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_no_curvature_no_drift(self, side, rng):
         params = MarketParams(mu=np.zeros(2), sigma=np.array([0.7, 1.3]), r=0.05, T=1.0)
-        flat = OperatorInput(xi=0.4, p=np.zeros(2), M=np.zeros((2, 2)))
+        flat = (0.4, np.zeros(2), np.zeros((2, 2)))
         # every action ties, so the tie rule alone picks the first direction at d = 0
-        maxi, mini = greedy_controls(flat, 3.0, params, self.DIRS, side)
-        for cp in (maxi, mini):
-            assert np.array_equal(cp.theta, self.DIRS.dirs[0]) and cp.d == 0.0
+        tp, dp, tm, dm = greedy(flat, 3.0, params, self.DIRS, side)
+        for theta, d in ((tp, dp), (tm, dm)):
+            assert np.array_equal(theta, self.DIRS.dirs[0]) and d == 0.0
         self.check(flat, params, 3.0, side)
         for _ in range(6):
-            inp = OperatorInput(xi=rng.normal(), p=rng.normal(size=2), M=np.zeros((2, 2)))
+            inp = (rng.normal(), rng.normal(size=2), np.zeros((2, 2)))
             for m in (0.5, 20.0):
                 self.check(inp, params, m, side)
 
@@ -370,115 +351,116 @@ class TestDegenerateInputs:
             s = rng.uniform(0.3, 1.5)
             params = MarketParams(mu=rng.normal(size=2), sigma=np.array([s, s]), r=0.05, T=1.0)
             p = random_unit(rng, 2) * rng.uniform(1.0, 3.0)
-            inp = OperatorInput(xi=rng.normal(), p=p, M=np.eye(2))
+            inp = (rng.normal(), p, np.eye(2))
             for m in (10.0, 50.0):
                 self.check(inp, params, m, side)
-            op = hm_plus if side == "plus" else hm_minus
-            want = brute_hm(inp.xi, inp.p, inp.M, 0.5, params.mu, params.sigma, params.r,
-                            self.DIRS.dirs, side)
-            assert op(inp, 0.5, params, self.DIRS) == pytest.approx(want, abs=1e-12)
+            want = brute_hm(*inp, 0.5, params.mu, params.sigma, params.r, self.DIRS.dirs, side)
+            assert hm(inp, 0.5, params, self.DIRS, side) == pytest.approx(want, abs=1e-12)
 
 
 class TestLimitOperator:
     def test_direct_substitution(self):
-        inp = inp_1d(p=3.0, M=2.0)
-        assert f_limit(inp, params_1d()) == pytest.approx(5.0, abs=1e-12)
+        assert limit(inp_1d(p=3.0, M=2.0), params_1d()) == pytest.approx(5.0, abs=1e-12)
 
     def test_gradient_independent_in_one_dimension(self):
         params = params_1d(sigma=1.3, r=0.02)
-        a = f_limit(inp_1d(xi=2.0, p=0.001, M=0.7), params)
-        b = f_limit(inp_1d(xi=2.0, p=7.0, M=0.7), params)
+        a = limit(inp_1d(xi=2.0, p=0.001, M=0.7), params)
+        b = limit(inp_1d(xi=2.0, p=7.0, M=0.7), params)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_two_dimensional_value(self):
-        inp = OperatorInput(xi=0.0, p=np.array([1.0, 0.0]),
-                            M=np.diag([2.0, -1.0]))
-        assert f_limit(inp, params_nd(2)) == pytest.approx(4.5, abs=1e-12)
+        inp = (0.0, np.array([1.0, 0.0]), np.diag([2.0, -1.0]))
+        assert limit(inp, params_nd(2)) == pytest.approx(4.5, abs=1e-12)
 
-    def test_degenerate_gradient_raises(self):
-        inp = OperatorInput(xi=0.0, p=np.zeros(2), M=np.eye(2))
-        with pytest.raises(GradientDegenerateError):
-            f_limit(inp, params_nd(2))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_definition_oracle(self, n, rng):
+        # one batch mixing gradients above eps_grad, nonzero ones below it and p = 0
+        params = MarketParams(mu=rng.normal(size=n), sigma=rng.uniform(0.3, 2.0, n),
+                              r=0.05, T=1.0)
+        B = 24
+        xi = rng.normal(size=B)
+        p = rng.normal(size=(B, n))
+        p[8:16] *= 0.5 * EPS / np.linalg.norm(p[8:16], axis=1, keepdims=True)
+        p[16:] = 0.0
+        M = np.stack([random_symmetric(rng, n) for _ in range(B)])
+        got = limit_values_batch(xi, p, M, params, EPS)
+        for b in range(B):
+            want = limit_oracle(xi[b], p[b], M[b], params.mu, params.sigma, params.r, EPS)
+            assert got[b] == pytest.approx(want, abs=1e-12, rel=1e-12)
 
 
 class TestEnvelopes:
+    """At p = 0 the limit operator takes the eigenvalue average of SMS, which
+    lies between the semicontinuous envelopes of tests/oracles.py."""
+
     def test_one_dimensional(self):
-        lo, hi = f_envelopes(inp_1d(p=0.0, M=1.0), params_1d())
+        inp = inp_1d(p=0.0, M=1.0)
+        lo, hi = limit_envelopes_oracle(inp[0], inp[2], np.ones(1), 0.0)
         assert (lo, hi) == pytest.approx((2.5, 2.5), abs=1e-12)
+        assert limit(inp, params_1d()) == pytest.approx(2.5, abs=1e-12)
 
     def test_two_dimensional(self):
-        inp = OperatorInput(xi=0.0, p=np.zeros(2), M=np.diag([2.0, -1.0]))
-        lo, hi = f_envelopes(inp, params_nd(2))
+        lo, hi = limit_envelopes_oracle(0.0, np.diag([2.0, -1.0]), np.ones(2), 0.0)
         assert lo == pytest.approx(-1.5, abs=1e-12)
         assert hi == pytest.approx(4.5, abs=1e-12)
 
     def test_collapse_off_the_singularity(self):
-        inp = OperatorInput(xi=1.0, p=np.array([0.3, -0.2]),
-                            M=np.array([[1.0, 0.4], [0.4, -0.6]]))
+        inp = (1.0, np.array([0.3, -0.2]), np.array([[1.0, 0.4], [0.4, -0.6]]))
         params = params_nd(2, r=0.1)
-        lo, hi = f_envelopes(inp, params)
-        val = f_limit(inp, params)
-        assert lo == val and hi == val
+        want = limit_oracle(*inp, params.mu, params.sigma, params.r, EPS)
+        assert limit(inp, params) == pytest.approx(want, abs=1e-12)
 
     def test_mean_eigenvalue_value(self):
-        inp = OperatorInput(xi=0.0, p=np.zeros(2), M=np.diag([2.0, -1.0]))
-        assert f_mean_eigenvalue(inp, params_nd(2)) == pytest.approx(1.5, abs=1e-12)
+        inp = (0.0, np.zeros(2), np.diag([2.0, -1.0]))
+        assert limit(inp, params_nd(2)) == pytest.approx(1.5, abs=1e-12)
 
     def test_mean_eigenvalue_between_envelopes(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 5))
             params = MarketParams(mu=np.zeros(n), sigma=rng.uniform(0.3, 2.0, n),
                                   r=0.05, T=1.0)
-            inp = OperatorInput(xi=rng.normal(), p=np.zeros(n),
-                                M=random_symmetric(rng, n))
-            lo, hi = f_envelopes(inp, params)
-            mid = f_mean_eigenvalue(inp, params)
-            assert lo - 1e-12 <= mid <= hi + 1e-12
+            inp = (rng.normal(), np.zeros(n), random_symmetric(rng, n))
+            lo, hi = limit_envelopes_oracle(inp[0], inp[2], params.sigma, params.r)
+            assert lo - 1e-12 <= limit(inp, params) <= hi + 1e-12
 
 
 class TestGreedyControls:
     def test_minus_side_example(self):
         inp = inp_1d(p=1.0, M=1.0)
         params = params_1d()
-        maxi, mini = greedy_controls(inp, 10.0, params, DIRS_1D, "minus")
-        assert np.array_equal(maxi.theta, np.array([1.0])) and maxi.d == 10.0
-        assert np.array_equal(mini.theta, np.array([-1.0])) and mini.d == 0.0
-        val = phi(maxi, mini, maxi.d, mini.d, inp, params)
-        assert val == pytest.approx(hm_minus(inp, 10.0, params, DIRS_1D), abs=1e-14)
+        controls = greedy(inp, 10.0, params, DIRS_1D, "minus")
+        tp, dp, tm, dm = controls
+        assert np.array_equal(tp, np.array([1.0])) and dp == 10.0
+        assert np.array_equal(tm, np.array([-1.0])) and dm == 0.0
+        val = phi_at(controls, inp, params)
+        assert val == pytest.approx(hm(inp, 10.0, params, DIRS_1D, "minus"), abs=1e-14)
 
     def test_sign_mirror(self):
-        inp = inp_1d(p=-1.0, M=1.0)
-        maxi, mini = greedy_controls(inp, 10.0, params_1d(), DIRS_1D, "minus")
-        assert np.array_equal(maxi.theta, np.array([-1.0])) and maxi.d == 10.0
-        assert np.array_equal(mini.theta, np.array([1.0])) and mini.d == 0.0
+        tp, dp, tm, dm = greedy(inp_1d(p=-1.0, M=1.0), 10.0, params_1d(), DIRS_1D, "minus")
+        assert np.array_equal(tp, np.array([-1.0])) and dp == 10.0
+        assert np.array_equal(tm, np.array([1.0])) and dm == 0.0
 
     def test_flat_objective(self):
         inp = inp_1d(p=0.0, M=0.0)
         params = params_1d()
-        maxi, mini = greedy_controls(inp, 2.0, params, DIRS_1D, "plus")
-        assert phi(maxi, mini, maxi.d, mini.d, inp, params) == 0.0
+        assert phi_at(greedy(inp, 2.0, params, DIRS_1D, "plus"), inp, params) == 0.0
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_round_trip_1d(self, side, rng):
         params = params_1d(mu=0.05, sigma=1.1)
-        op = hm_plus if side == "plus" else hm_minus
         for _ in range(20):
             inp = inp_1d(xi=0.0, p=rng.normal(), M=rng.normal())
-            maxi, mini = greedy_controls(inp, 5.0, params, DIRS_1D, side)
-            val = phi(maxi, mini, maxi.d, mini.d, inp, params)
-            assert val == pytest.approx(op(inp, 5.0, params, DIRS_1D), abs=1e-12)
+            val = phi_at(greedy(inp, 5.0, params, DIRS_1D, side), inp, params)
+            assert val == pytest.approx(hm(inp, 5.0, params, DIRS_1D, side), abs=1e-12)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_round_trip_2d_with_discount(self, side, rng):
         params = params_nd(2, r=0.08)
         dirs = DirectionSet.for_dimension(2, 24)
-        op = hm_plus if side == "plus" else hm_minus
         for _ in range(10):
-            inp = OperatorInput(xi=rng.normal(), p=rng.normal(size=2),
-                                M=random_symmetric(rng, 2))
-            maxi, mini = greedy_controls(inp, 3.0, params, dirs, side)
-            val = phi(maxi, mini, maxi.d, mini.d, inp, params) + params.r * inp.xi
-            assert val == pytest.approx(op(inp, 3.0, params, dirs), abs=1e-12)
+            inp = (rng.normal(), rng.normal(size=2), random_symmetric(rng, 2))
+            val = phi_at(greedy(inp, 3.0, params, dirs, side), inp, params) + params.r * inp[0]
+            assert val == pytest.approx(hm(inp, 3.0, params, dirs, side), abs=1e-12)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_matches_enumeration(self, side, rng):
@@ -487,13 +469,11 @@ class TestGreedyControls:
                               sigma=np.array([1.0, 0.7]), r=0.0, T=1.0)
         dirs = DirectionSet.for_dimension(2, 16)
         for _ in range(6):
-            inp = OperatorInput(xi=0.0, p=rng.normal(size=2),
-                                M=random_symmetric(rng, 2))
-            maxi, mini = greedy_controls(inp, 2.0, params, dirs, side)
-            tp, dp, tm, dm = brute_greedy(inp.xi, inp.p, inp.M, 2.0,
-                                          params.mu, params.sigma, dirs.dirs, side)
-            assert np.array_equal(maxi.theta, tp) and maxi.d == dp
-            assert np.array_equal(mini.theta, tm) and mini.d == dm
+            inp = (0.0, rng.normal(size=2), random_symmetric(rng, 2))
+            gtp, gdp, gtm, gdm = greedy(inp, 2.0, params, dirs, side)
+            tp, dp, tm, dm = brute_greedy(*inp, 2.0, params.mu, params.sigma, dirs.dirs, side)
+            assert np.array_equal(gtp, tp) and gdp == dp
+            assert np.array_equal(gtm, tm) and gdm == dm
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_matches_enumeration_1d(self, side, rng):
@@ -503,13 +483,14 @@ class TestGreedyControls:
         for _ in range(30):
             inp = inp_1d(p=rng.normal() * 10.0 ** rng.integers(-3, 1), M=rng.normal())
             for m in (0.5, 2.0, 20.0):
-                maxi, mini = greedy_controls(inp, m, params, DIRS_1D, side)
-                tp, dp, tm, dm = brute_greedy(inp.xi, inp.p, inp.M, m, params.mu,
-                                              params.sigma, DIRS_1D.dirs, side)
-                assert np.array_equal(maxi.theta, tp) and maxi.d == dp
-                assert np.array_equal(mini.theta, tm) and mini.d == dm
+                gtp, gdp, gtm, gdm = greedy(inp, m, params, DIRS_1D, side)
+                tp, dp, tm, dm = brute_greedy(*inp, m, params.mu, params.sigma,
+                                              DIRS_1D.dirs, side)
+                assert np.array_equal(gtp, tp) and gdp == dp
+                assert np.array_equal(gtm, tm) and gdm == dm
 
     def test_batch_matches_singles(self, rng):
+        # each row's controls are independent of the rows batched with it
         params = params_1d()
         B = 6
         xi = np.zeros(B)
@@ -517,14 +498,13 @@ class TestGreedyControls:
         M = rng.normal(size=(B, 1, 1))
         tp, dp, tm, dm = greedy_controls_batch(xi, p, M, 4.0, params, DIRS_1D, "minus")
         for b in range(B):
-            maxi, mini = greedy_controls(OperatorInput(xi=0.0, p=p[b], M=M[b]),
-                                         4.0, params, DIRS_1D, "minus")
-            assert np.array_equal(tp[b], maxi.theta) and dp[b] == maxi.d
-            assert np.array_equal(tm[b], mini.theta) and dm[b] == mini.d
+            otp, odp, otm, odm = greedy((0.0, p[b], M[b]), 4.0, params, DIRS_1D, "minus")
+            assert np.array_equal(tp[b], otp) and dp[b] == odp
+            assert np.array_equal(tm[b], otm) and dm[b] == odm
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ValidationError):
-            greedy_controls(inp_1d(), 1.0, params_1d(), DIRS_1D, "both")
+            greedy(inp_1d(), 1.0, params_1d(), DIRS_1D, "both")
 
 
 @pytest.mark.parametrize("n, count", [(1, None), (2, 12)])

@@ -1,19 +1,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tugpricer import (BarrierParams, BasketPut, GridSpec, MarketParams,
-                       OutOfDomainError, PreconditionError, PriceGrid,
-                       SolverConfig, TabulatedPayoff, ValidationError,
-                       a_design, apply_operator, barrier_pair, cfl_max_dt,
-                       constant_payoff, constant_running_cost, default_domain,
-                       discrete_derivatives, interior_derivatives,
-                       interior_mask, read_surface_csv, resolve_time_steps,
-                       solve_terminal_value, step_backward, write_surface_csv)
-from tugpricer.isaacs import OperatorInput
+                       PreconditionError, PriceGrid, SolverConfig,
+                       TabulatedPayoff, ValidationError, a_design, barrier_pair,
+                       cfl_max_dt, constant_payoff, constant_running_cost,
+                       default_domain, interior_derivatives, interior_mask,
+                       read_surface_csv, resolve_time_steps,
+                       solve_terminal_value, write_surface_csv)
+from tugpricer import isaacs, pde
 
 from oracles import put_value_oracle
 
@@ -163,36 +163,31 @@ class TestDerivatives:
         assert np.max(np.abs(M - Q)) < 1e-10
 
     def test_discrete_derivatives_point(self):
-        spec = spec_1d(lo=0.0, hi=1.0, nx=5, nt=1)
+        spec = spec_1d(lo=0.0, hi=1.0, nx=5)
         u = spec.axes[0] ** 2
-        grid = PriceGrid(spec=spec, dt=1.0, values=np.stack([u, u]))
-        inp = discrete_derivatives(grid, (2,), 0)
-        assert inp.xi == pytest.approx(0.25)
-        assert inp.p[0] == pytest.approx(1.0)
-        assert inp.M[0, 0] == pytest.approx(2.0)
+        p, M = interior_derivatives(u, spec.h)
+        # interior arrays start at node 1, so node 2 is entry 1
+        assert u[2] == pytest.approx(0.25)
+        assert p[1, 0] == pytest.approx(1.0)
+        assert M[1, 0, 0] == pytest.approx(2.0)
 
     def test_discrete_derivatives_2d_quadratic(self):
         # u = 1/2 x'Qx + b.x is reproduced exactly by the stencil, cross term included
-        spec = GridSpec(lo=np.array([0.0, 0.0]), hi=np.array([1.0, 2.0]), nx=(5, 5), nt=1)
+        spec = GridSpec(lo=np.array([0.0, 0.0]), hi=np.array([1.0, 2.0]), nx=(5, 5))
         Q = np.array([[2.0, 0.5], [0.5, -1.0]])
         b = np.array([0.25, -0.75])
         pts = spec.points()
         u = (0.5 * np.einsum("ki,ij,kj->k", pts, Q, pts) + pts @ b).reshape(spec.nx)
-        grid = PriceGrid(spec=spec, dt=1.0, values=np.stack([u, u]))
-        inp = discrete_derivatives(grid, (1, 3), 1)
+        p, M = interior_derivatives(u, spec.h)
         x = np.array([spec.axes[0][1], spec.axes[1][3]])
-        assert inp.xi == u[1, 3]
-        assert inp.p == pytest.approx(Q @ x + b, abs=1e-12)
-        assert inp.M == pytest.approx(Q, abs=1e-12)
+        assert p[0, 2] == pytest.approx(Q @ x + b, abs=1e-12)
+        assert M[0, 2] == pytest.approx(Q, abs=1e-12)
 
-    def test_boundary_node_rejected(self):
-        spec = spec_1d(nx=5, nt=1)
-        vals = np.zeros((2, 5))
-        grid = PriceGrid(spec=spec, dt=1.0, values=vals)
-        with pytest.raises(OutOfDomainError):
-            discrete_derivatives(grid, (0,), 0)
-        with pytest.raises(OutOfDomainError):
-            discrete_derivatives(grid, (4,), 1)
+
+def one_point(config, params, p, M, xi=0.0) -> float:
+    """The solver's G(xi, p, M) for the configured mode, on a one-row batch."""
+    op = pde._batched_operator(config, params)
+    return float(op(np.array([xi]), np.array([p], dtype=float), np.array([M], dtype=float))[0])
 
 
 class TestApplyOperator:
@@ -200,21 +195,25 @@ class TestApplyOperator:
         params = params_1d()
         config = SolverConfig()
         for p in (0.0, 0.3, -2.0):
-            inp = OperatorInput(xi=0.0, p=np.array([p]), M=np.array([[2.0]]))
-            assert apply_operator(inp, config, params) == pytest.approx(5.0, abs=1e-12)
+            assert one_point(config, params, [p], [[2.0]]) == pytest.approx(5.0, abs=1e-12)
 
     def test_degenerate_gradient_fallback(self):
         params = MarketParams(mu=np.zeros(2), sigma=np.ones(2), r=0.0, T=1.0)
-        inp = OperatorInput(xi=0.0, p=np.zeros(2), M=np.diag([2.0, -1.0]))
-        val = apply_operator(inp, SolverConfig(), params)
+        val = one_point(SolverConfig(), params, np.zeros(2), np.diag([2.0, -1.0]))
         assert val == pytest.approx(1.5, abs=1e-12)
         assert -1.5 - 1e-12 <= val <= 4.5 + 1e-12
 
     def test_bounded_minus_sign(self):
         params = params_1d()
-        inp = OperatorInput(xi=0.0, p=np.array([1.0]), M=np.array([[1.0]]))
-        val = apply_operator(inp, SolverConfig(mode="bounded_minus", m=10.0), params)
+        val = one_point(SolverConfig(mode="bounded_minus", m=10.0), params, [1.0], [[1.0]])
         assert val == pytest.approx(2.5, abs=1e-12)
+
+
+def one_step(values_next, payoff, params, config, spec, dt):
+    """One backward step from T: a solve with nt = 1 over the horizon dt."""
+    grid = solve_terminal_value(payoff, replace(params, T=dt), config, replace(spec, nt=1))
+    assert np.array_equal(grid.values[1], values_next)
+    return grid.values[0]
 
 
 class TestStepBackward:
@@ -223,19 +222,16 @@ class TestStepBackward:
                                         SolverConfig(mode="bounded_minus", m=2.0)])
     def test_constant_is_invariant_without_discount(self, config):
         spec = spec_1d(nx=21)
-        payoff = constant_payoff(4.0, 1)
-        params = params_1d(r=0.0)
-        out = step_backward(np.full(21, 4.0), params.T, payoff, params, config,
-                            spec, dt=1e-3)
+        out = one_step(np.full(21, 4.0), constant_payoff(4.0, 1), params_1d(r=0.0), config,
+                       spec, dt=1e-3)
         assert np.max(np.abs(out - 4.0)) < 1e-14
 
     def test_discount_decays_interior(self):
         spec = spec_1d(nx=21)
-        payoff = constant_payoff(5.0, 1)
         params = params_1d(r=0.1)
         dt = 1e-3
-        out = step_backward(np.full(21, 5.0), params.T, payoff, params,
-                            SolverConfig(), spec, dt=dt)
+        out = one_step(np.full(21, 5.0), constant_payoff(5.0, 1), params, SolverConfig(),
+                       spec, dt=dt)
         assert np.max(np.abs(out[1:-1] - 5.0 * (1.0 - params.r * dt))) < 1e-12
         # the lateral faces carry the discounted payoff instead
         assert out[0] == pytest.approx(5.0 * math.exp(-params.r * dt), abs=1e-12)
@@ -245,26 +241,22 @@ class TestStepBackward:
         ax = spec.axes[0]
         payoff = TabulatedPayoff(axes=(ax,), table=0.5 * ax + 1.0)
         params = params_1d(mu=0.0, sigma=1.0, r=0.0)
-        out = step_backward(0.5 * ax + 1.0, params.T, payoff, params,
-                            SolverConfig(), spec, dt=2e-4)
+        out = one_step(0.5 * ax + 1.0, payoff, params, SolverConfig(), spec, dt=2e-4)
         assert np.max(np.abs(out - (0.5 * ax + 1.0))) < 1e-12
 
     def test_running_cost_accrues(self):
         spec = spec_1d(nx=21)
-        payoff = constant_payoff(5.0, 1)
         params = params_1d(r=0.0, running_cost=constant_running_cost(-1.0))
         dt = 1e-3
-        out = step_backward(np.full(21, 5.0), params.T, payoff, params,
-                            SolverConfig(), spec, dt=dt)
+        out = one_step(np.full(21, 5.0), constant_payoff(5.0, 1), params, SolverConfig(),
+                       spec, dt=dt)
         assert np.max(np.abs(out[1:-1] - (5.0 - dt))) < 1e-14
 
     def test_cfl_violation_rejected(self):
         spec = spec_1d(nx=201)
-        payoff = constant_payoff(1.0, 1)
-        params = params_1d(sigma=1.0)
         with pytest.raises(PreconditionError):
-            step_backward(np.ones(201), 1.0, payoff, params, SolverConfig(),
-                          spec, dt=0.1)
+            one_step(np.ones(201), constant_payoff(1.0, 1), params_1d(sigma=1.0),
+                     SolverConfig(), spec, dt=0.1)
 
 
 class TestSolveTerminalValue:
@@ -334,12 +326,20 @@ class TestSolveTerminalValue:
         assert np.all(up.values >= um.values - 1e-9)
 
     @pytest.mark.parametrize("case", ["limit_F", "bounded_plus", "bounded_minus",
-                                      "limit_F_2d", "running_cost"])
+                                      "limit_F_2d", "bounded_plus_2d", "bounded_minus_2d",
+                                      "running_cost"])
     def test_each_slice_is_one_step_backward(self, case):
-        # the solve and the standalone step run the same kernel, bit for bit
-        if case == "limit_F_2d":
+        # every interior slice is the explicit step of the batched operator on
+        # the next slice's central differences, bit for bit; the boundary is
+        # the discounted payoff
+        mode = "limit_F" if case == "running_cost" else case.removesuffix("_2d")
+        if case.endswith("_2d"):
+            # the 2-D bounded solves carry a running cost, which also skips the
+            # [0, sup g] check: without one, the non-monotone 2-D bounded_minus
+            # step leaves that range on this grid (ROADMAP item 1) and is refused
+            rc = None if mode == "limit_F" else constant_running_cost(-1.0)
             params = MarketParams(mu=np.array([0.01, -0.02]), sigma=np.array([0.2, 0.3]),
-                                  r=0.03, T=1.0)
+                                  r=0.03, T=1.0, running_cost=rc)
             payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
             spec = GridSpec(lo=np.full(2, LOG_K - 2), hi=np.full(2, LOG_K + 2), nx=(11, 9))
         else:
@@ -347,13 +347,30 @@ class TestSolveTerminalValue:
             params = params_1d(mu=0.02, sigma=0.2, r=0.03, running_cost=rc)
             payoff = BasketPut(weights=np.array([1.0]), strike=K)
             spec = spec_1d(lo=LOG_K - 2, hi=LOG_K + 2, nx=41)
-        config = (SolverConfig(mode=case, m=2.0) if case.startswith("bounded")
+        config = (SolverConfig(mode=mode, m=2.0, n_dirs=16) if mode.startswith("bounded")
                   else SolverConfig())
+        eps = config.resolved_eps_grad(params)
+        dirs = isaacs.DirectionSet.for_dimension(spec.n, config.n_dirs)
         grid = solve_terminal_value(payoff, params, config, spec)
+        dt = grid.dt
+        g = payoff.values(spec.points()).reshape(spec.nx)
+        core = tuple(slice(1, -1) for _ in range(spec.n))
+        interior_points = spec.points().reshape(*spec.nx, spec.n)[core].reshape(-1, spec.n)
         for k in range(grid.nt, 0, -1):
-            step = step_backward(grid.values[k], k * grid.dt, payoff, params, config,
-                                 grid.spec, dt=grid.dt)
-            assert np.array_equal(grid.values[k - 1], step), k
+            u = grid.values[k]
+            p, M = interior_derivatives(u, spec.h)
+            xi = u[core].reshape(-1)
+            p, M = p.reshape(-1, spec.n), M.reshape(-1, spec.n, spec.n)
+            if mode == "limit_F":
+                rhs = isaacs.limit_values_batch(xi, p, M, params, eps)
+            else:
+                rhs = -isaacs.hm_values_batch(xi, p, M, config.m, params, dirs,
+                                              mode.removeprefix("bounded_"))
+            if params.running_cost is not None:
+                rhs = rhs + params.running_cost(interior_points, k * dt)
+            want = np.exp(-params.r * (params.T - (k * dt - dt))) * g
+            want[core] = (xi + dt * rhs).reshape(want[core].shape)
+            assert np.array_equal(grid.values[k - 1], want), k
 
 
 class TestBarriers:
