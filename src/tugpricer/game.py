@@ -8,8 +8,12 @@ controlled diffusion.  The DPP solver performs backward induction of the
 that bracket the PDE solutions.
 
 Randomness is reproducible by construction: each fixed block of 8192 paths
-draws row-major, in one call, from a counter-based stream keyed by (seed, block),
-so a path's draws depend only on (seed, path index, steps, n), never on threads.
+draws from a counter-based stream keyed by (seed, block), so a path's draws
+depend only on (seed, path index, steps, n), never on threads.  The coin game
+draws every row of its block row-major in one call.  The SDE draws only the
+block's first 4096 rows that way; row j >= 4096 is the negation of row
+j - 4096, an antithetic pair with the same law under any Markov strategy.
+Standard errors treat each such pair as one sample (see ``_estimate``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .market import MarketParams, Payoff, _as_vector
 Array = np.ndarray
 
 _BLOCK = 8192  # paths per work block and per RNG stream; fixed so threads never change results
+_HALF = _BLOCK // 2  # SDE rows drawn per block; row j >= _HALF replays row j - _HALF negated
 # cap on the interpolation query coordinates of one DPP sweep; tracemalloc puts a
 # sweep's peak at 42 (11^2, K=8) to 45 (21^2, K=16) bytes per coordinate, so this
 # bounds it near 0.75 GB
@@ -39,8 +44,10 @@ _DPP_QUERY_BUDGET = 1 << 24
 def path_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-based Philox stream for one block of ``_BLOCK`` paths.
 
-    Distinct (seed, block) keys give independent streams; the block's paths
-    take consecutive row-major slices of one draw from it.
+    Distinct (seed, block) keys give independent streams.  The block's paths
+    take consecutive row-major slices of one draw from it: all of them in the
+    coin game, the first min(B, ``_HALF``) in the SDE, whose later rows negate
+    the rows ``_HALF`` before them.
     """
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -213,13 +220,13 @@ class _GreedyCore:
         """(theta+, d+, theta-, d-) at the interior node nearest each row of x."""
         spec = self.grid.spec
         n = spec.n
-        k = int(np.clip(round(t / self.grid.dt), 0, self.grid.nt))
+        k = min(max(round(t / self.grid.dt), 0), self.grid.nt)
         table = self._slice_table(k)
         flat = np.zeros(x.shape[0], dtype=np.intp)
         stride = 1
         for a in range(n - 1, -1, -1):
-            idx = np.clip(np.rint((x[:, a] - spec.lo[a]) / self.h[a]).astype(np.intp),
-                          1, spec.nx[a] - 2) - 1
+            idx = np.minimum(np.maximum(np.rint((x[:, a] - spec.lo[a]) / self.h[a])
+                                        .astype(np.intp), 1), spec.nx[a] - 2) - 1
             flat += idx * stride
             stride *= spec.nx[a] - 2
         rows = table.take(flat, axis=0)
@@ -334,7 +341,16 @@ def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callabl
         return (X + drift * dt + sigma * sqdt * z[:, :n]
                 + sigma * (tp - tm) * sqdt * z[:, n][:, None])
 
-    return dt, lambda gen, shape: gen.standard_normal(shape), step
+    def draw(gen: np.random.Generator, shape) -> Array:
+        # antithetic halves, filled in place: no block-sized temporaries
+        B = shape[0]
+        h = min(B, _HALF)
+        noise = np.empty(shape)
+        gen.standard_normal(out=noise[:h])
+        np.negative(noise[:B - h], out=noise[h:])
+        return noise
+
+    return dt, draw, step
 
 
 def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketParams,
@@ -400,9 +416,31 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
 
 
 def _estimate(rewards: Array, paths: int, seed: int) -> McEstimate:
+    """Sample mean and its standard error over the block layout's independent units.
+
+    Each block of B paths pairs row j with row j + h, h = min(B, ``_HALF``),
+    for j < B - h; rows B - h .. h - 1 of a short block stay single.  With P
+    pair means and U singles, each group with its own sample variance,
+
+        stderr = sqrt(4 P var(pair means) + U var(singles)) / paths,
+
+    which is unbiased whether or not a pair is antithetic, so the coin game's
+    independent rows use it too.  A group of fewer than two units adds 0.
+    """
     mean = float(np.mean(rewards))
-    stderr = 0.0 if paths < 2 else float(np.std(rewards, ddof=1) / np.sqrt(paths))
-    return McEstimate(mean=mean, stderr=stderr, paths=paths, seed=seed)
+    full, B = divmod(paths, _BLOCK)
+    h = min(B, _HALF)
+    blocks = rewards[:full * _BLOCK].reshape(full, 2, _HALF)
+    tail = rewards[full * _BLOCK:]
+    pairs = np.concatenate([(blocks[:, 0] + blocks[:, 1]).ravel(), tail[:B - h] + tail[h:]])
+    pairs *= 0.5
+    singles = tail[B - h:h]
+    var = 4 * pairs.size * _sample_var(pairs) + singles.size * _sample_var(singles)
+    return McEstimate(mean=mean, stderr=float(np.sqrt(var)) / paths, paths=paths, seed=seed)
+
+
+def _sample_var(units: Array) -> float:
+    return float(np.var(units, ddof=1)) if units.size > 1 else 0.0
 
 
 def discounted_reward(terminal, t0: float, params: MarketParams, payoff: Payoff):

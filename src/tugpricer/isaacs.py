@@ -215,6 +215,19 @@ def _check_m(m: float) -> float:
     return float(m)
 
 
+def _check_batch(p: Array, M: Array, params, dirs: DirectionSet | None = None) -> None:
+    """Refuse a batch unless p is (B, n) and M (B, n, n), with n the market's
+    (and the directions') dimension; reads shapes only, copies nothing."""
+    n = params.n
+    if (np.ndim(p) != 2 or np.shape(p)[1] != n or np.shape(M) != (np.shape(p)[0], n, n)
+            or (dirs is not None and dirs.n != n)):
+        where = "" if dirs is None else f", directions of dimension {dirs.n}"
+        raise ValidationError(
+            f"operator batch shapes p {np.shape(p)} and M {np.shape(M)}{where} do not "
+            f"match a market of dimension {n}: want p (B, {n}) and M (B, {n}, {n})"
+        )
+
+
 def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
                     dirs: DirectionSet, side: str) -> Array:
     """Vectorized bounded operator over a batch of (xi, p, M) triples."""
@@ -222,6 +235,7 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
     sign = _sign(side)
     p = np.asarray(p, dtype=float)
     M = np.asarray(M, dtype=float)
+    _check_batch(p, M, params, dirs)
     out = np.empty(p.shape[0])
     for rows, *pieces in _chunks(p, M, params, dirs, sign):
         out[rows] = sign * np.max(_outer_table(*pieces, m), axis=(1, 2))
@@ -253,6 +267,8 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     m = _check_m(m)
     sign = _sign(side)
     p = np.asarray(p, dtype=float)
+    M = np.asarray(M, dtype=float)
+    _check_batch(p, M, params, dirs)
     B = p.shape[0]
     theta_p = np.empty((B, dirs.n))
     theta_m = np.empty((B, dirs.n))
@@ -262,7 +278,7 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     # replies (inner); side 'minus' swaps the roles
     (th_out, d_out), (th_in, d_in) = (((theta_m, d_m), (theta_p, d_p)) if side == "plus"
                                       else ((theta_p, d_p), (theta_m, d_m)))
-    for rows, D, QD, q, c in _chunks(p, np.asarray(M, dtype=float), params, dirs, sign):
+    for rows, D, QD, q, c in _chunks(p, M, params, dirs, sign):
         table = _outer_table(D, QD, q, c, m).reshape(q.shape[0], -1)
         ko, jo = np.divmod(np.argmax(table, axis=1), 2)
         ki, ji = _reply(D, QD, q, c, ko, m * jo, m)
@@ -282,6 +298,7 @@ def limit_values_batch(xi: Array, p: Array, M: Array, params, eps_grad: float) -
     the eigenvalue average (2/n) trace(S M S), which lies between the
     envelope values 2 lambda_min and 2 lambda_max of S M S.
     """
+    _check_batch(p, M, params)
     sms = _sms(M, params.sigma)
     norm_sq = np.sum(p * p, axis=1)
     mask = np.sqrt(norm_sq) >= eps_grad

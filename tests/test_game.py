@@ -18,7 +18,7 @@ from tugpricer import (BasketPut, ConstantStrategy, DirectionSet,
                        write_value_table_csv)
 from tugpricer import game
 from tugpricer._interp import multilinear
-from tugpricer.game import _BLOCK
+from tugpricer.game import _BLOCK, _HALF
 
 from oracles import binomial_walk_mean, brute_dpp_value, put_value_oracle
 
@@ -52,15 +52,31 @@ class TestPathRng:
 
     def test_block_rows_are_the_paths(self):
         # idle, opposed controls, mu = 0: each step moves sigma sqrt(dt) (z_0 + 2 z_1),
-        # where path j of block b reads row j of block b's draw
+        # where path j of block b reads row j of block b's draw of min(B, _HALF)
+        # rows if j < _HALF, and that draw's row j - _HALF negated otherwise;
+        # the short blocks are one without pairs and one with
         sp, sm = null_strategy_pair(1)
-        cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK + 5, seed=4, nt=6)
-        term = simulate_sde_paths(cfg, params_1d(), sp, sm)[:, 0]
-        scale = 0.2 * math.sqrt(1.0 / cfg.nt)
-        for block, rows in ((0, _BLOCK), (1, 5)):
-            z = path_rng(cfg.seed, block).standard_normal((rows, cfg.nt, 2))
-            want = scale * (z[:, :, 0] + 2.0 * z[:, :, 1]).sum(axis=1)
-            np.testing.assert_allclose(term[block * _BLOCK:][:rows], want, rtol=0, atol=1e-13)
+        for short in (5, 5000):
+            cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK + short, seed=4, nt=6)
+            term = simulate_sde_paths(cfg, params_1d(), sp, sm)[:, 0]
+            scale = 0.2 * math.sqrt(1.0 / cfg.nt)
+            for block, rows in ((0, _BLOCK), (1, short)):
+                half = path_rng(cfg.seed, block).standard_normal((min(rows, _HALF), cfg.nt, 2))
+                z = np.concatenate([half, -half[:rows - half.shape[0]]])
+                want = scale * (z[:, :, 0] + 2.0 * z[:, :, 1]).sum(axis=1)
+                np.testing.assert_allclose(term[block * _BLOCK:][:rows], want,
+                                           rtol=0, atol=1e-13)
+
+    def test_second_half_negates_the_first_exactly(self):
+        # mu = 0 from 0 with idle controls: every step is sign-symmetric in z, and
+        # round-to-nearest is too, so each antithetic path ends at the exact negation
+        sp, sm = null_strategy_pair(1)
+        cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK + 5000, seed=6, nt=7)
+        term = simulate_sde_paths(cfg, params_1d(mu=0.0), sp, sm)[:, 0]
+        for lo, pairs in ((0, _HALF), (_BLOCK, 5000 - _HALF)):
+            first = term[lo:lo + pairs]
+            second = term[lo + _HALF:lo + _HALF + pairs]
+            assert np.array_equal(second.view(np.int64), (-first).view(np.int64))
 
     def test_one_stream_per_block(self, monkeypatch):
         calls = []
@@ -574,6 +590,23 @@ class TestMcValue:
         assert abs(est.mean - want) <= 1.0 * params.r * dt * params.T
         assert est.stderr == 0.0
 
+    def test_stderr_covers_the_null_walk(self):
+        # the null SDE walk is exactly Gaussian with variance 5 sigma^2 T at any nt;
+        # 20k paths span two antithetic blocks and a short unpaired one
+        params = params_1d(sigma=0.2)
+        sp, sm = null_strategy_pair(1)
+        oracle = put_value_oracle(LOG_K, K, 5.0 * params.sigma[0] ** 2 * params.T)
+        means, errs = [], []
+        for seed in range(2100, 2140):
+            cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=20000, seed=seed, nt=4)
+            est = mc_value(PUT, params, sp, sm, cfg)
+            means.append(est.mean)
+            errs.append(est.stderr)
+        means, errs = np.array(means), np.array(errs)
+        assert np.sum(np.abs(means - oracle) <= 2.0 * errs) >= 34
+        spread = float(np.std(means, ddof=1)) / float(np.median(errs))
+        assert 0.65 <= spread <= 1.35
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_running_cost_rewards_rebuild_from_the_paths(self, threads):
         # the value is the mean of discounted payoff plus the left-endpoint cost
@@ -593,6 +626,53 @@ class TestMcValue:
         want = game._estimate(discounted_reward(term, cfg.t0, params, PUT) + acc,
                               cfg.paths, cfg.seed)
         assert est.mean == want.mean and est.stderr == want.stderr
+
+
+def stderr_by_hand(rewards) -> float:
+    """The pair/single standard error, unit by unit: block b pairs row j with
+    row j + h, h = min(B, _BLOCK // 2), for j < B - h; other rows are single."""
+    pair_means, singles = [], []
+    for lo in range(0, len(rewards), _BLOCK):
+        block = [float(v) for v in rewards[lo:lo + _BLOCK]]
+        h = min(len(block), _BLOCK // 2)
+        pair_means += [(block[j] + block[j + h]) / 2 for j in range(len(block) - h)]
+        singles += block[len(block) - h:h]
+
+    def sample_var(units):
+        if len(units) < 2:
+            return 0.0
+        mean = math.fsum(units) / len(units)
+        return math.fsum((u - mean) ** 2 for u in units) / (len(units) - 1)
+
+    return math.sqrt(4 * len(pair_means) * sample_var(pair_means)
+                     + len(singles) * sample_var(singles)) / len(rewards)
+
+
+class TestEstimate:
+    # one pair with singles, one single with pairs, and short blocks on both sides of _HALF
+    @pytest.mark.parametrize("paths", [2, 1000, _HALF, _HALF + 1, _BLOCK, 2 * _BLOCK - 1,
+                                       2 * _BLOCK + 6000, _BLOCK + _HALF - 1])
+    def test_matches_the_pair_single_formula(self, paths):
+        rewards = np.random.default_rng(paths).lognormal(size=paths)
+        est = game._estimate(rewards, paths, 3)
+        assert est.mean == float(np.mean(rewards)) and est.paths == paths and est.seed == 3
+        assert est.stderr == pytest.approx(stderr_by_hand(rewards), rel=1e-12)
+
+    @pytest.mark.parametrize("paths", [2, 1000, _HALF])
+    def test_one_unpaired_block_is_the_sample_formula(self, paths):
+        rewards = np.random.default_rng(paths).normal(size=paths)
+        want = float(np.std(rewards, ddof=1)) / math.sqrt(paths)
+        assert game._estimate(rewards, paths, 0).stderr == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("paths", [3000, 2 * _BLOCK + 6000])
+    def test_constant_rewards_have_no_error(self, paths):
+        # 2.5 sums exactly, so every unit sits on its group's mean
+        est = game._estimate(np.full(paths, 2.5), paths, 0)
+        assert est.mean == 2.5 and est.stderr == 0.0
+
+    def test_single_path(self):
+        est = game._estimate(np.array([1.25]), 1, 9)
+        assert est == game.McEstimate(mean=1.25, stderr=0.0, paths=1, seed=9)
 
 
 class TestGreedyStrategies:

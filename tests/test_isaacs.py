@@ -528,3 +528,33 @@ def test_chunked_batches_match_one_chunk(n, count, side, rng, monkeypatch):
         for got, want in zip(greedy_controls_batch(xi, p, M, 3.0, params, dirs, side),
                              whole_greedy):
             assert np.array_equal(got, want)
+
+
+class TestBatchShapes:
+    """A batch whose p, M, market and directions disagree on n is refused up front."""
+
+    PARAMS_2D = params_nd(2)
+    ONE_ROW_1D = batch(*inp_1d())
+
+    def test_hm_values_batch(self):
+        with pytest.raises(ValidationError, match="dimension 2"):
+            hm_values_batch(*self.ONE_ROW_1D, 2.0, self.PARAMS_2D,
+                            DirectionSet.for_dimension(2, 8), "plus")
+        with pytest.raises(ValidationError, match="directions of dimension 1"):
+            hm_values_batch(*batch(0.0, np.ones(2), np.eye(2)), 2.0, self.PARAMS_2D,
+                            DIRS_1D, "minus")
+
+    def test_greedy_controls_batch(self):
+        with pytest.raises(ValidationError, match="dimension 2"):
+            greedy_controls_batch(*self.ONE_ROW_1D, 2.0, self.PARAMS_2D,
+                                  DirectionSet.for_dimension(2, 8), "minus")
+        _, p, M = batch(0.0, np.ones(2), np.eye(2))  # two rows of p, one of M
+        with pytest.raises(ValidationError, match=r"M \(1, 2, 2\)"):
+            greedy_controls_batch(np.zeros(2), np.vstack([p, p]), M, 2.0, self.PARAMS_2D,
+                                  DirectionSet.for_dimension(2, 8), "plus")
+
+    def test_limit_values_batch(self):
+        with pytest.raises(ValidationError, match="dimension 2"):
+            limit_values_batch(*self.ONE_ROW_1D, self.PARAMS_2D, EPS)
+        with pytest.raises(ValidationError, match="dimension 2"):
+            limit_values_batch(np.zeros(1), np.ones(2), np.eye(2)[None], self.PARAMS_2D, EPS)
