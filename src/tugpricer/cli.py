@@ -498,6 +498,9 @@ def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> dict:
+    if cfg.game["dynamics"] == "discrete":
+        game._game_steps(cfg.params.T, cfg.game["t0"], cfg.game["N"],
+                         ("market.T", "game.t0", "game.N"))
     _certify(cfg)
     strategies = _build_strategies(cfg)
     if cfg.game["dynamics"] == "discrete":

@@ -10,14 +10,21 @@ that bracket the PDE solutions.
 Randomness is reproducible by construction: each fixed block of 8192 paths
 draws from a counter-based stream keyed by (seed, block), so a path's draws
 depend only on (seed, path index, steps, n), never on threads.  The coin game
-draws every row of its block row-major in one call.  The SDE draws only the
-block's first 4096 rows that way; row j >= 4096 is the negation of row
-j - 4096, an antithetic pair with the same law under any Markov strategy.
-Standard errors treat each such pair as one sample (see ``_estimate``).
+draws every row of its block row-major in one call of 32-bit words and reads
+coin j as the top bit of byte j, the bit ``integers(0, 2, int8)`` would give.
+The SDE draws only the block's first 4096 rows of normals; row j >= 4096 is
+the negation of row j - 4096, an antithetic pair with the same law under any
+Markov strategy.  Standard errors treat each such pair as one sample (see
+``_estimate``).
+
+Both simulators split a step into its coefficients, built from the controls
+alone, and the state update that applies them.  A pair of exact constant
+strategies builds the coefficients once per run; any other pair, every step.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -47,7 +54,9 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     Distinct (seed, block) keys give independent streams.  The block's paths
     take consecutive row-major slices of one draw from it: all of them in the
     coin game, the first min(B, ``_HALF``) in the SDE, whose later rows negate
-    the rows ``_HALF`` before them.
+    the rows ``_HALF`` before them.  The coin game draws ceil(count / 4)
+    ``uint32`` words and reads coin i as 2 (byte i >> 7) - 1 of their
+    little-endian bytes, the same coins as ``integers(0, 2, int8)``.
     """
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -263,22 +272,25 @@ def greedy_strategy_pair(grid: pde.PriceGrid, params: MarketParams, m: float,
 
 def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
           strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy, threads: int,
-          steps: int, dt: float, rc, draw: Callable, step: Callable, store: Callable) -> None:
+          steps: int, dt: float, rc, draw: Callable, prep: Callable, advance: Callable,
+          store: Callable) -> None:
     """Play every path from (cfg.start, cfg.t0) for `steps` steps of length `dt`.
 
     Each block draws its noise once, ``draw(gen, (B, steps, n + 1))``, advances
-    ``X = step(X, tp, dp, tm, dm, noise[:, k])`` with the controls read at the
-    pre-step state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds
-    the discounted left-endpoint sums of the running cost `rc` (0 when None).
+    ``X = advance(X, coef, noise[:, k])`` with ``coef = prep(tp, dp, tm, dm)``
+    built from the controls read at the pre-step state, then hands its rows to
+    ``store(lo, hi, X, acc)``; acc holds the discounted left-endpoint sums of
+    the running cost `rc` (0 when None).
 
     Controls are read by one of three rules: a greedy pair sharing one core
     makes one ``lookup`` per step; an exact :class:`ConstantStrategy` is read
     and checked once, at (cfg.start, cfg.t0) before any block is drawn, and its
     (1, n) and (1,) rows broadcast against X; any other strategy goes through
-    ``checked_controls`` on every step.
+    ``checked_controls`` on every step.  ``prep`` reads the controls only, so
+    when both players are exact constants it runs once per run, before any
+    block is drawn; for any other pair it runs on every step.  ``advance``
+    adds its terms to X in a fixed order, so both routes round alike.
     """
-    if steps < 1:
-        raise ValidationError("the horizon must cover at least one game step")
     if (isinstance(strat_plus, _GreedyView) and isinstance(strat_minus, _GreedyView)
             and strat_plus.core is strat_minus.core
             and (strat_plus.player, strat_minus.player) == ("plus", "minus")):
@@ -290,6 +302,15 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
         def read(X, t):
             return (*read_plus(X, t), *read_minus(X, t))
 
+    if type(strat_plus) is type(strat_minus) is ConstantStrategy:
+        fixed = prep(*read(None, cfg.t0))
+
+        def coef_at(X, t):
+            return fixed
+    else:
+        def coef_at(X, t):
+            return prep(*read(X, t))
+
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)
         noise = draw(path_rng(cfg.seed, lo // _BLOCK), (hi - lo, steps, params.n + 1))
@@ -297,10 +318,10 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
         acc = np.zeros(hi - lo)
         for k in range(steps):
             t_k = cfg.t0 + k * dt
-            tp, dp, tm, dm = read(X, t_k)
+            coef = coef_at(X, t_k)
             if rc is not None:
                 acc += np.exp(-params.r * (params.T - t_k)) * rc(X, t_k) * dt
-            X = step(X, tp, dp, tm, dm, noise[:, k])
+            X = advance(X, coef, noise[:, k])
         store(lo, hi, X, acc)
 
     starts = range(0, cfg.paths, _BLOCK)
@@ -328,18 +349,26 @@ def _check_start(cfg: SimConfig | DiscreteGameConfig, params: MarketParams) -> N
         raise ValidationError("t0 must lie in [0, T)")
 
 
-def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callable]:
-    """The Euler-Maruyama clock of a run, its normal draw and its step, for ``_play``."""
+def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callable, Callable]:
+    """The Euler-Maruyama clock of a run, its normal draw and its step split
+    into ``prep`` and ``advance``, for ``_play``."""
     _check_start(cfg, params)
     n = params.n
     dt = (params.T - cfg.t0) / cfg.nt
     sqdt = np.sqrt(dt)
     sigma = params.sigma
+    spread = sigma * sqdt
 
-    def step(X, tp, dp, tm, dm, z):
+    def prep(tp, dp, tm, dm):
         drift = params.mu + sigma * (dp + dm)[:, None] * (tp + tm)
-        return (X + drift * dt + sigma * sqdt * z[:, :n]
-                + sigma * (tp - tm) * sqdt * z[:, n][:, None])
+        return drift * dt, sigma * (tp - tm) * sqdt
+
+    def advance(X, coef, z):
+        shift, lever = coef
+        X = X + shift
+        X += spread * z[:, :n]
+        X += lever * z[:, n][:, None]
+        return X
 
     def draw(gen: np.random.Generator, shape) -> Array:
         # antithetic halves, filled in place: no block-sized temporaries
@@ -350,12 +379,13 @@ def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callabl
         np.negative(noise[:B - h], out=noise[h:])
         return noise
 
-    return dt, draw, step
+    return dt, draw, prep, advance
 
 
 def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketParams,
            strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy, threads: int,
-           steps: int, dt: float, draw: Callable, step: Callable) -> McEstimate:
+           steps: int, dt: float, draw: Callable, prep: Callable,
+           advance: Callable) -> McEstimate:
     """Play every path (see ``_play``); estimate the discounted payoff plus running cost."""
     rewards = np.empty(cfg.paths)
 
@@ -363,7 +393,7 @@ def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketPa
         rewards[lo:hi] = discounted_reward(X, cfg.t0, params, payoff) + acc
 
     _play(cfg, params, strat_plus, strat_minus, threads, steps, dt, params.running_cost,
-          draw, step, store)
+          draw, prep, advance, store)
     return _estimate(rewards, cfg.paths, cfg.seed)
 
 
@@ -373,13 +403,14 @@ def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
     """Euler-Maruyama terminal states, shape (paths, n), of the controlled
     log-price dynamics; controls are read at the pre-step state.  The value of
     a run, running cost included, is :func:`mc_value`."""
-    dt, draw, step = _sde(cfg, params)
+    dt, draw, prep, advance = _sde(cfg, params)
     terminals = np.empty((cfg.paths, params.n))
 
     def store(lo, hi, X, acc):
         terminals[lo:hi] = X
 
-    _play(cfg, params, strat_plus, strat_minus, threads, cfg.nt, dt, None, draw, step, store)
+    _play(cfg, params, strat_plus, strat_minus, threads, cfg.nt, dt, None, draw, prep, advance,
+          store)
     return terminals
 
 
@@ -390,29 +421,57 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
 
     Raw strategy intensities are mapped onto the capped lattice controls
     ``theta_k = min(d / sqrt(N), 1) * theta / sqrt(N)``, which keeps every
-    lattice control inside the 1/sqrt(N) ball by construction.
+    lattice control inside the 1/sqrt(N) ball by construction.  (T - t0) N
+    must be a whole number of steps, to within 1e-9 relative.
     """
     _check_start(cfg, params)
     n = params.n
-    steps = int(round((params.T - cfg.t0) * cfg.N))
+    steps = _game_steps(params.T, cfg.t0, cfg.N)
     root_n = np.sqrt(cfg.N)
     dt = 1.0 / cfg.N
     sigma = params.sigma
+    drift = params.mu * dt
+    spread = (2.0 / root_n) * sigma
 
     def draw(gen: np.random.Generator, shape) -> Array:
-        coins = gen.integers(0, 2, size=shape, dtype=np.int8)
-        coins <<= 1  # 0/1 -> -1/+1 in place: no block-sized temporaries
+        # coin i is the top bit of byte i (see path_rng), read in place: no
+        # block-sized temporaries
+        count = math.prod(shape)
+        words = gen.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
+        bits = words.astype("<u4", copy=False).view(np.uint8)[:count]
+        bits >>= 7
+        coins = bits.view(np.int8)
+        coins <<= 1  # 0/1 -> -1/+1
         coins -= 1
-        return coins
+        return coins.reshape(shape)
 
-    def step(X, tp, dp, tm, dm, c):
+    def prep(tp, dp, tm, dm):
         scaled_p = tp * (np.minimum(dp / root_n, 1.0) / root_n)[:, None]
         scaled_m = tm * (np.minimum(dm / root_n, 1.0) / root_n)[:, None]
-        return (X + params.mu * dt + (2.0 / root_n) * sigma * c[:, :n]
-                + sigma * (scaled_p - scaled_m) * c[:, n][:, None]
-                + sigma * (scaled_p + scaled_m))
+        return sigma * (scaled_p - scaled_m), sigma * (scaled_p + scaled_m)
 
-    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, steps, dt, draw, step)
+    def advance(X, coef, c):
+        lever, push = coef
+        X = X + drift
+        X += spread * c[:, :n]
+        X += lever * c[:, n][:, None]
+        X += push
+        return X
+
+    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, steps, dt, draw,
+                  prep, advance)
+
+
+def _game_steps(T: float, t0: float, N: int,
+                names: tuple[str, str, str] = ("T", "t0", "N")) -> int:
+    """The number of 1/N steps from t0 to T.  A horizon off the 1/N grid, which
+    the game could only play short or long, is refused; ``names`` label T, t0, N."""
+    span = (T - t0) * N
+    steps = round(span)
+    if abs(span - steps) > 1e-9 * span:
+        raise ValidationError(
+            "({} - {}) * {} = {!r} must be a whole number of game steps".format(*names, span))
+    return steps
 
 
 def _estimate(rewards: Array, paths: int, seed: int) -> McEstimate:
@@ -608,8 +667,8 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
 def mc_value(payoff: Payoff, params: MarketParams, strat_plus: FeedbackStrategy,
              strat_minus: FeedbackStrategy, cfg: SimConfig, threads: int = 1) -> McEstimate:
     """Monte Carlo estimate of the expected discounted reward under two strategies."""
-    dt, draw, step = _sde(cfg, params)
-    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, cfg.nt, dt, draw, step)
+    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, cfg.nt,
+                  *_sde(cfg, params))
 
 
 def write_value_table_csv(path, tables: GameValueTables,

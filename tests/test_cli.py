@@ -429,6 +429,25 @@ class TestSimulateCommand:
         report = read_json(out / "report.json")
         assert 0.0 <= report["mean"] <= K and report["paths"] == 500
 
+    @pytest.mark.parametrize("T, t0, N", [(0.5, 0.0, 3), (1.0, 0.25, 10)])
+    def test_horizon_off_the_step_grid_returns_2(self, run_cli, tmp_path, capsys, T, t0, N):
+        cfg = self.small(dynamics="discrete", N=N, t0=t0, paths=500)
+        cfg["market"]["T"] = T
+        out = tmp_path / "off"
+        assert run_cli("simulate", cfg, out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: (market.T - game.t0) * game.N = ")
+        assert "whole number of game steps" in err
+        assert not (out / "report.json").exists()
+        # the SDE clock has no 1/N grid, so the same horizon runs there
+        cfg["game"]["dynamics"] = "sde"
+        assert run_cli("simulate", cfg, tmp_path / "sde") == 0
+
+    def test_horizon_on_the_step_grid_runs(self, run_cli, tmp_path):
+        out = tmp_path / "on"
+        assert run_cli("simulate", self.small(dynamics="discrete", N=30, t0=0.1), out) == 0
+        assert read_json(out / "report.json")["paths"] == 400
+
 
 class TestCheckOperators:
     def test_one_dimensional_ladder_is_exact(self, run_cli, tmp_path):

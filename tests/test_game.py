@@ -8,7 +8,8 @@ import pytest
 
 from tugpricer import (BasketPut, ConstantStrategy, DirectionSet,
                        DiscreteGameConfig, FeedbackStrategy, GameValueTables,
-                       GridSpec, MarketParams, PreconditionError, SimConfig,
+                       GridSpec, MarketParams, Payoff, PreconditionError,
+                       RunningCost, SimConfig,
                        SolverConfig, StrategyContractError, ValidationError,
                        aligned_time_steps, constant_payoff,
                        constant_running_cost, discounted_reward, dpp_solve,
@@ -78,6 +79,53 @@ class TestPathRng:
             second = term[lo + _HALF:lo + _HALF + pairs]
             assert np.array_equal(second.view(np.int64), (-first).view(np.int64))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coin_rows_are_the_paths(self, n):
+        # mu = 0 and opposed constant players of equal d: step k of path j moves
+        # axis i by spread_i c_jki + lever_i c_jkn, and the four such moves differ,
+        # so the states recorded before each step and at T pin every coin; coin
+        # (j, k, i) of block b is the top bit of byte (j steps + k)(n + 1) + i of
+        # block b's uint32 words, the coins of integers(0, 2, int8)
+        sigma = np.array([0.2, 0.3][:n])
+        theta = np.array([1.0] if n == 1 else [0.6, 0.8])
+        states = []
+
+        def record(x, t):
+            states.append(x.copy())
+            return np.full(x.shape[0], -1.0)
+
+        params = MarketParams(mu=np.zeros(n), sigma=sigma, r=0.0, T=1.0,
+                              running_cost=RunningCost(h=record, alpha=1.0))
+        payoff = _Recorder(n, states)
+        sp = ConstantStrategy(theta=theta, d=1.0)
+        sm = ConstantStrategy(theta=-theta, d=1.0)
+        N = steps = 6
+        root_n = math.sqrt(N)
+        spread = 2.0 / root_n * sigma
+        lever = 2.0 * sigma * (min(1.0 / root_n, 1.0) / root_n) * theta
+        start = np.full(n, LOG_K)
+        for short in (5, 4097):
+            cfg = DiscreteGameConfig(start=start, t0=0.0, N=N, paths=_BLOCK + short, seed=8)
+            states.clear()
+            simulate_discrete_game(cfg, payoff, params, sp, sm)
+            for block, rows in ((0, _BLOCK), (1, short)):
+                count = rows * steps * (n + 1)
+                words = path_rng(cfg.seed, block).integers(0, 1 << 32, size=-(-count // 4),
+                                                           dtype=np.uint32)
+                top = words.astype("<u4").view(np.uint8) >> 7
+                j, k, i = np.meshgrid(np.arange(rows), np.arange(steps), np.arange(n + 1),
+                                      indexing="ij")
+                coins = 2 * top[(j * steps + k) * (n + 1) + i].astype(np.int64) - 1
+                old = path_rng(cfg.seed, block).integers(0, 2, size=(rows, steps, n + 1),
+                                                         dtype=np.int8)
+                assert np.array_equal(coins, 2 * old.astype(np.int64) - 1)
+                moves = spread * coins[:, :, :n] + lever * coins[:, :, n:]
+                want = start + np.concatenate([np.zeros((rows, 1, n)),
+                                               np.cumsum(moves, axis=1)], axis=1)
+                # steps running-cost reads, then the payoff at T, per block
+                got = np.stack(states[block * (steps + 1):(block + 1) * (steps + 1)], axis=1)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_one_stream_per_block(self, monkeypatch):
         calls = []
 
@@ -94,6 +142,22 @@ class TestPathRng:
                                                   paths=paths, seed=1),
                                PUT, params_1d(), sp, sm)
         assert sorted(calls) == [0, 0, 1, 1, 2, 2]  # ceil(paths / _BLOCK) per simulation
+
+
+class _Recorder(Payoff):
+    """A zero payoff that appends every batch of states it is asked about to ``seen``."""
+
+    kind = "recorder"
+    sup_bound = 0.0
+    lipschitz_bound = 0.0
+
+    def __init__(self, n, seen):
+        self.n = n
+        self.seen = seen
+
+    def values(self, x):
+        self.seen.append(x.copy())
+        return np.zeros(x.shape[0])
 
 
 class TestConfigs:
@@ -268,6 +332,32 @@ class TestDiscreteGame:
                                           for k in range(N))
         assert est.mean == pytest.approx(want, rel=1e-12)
         assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("T, t0, N", [(0.5, 0.0, 3), (1.0, 0.25, 10), (1.0, 0.95, 10)])
+    def test_horizon_off_the_step_grid_is_refused(self, monkeypatch, T, t0, N):
+        # round((T - t0) N) steps of 1/N would play 2/3 for 0.5, 0.8 for 0.75 and
+        # 0 for 0.05; each is refused before any block is drawn
+        draws = []
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a))
+        params = MarketParams(mu=np.array([0.0]), sigma=np.array([0.2]), r=0.0, T=T)
+        cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=t0, N=N, paths=10, seed=1)
+        with pytest.raises(ValidationError, match=r"\(T - t0\) \* N = .* whole number"):
+            simulate_discrete_game(cfg, PUT, params, *null_strategy_pair(1))
+        assert draws == []
+
+    @pytest.mark.parametrize("T, t0, N, steps", [(0.5, 0.0, 4, 2), (1.0, 0.25, 4, 3),
+                                                 (1.0, 0.1, 30, 27), (0.3, 0.1, 10, 2)])
+    def test_horizon_on_the_step_grid_plays_every_step(self, T, t0, N, steps):
+        # with a constant payoff and a state-free cost every path earns the closed form
+        # of exactly `steps` left-endpoint cost terms; (T - t0) N rounds to within 1e-9
+        params = MarketParams(mu=np.array([0.0]), sigma=np.array([0.2]), r=0.1, T=T,
+                              running_cost=constant_running_cost(-1.0))
+        cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=t0, N=N, paths=3, seed=1)
+        est = simulate_discrete_game(cfg, constant_payoff(5.0, 1), params,
+                                     *null_strategy_pair(1))
+        want = 5.0 * math.exp(-0.1 * (T - t0)) - sum(
+            math.exp(-0.1 * (T - t0 - k / N)) / N for k in range(steps))
+        assert est.mean == pytest.approx(want, rel=1e-12)
 
     def test_thread_count_does_not_change_results(self):
         sp, sm = null_strategy_pair(1)
@@ -785,12 +875,12 @@ class TestConstantReads:
         return (ConstantStrategy(theta=np.array([1.0]), d=0.7, m=1.0),
                 ConstantStrategy(theta=np.array([-1.0]), d=0.4, m=1.0))
 
-    def _run(self, sim, sp, sm, threads=1, paths=_BLOCK + 808):
+    def _run(self, sim, sp, sm, threads=1, paths=_BLOCK + 808, params=PARAMS):
         if sim == "sde":
             cfg = SimConfig(start=np.array([LOG_K]), t0=0.1, paths=paths, seed=5, nt=30)
-            return mc_value(PUT, self.PARAMS, sp, sm, cfg, threads=threads)
+            return mc_value(PUT, params, sp, sm, cfg, threads=threads)
         cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=0.1, N=30, paths=paths, seed=5)
-        return simulate_discrete_game(cfg, PUT, self.PARAMS, sp, sm, threads=threads)
+        return simulate_discrete_game(cfg, PUT, params, sp, sm, threads=threads)
 
     def _count_reads(self, monkeypatch):
         calls = []
@@ -811,6 +901,19 @@ class TestConstantReads:
         checked = self._run(sim, _Delegate(sp), _Delegate(sm), threads)
         once = self._run(sim, sp, sm, threads)
         assert once.mean == checked.mean and once.stderr == checked.stderr
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    def test_step_coefficients_built_once_match_with_running_cost(self, sim, threads):
+        # the coefficients of a constant pair are built once per run; the cost reads
+        # the state before every step, so the two routes must agree on every path
+        rc = RunningCost(h=lambda x, t: -1.0 - (x[:, 0] - LOG_K) ** 2 - t, alpha=1.0)
+        params = replace(self.PARAMS, running_cost=rc)
+        sp, sm = self._pair()
+        checked = self._run(sim, _Delegate(sp), _Delegate(sm), threads, params=params)
+        once = self._run(sim, sp, sm, threads, params=params)
+        assert once.mean == checked.mean and once.stderr == checked.stderr
+        assert once.mean != self._run(sim, sp, sm, threads).mean
 
     @pytest.mark.parametrize("sim", ["sde", "discrete"])
     def test_one_checked_read_per_constant_player(self, monkeypatch, sim):
