@@ -17,7 +17,7 @@ from .game import (ConstantStrategy, DiscreteGameConfig, FeedbackStrategy,
                    GameValueTables, McEstimate, SimConfig, aligned_time_steps,
                    discounted_reward, dpp_solve, greedy_strategy_pair, mc_value,
                    null_strategy_pair, path_rng, simulate_discrete_game,
-                   simulate_sde_paths, write_value_table_csv)
+                   simulate_sde_paths, write_value_table)
 from .isaacs import DirectionSet
 from .market import (BasketPut, MarketParams, Payoff, PayoffCertificate,
                      RunningCost, TabulatedPayoff, certify_payoff,
@@ -27,7 +27,7 @@ from .market import (BasketPut, MarketParams, Payoff, PayoffCertificate,
 from .pde import (BarrierParams, GridSpec, PriceGrid, SolverConfig, a_design,
                   barrier_pair, cfl_max_dt, default_domain, interior_derivatives,
                   interior_mask, read_surface_csv, resolve_time_steps,
-                  solve_terminal_value, write_surface_csv)
+                  solve_terminal_value, write_surface)
 
 __version__ = "0.1.0"
 
@@ -44,5 +44,5 @@ __all__ = [
     "path_rng", "payoff_basket_put", "read_payoff_table", "read_surface_csv",
     "resolve_time_steps", "simulate_discrete_game", "simulate_sde_paths",
     "solve_terminal_value", "tabulated_payoff_from_csv", "write_payoff_table",
-    "write_surface_csv", "write_value_table_csv",
+    "write_surface", "write_value_table",
 ]

@@ -299,7 +299,7 @@ def _parse_game(node: _Node, params: MarketParams, payoff: Payoff) -> dict:
 
 
 def _parse_outputs(node: _Node, n: int) -> dict:
-    surface = node.take("surface_path", "surface.csv")
+    surface = node.take("surface_path", "surface.npz")
     report = node.take("report_path", "report.json")
     table = node.take("table_path", "game_table.csv")
     points_raw = node.take("points", None)
@@ -434,11 +434,16 @@ def _build_strategies(cfg: RunConfig, surface: pde.PriceGrid | None = None):
     return game.greedy_strategy_pair(surface, cfg.params, cfg.game["m"], dirs, side)
 
 
-def _sde_value(cfg: RunConfig, strategies, threads: int) -> game.McEstimate:
-    scfg = _build("game", game.SimConfig, start=np.array(cfg.game["start"]),
-                  t0=cfg.game["t0"], paths=cfg.game["paths"], seed=cfg.game["seed"],
-                  nt=cfg.game["nt_sim"])
-    return game.mc_value(cfg.payoff, cfg.params, *strategies, scfg, threads=threads)
+def _sim_config(cfg: RunConfig, discrete: bool):
+    """The Monte Carlo run of ``game``: a ``DiscreteGameConfig`` for the coin
+    game (whose horizon must be whole 1/N steps), else an SDE ``SimConfig``."""
+    g = cfg.game
+    if discrete:
+        game._game_steps(cfg.params.T, g["t0"], g["N"], ("market.T", "game.t0", "game.N"))
+        return _build("game", game.DiscreteGameConfig, start=np.array(g["start"]),
+                      t0=g["t0"], N=g["N"], paths=g["paths"], seed=g["seed"])
+    return _build("game", game.SimConfig, start=np.array(g["start"]), t0=g["t0"],
+                  paths=g["paths"], seed=g["seed"], nt=g["nt_sim"])
 
 
 def cmd_price(cfg: RunConfig, out: Path, threads: int) -> dict:
@@ -446,8 +451,7 @@ def cmd_price(cfg: RunConfig, out: Path, threads: int) -> dict:
     _certify(cfg)
     surface = pde.solve_terminal_value(cfg.payoff, cfg.params, cfg.solver, cfg.grid)
     u0 = multilinear(surface.spec.axes, surface.values[0], pts)
-    pde.write_surface_csv(out / cfg.outputs["surface_path"], surface,
-                          config_digest=cfg.digest)
+    pde.write_surface(out / cfg.outputs["surface_path"], surface, config_digest=cfg.digest)
     return {
         "command": "price",
         "mode": cfg.solver.mode,
@@ -484,8 +488,7 @@ def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> dict:
     pts = _points(cfg)
     _certify(cfg)
     tables = _solve_tables(cfg)
-    game.write_value_table_csv(out / cfg.outputs["table_path"], tables,
-                               config_digest=cfg.digest)
+    game.write_value_table(out / cfg.outputs["table_path"], tables, config_digest=cfg.digest)
     report = {
         "command": "game-value",
         "m": cfg.game["m"],
@@ -498,19 +501,15 @@ def cmd_game_value(cfg: RunConfig, out: Path, threads: int) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> dict:
-    if cfg.game["dynamics"] == "discrete":
-        game._game_steps(cfg.params.T, cfg.game["t0"], cfg.game["N"],
-                         ("market.T", "game.t0", "game.N"))
+    discrete = cfg.game["dynamics"] == "discrete"
+    sim = _sim_config(cfg, discrete)  # paths >= 1 and the horizon, before any work
     _certify(cfg)
     strategies = _build_strategies(cfg)
-    if cfg.game["dynamics"] == "discrete":
-        dcfg = _build("game", game.DiscreteGameConfig, start=np.array(cfg.game["start"]),
-                      t0=cfg.game["t0"], N=cfg.game["N"], paths=cfg.game["paths"],
-                      seed=cfg.game["seed"])
-        est = game.simulate_discrete_game(dcfg, cfg.payoff, cfg.params, *strategies,
+    if discrete:
+        est = game.simulate_discrete_game(sim, cfg.payoff, cfg.params, *strategies,
                                           threads=threads)
     else:
-        est = _sde_value(cfg, strategies, threads)
+        est = game.mc_value(cfg.payoff, cfg.params, *strategies, sim, threads=threads)
     return {"mean": est.mean, "stderr": est.stderr, "paths": est.paths, "seed": est.seed}
 
 
@@ -546,14 +545,13 @@ def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> dict:
         hm = isaacs.hm_values_batch(xi, p, M, m, params, dirs, "minus")
         err_plus.append(np.abs(hp + f_vals))
         err_minus.append(np.abs(hm + f_vals))
-    table_path = out / cfg.outputs["table_path"]
-    with open(table_path, "w", newline="") as fh:
-        fh.write(f"# config_digest={cfg.digest}\n")
-        fh.write("input,m,err_plus,err_minus,norm_M\n")
-        for k, m in enumerate(ops["m_ladder"]):
-            block = np.column_stack([np.arange(B), np.full(B, m), err_plus[k],
-                                     err_minus[k], norm_M])
-            np.savetxt(fh, block, fmt="%d,%.17g,%.17g,%.17g,%.17g")
+    # rows input,m,err_plus,err_minus,norm_M, one block per rung of the ladder
+    norms = ["%.17g" % v for v in norm_M.tolist()]
+    blocks = [("".join([f"{i},{'%.17g' % m},%.17g,%.17g,{norms[i]}\n" for i in range(B)]),
+               np.column_stack([err_plus[k], err_minus[k]]))
+              for k, m in enumerate(ops["m_ladder"])]
+    columns = ["input", "m", "err_plus", "err_minus", "norm_M"]
+    pde._write_csv(out / cfg.outputs["table_path"], columns, blocks, cfg.digest)
     return {
         "command": "check-operators",
         "n": n,
@@ -588,7 +586,8 @@ def cmd_compare(cfg: RunConfig, out: Path, threads: int) -> dict:
             report[f"max_gap_dpp_{side}_vs_pde"] = float(np.max(gap))
             report[f"max_interior_gap_dpp_{side}_vs_pde"] = float(np.max(gap[inner]))
     if cfg.game["paths"] > 0:
-        est = _sde_value(cfg, _build_strategies(cfg, surface), threads)
+        est = game.mc_value(cfg.payoff, cfg.params, *_build_strategies(cfg, surface),
+                            _sim_config(cfg, False), threads=threads)
         report["mc"] = {"mean": est.mean, "stderr": est.stderr,
                         "paths": est.paths, "seed": est.seed,
                         "start": cfg.game["start"]}

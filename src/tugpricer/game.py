@@ -671,12 +671,14 @@ def mc_value(payoff: Payoff, params: MarketParams, strat_plus: FeedbackStrategy,
                   *_sde(cfg, params))
 
 
-def write_value_table_csv(path, tables: GameValueTables,
-                          config_digest: str | None = None) -> None:
-    """Value-table CSV: the surface layout plus a trailing ``side`` column.
+def write_value_table(path, tables: GameValueTables,
+                      config_digest: str | None = None) -> None:
+    """The value tables as an archive, or as CSV when ``path`` ends in ``.csv``.
 
-    All populated sides are written, lower (minus) table first.
+    The archive holds ``u_minus`` and / or ``u_plus``, each shaped
+    (nt + 1, *nx); the CSV has the surface layout plus a trailing ``side``
+    column, lower (minus) table first.  See :func:`pde._write_slices`.
     """
-    stacks = [(f",{side}", arr) for side, arr in (("minus", tables.u_minus),
-                                                 ("plus", tables.u_plus)) if arr is not None]
-    pde._write_slices(path, tables.spec, tables.dt, ["u", "side"], stacks, config_digest)
+    stacks = {name: arr for name, arr in (("u_minus", tables.u_minus),
+                                          ("u_plus", tables.u_plus)) if arr is not None}
+    pde._write_slices(path, tables.spec, tables.dt, stacks, config_digest)

@@ -367,36 +367,75 @@ def interior_mask(spec: GridSpec, margin) -> Array:
     return mask
 
 
-def write_surface_csv(path, grid: PriceGrid, config_digest: str | None = None) -> None:
-    """Surface CSV: header t,x_1,...,x_n,u; slices run from T down to 0."""
-    _write_slices(path, grid.spec, grid.dt, ["u"], [("", grid.values)], config_digest)
+def write_surface(path, grid: PriceGrid, config_digest: str | None = None) -> None:
+    """The surface as an archive, or as CSV when ``path`` ends in ``.csv``.
 
-
-def _write_slices(path, spec: GridSpec, dt: float, columns: list[str],
-                  stacks: list[tuple[str, Array]], config_digest: str | None) -> None:
-    """The one CSV writer of value surfaces and tables.
-
-    Writes the optional ``# config_digest=`` line, the header
-    ``t,x_1,...,x_n,<columns>`` and, for each ``(suffix, values)`` in
-    ``stacks``, the slices k = nt..0 as rows ``t,x_1,...,x_n,u<suffix>`` in
-    node (C) order.  Every number is ``%.17g``, so the bytes are those of
-    ``np.savetxt(fmt="%.17g")`` on the same rows.  Each node's coordinates are
-    formatted once per file into a row template; a slice formats t once and
-    fills all its values with one ``%``, and is written as one string.
+    The archive holds ``u``, shaped (nt + 1, *nx), with ``u[k]`` at ``t[k]``;
+    the CSV has the header t,x_1,...,x_n,u and runs from T down to 0.  See
+    :func:`_write_slices`.
     """
+    _write_slices(path, grid.spec, grid.dt, {"u": grid.values}, config_digest)
+
+
+def _write_slices(path, spec: GridSpec, dt: float, stacks: dict[str, Array],
+                  config_digest: str | None) -> None:
+    """The one writer of value surfaces and tables; the format follows ``path``.
+
+    ``stacks`` maps ``u`` (a surface) or ``u_minus`` / ``u_plus`` (value
+    tables) to (nt + 1, *nx) arrays whose slice k lies at t = k dt.
+
+    A path ending in ``.csv`` gets the optional ``# config_digest=`` line, the
+    header ``t,x_1,...,x_n,u`` (plus ``,side`` for tables) and, for each
+    stack, the slices k = nt..0 as rows ``t,x_1,...,x_n,u[,side]`` in node (C)
+    order, with every number ``%.17g``.  Any other path gets an uncompressed
+    ``np.savez`` archive at exactly that path, read back with ``np.load``:
+    ``t`` (ascending), the axes ``x_1 .. x_n``, each stack under its own name
+    and, when given, ``config_digest`` as a string array.
+    """
+    if not str(path).endswith(".csv"):
+        arrays = {"t": np.arange(spec.nt + 1) * dt,
+                  **{f"x_{i + 1}": ax for i, ax in enumerate(spec.axes)}, **stacks}
+        if config_digest is not None:
+            arrays["config_digest"] = np.array(config_digest)
+        with open(path, "wb") as fh:  # a str path would gain a ".npz" suffix
+            np.savez(fh, **arrays)
+        return
+    sides = ["" if name == "u" else "," + name.removeprefix("u_") for name in stacks]
     coords = ["".join([",%.17g" % v for v in p]) for p in spec.points().tolist()]
+
+    def blocks():
+        # each node's coordinates are formatted once per file into a row
+        # template; a slice formats t once and is filled by one ``%``
+        for side, values in zip(sides, stacks.values()):
+            rows = [""] + [f"{c},%.17g{side}\n" for c in coords]
+            for k in range(values.shape[0] - 1, -1, -1):
+                yield ("%.17g" % (k * dt)).join(rows), values[k]
+
+    columns = (["t"] + [f"x_{i + 1}" for i in range(spec.n)]
+               + (["u", "side"] if any(sides) else ["u"]))
+    _write_csv(path, columns, blocks(), config_digest)
+
+
+def _write_csv(path, columns: list[str], blocks, config_digest: str | None) -> None:
+    """The one CSV writer: the optional ``# config_digest=`` line, the header,
+    then each ``(template, values)`` block as ``template % values``.
+
+    A template holds one ``%.17g`` per value, so a block of rows is filled by
+    one ``%`` and written as one string; the bytes are those of
+    ``np.savetxt(fmt="%.17g")`` on the same rows.
+    """
     with open(path, "w", newline="") as fh:
         if config_digest is not None:
             fh.write(f"# config_digest={config_digest}\n")
-        fh.write(",".join(["t"] + [f"x_{i + 1}" for i in range(spec.n)] + columns) + "\n")
-        for suffix, values in stacks:
-            rows = [""] + [f"{c},%.17g{suffix}\n" for c in coords]
-            for k in range(values.shape[0] - 1, -1, -1):
-                fh.write(("%.17g" % (k * dt)).join(rows) % tuple(values[k].ravel().tolist()))
+        fh.write(",".join(columns) + "\n")
+        for template, values in blocks:
+            fh.write(template % tuple(values.ravel().tolist()))
 
 
 def read_surface_csv(path) -> tuple[Array, Array, Array]:
-    """Inverse of :func:`write_surface_csv`: (times, points, values) row-wise."""
+    """Inverse of :func:`write_surface` for a ``.csv`` path: (times, points,
+    values) row-wise, in file order, so slices run from T down to 0.  Read an
+    archive with ``np.load(path, allow_pickle=False)`` instead."""
     with open(path) as fh:
         text = fh.read()
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
@@ -410,6 +449,6 @@ def read_surface_csv(path) -> tuple[Array, Array, Array]:
 __all__ = [
     "GridSpec", "SolverConfig", "BarrierParams", "PriceGrid", "a_design",
     "default_domain", "cfl_max_dt", "resolve_time_steps", "interior_derivatives",
-    "solve_terminal_value", "barrier_pair", "interior_mask", "write_surface_csv",
+    "solve_terminal_value", "barrier_pair", "interior_mask", "write_surface",
     "read_surface_csv", "MODES",
 ]

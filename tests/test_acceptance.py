@@ -23,8 +23,8 @@ from tugpricer import (BarrierParams, BasketPut, DirectionSet,
                        SimConfig, SolverConfig, a_design, barrier_pair,
                        constant_payoff, constant_running_cost, dpp_solve,
                        greedy_strategy_pair, interior_mask, mc_value,
-                       null_strategy_pair, read_surface_csv,
-                       simulate_discrete_game, solve_terminal_value)
+                       null_strategy_pair, simulate_discrete_game,
+                       solve_terminal_value)
 from tugpricer import isaacs
 from tugpricer._interp import multilinear
 
@@ -242,20 +242,20 @@ def test_06_barrier_sandwich(verdict, priced_put):
     ok = priced_put.code == 0
     worst = math.inf
     if ok:
+        with np.load(priced_put.out / "surface.npz", allow_pickle=False) as archive:
+            tgrid, x, vals = archive["t"], archive["x_1"], archive["u"]
+        ok = vals.shape == (priced_put.report["nt"] + 1, 401) == (tgrid.size, x.size)
+    if ok:
         params = _flat_params()
         A = a_design(params, PUT.lipschitz_bound)
-        times, points, values = read_surface_csv(priced_put.out / "surface.csv")
-        nt = priced_put.report["nt"]
-        pts = points.reshape(nt + 1, 401, 1)
-        vals = values.reshape(nt + 1, 401)
-        tgrid = times.reshape(nt + 1, 401)[:, 0]
+        pts = x[:, None]
         for y in (LOG_K, LOG_K - 1.0, LOG_K + 1.0):
             g_y = PUT(np.array([y]))
             for eps in (0.01, 0.1):
                 bp = BarrierParams(y=np.array([y]), eps=eps, A=A,
                                    L=PUT.lipschitz_bound)
                 for k, t in enumerate(tgrid):
-                    low, up = barrier_pair(pts[k], float(t), bp, g_y, params.T)
+                    low, up = barrier_pair(pts, float(t), bp, g_y, params.T)
                     worst = min(worst, float(np.min(vals[k] - low)),
                                 float(np.min(up - vals[k])))
         ok = worst >= -1e-9

@@ -15,17 +15,21 @@ from tugpricer import game, isaacs, pde
 SRC = Path(tugpricer.__file__).resolve().parent
 
 # single-point wrappers and the second limit operator, replaced by the
-# batched operators (hm_values_batch, greedy_controls_batch, limit_values_batch)
+# batched operators (hm_values_batch, greedy_controls_batch, limit_values_batch);
+# the CSV-named writers, replaced by write_surface / write_value_table, whose
+# format follows the path
 REMOVED = {
     "tugpricer": ["OperatorInput", "ControlPoint", "phi", "hm_plus", "hm_minus",
                   "greedy_controls", "f_limit", "f_envelopes", "f_mean_eigenvalue",
                   "discrete_derivatives", "apply_operator", "step_backward", "dpp_step",
-                  "OutOfDomainError", "GradientDegenerateError"],
+                  "OutOfDomainError", "GradientDegenerateError",
+                  "write_surface_csv", "write_value_table_csv"],
     "isaacs": ["OperatorInput", "ControlPoint", "phi", "hm_plus", "hm_minus", "_hm_single",
                "greedy_controls", "f_limit", "f_envelopes", "f_mean_eigenvalue",
                "SYMMETRY_TOL"],
-    "pde": ["discrete_derivatives", "apply_operator", "step_backward", "_limit_values"],
-    "game": ["dpp_step", "ControlPoint"],
+    "pde": ["discrete_derivatives", "apply_operator", "step_backward", "_limit_values",
+            "write_surface_csv"],
+    "game": ["dpp_step", "ControlPoint", "write_value_table_csv"],
 }
 MODULES = {"tugpricer": tugpricer, "isaacs": isaacs, "pde": pde, "game": game}
 

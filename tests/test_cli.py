@@ -7,6 +7,7 @@ fast) except one subprocess smoke test that exercises ``python -m tugpricer``.
 from __future__ import annotations
 
 import filecmp
+import io
 import json
 import math
 import os
@@ -77,7 +78,7 @@ class TestConfigParsing:
         assert g["start"] == [pytest.approx(LOG_K)]
         assert (g["t0"], g["nt_sim"], g["side"], g["dynamics"]) == (0.0, 200, "both", "sde")
         assert g["strategies"] == {"kind": "null"}
-        assert r["outputs"] == {"surface_path": "surface.csv",
+        assert r["outputs"] == {"surface_path": "surface.npz",
                                 "report_path": "report.json",
                                 "table_path": "game_table.csv", "points": None}
         assert r["operators"]["m_ladder"] == [1.0, 10.0, 100.0, 1000.0]
@@ -99,7 +100,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("outputs,message", [
         ({"surface_path": "report.json"},
          r"outputs.report_path \('report.json'\) collides with outputs.surface_path"),
-        ({"table_path": "./surface.csv"}, "outputs.table_path .* outputs.surface_path"),
+        ({"table_path": "./surface.npz"}, "outputs.table_path .* outputs.surface_path"),
         ({"report_path": "resolved_config.json"},
          "outputs.report_path .* resolved_config.json"),
         ({"surface_path": "a/../t.csv", "table_path": "t.csv"},
@@ -347,6 +348,43 @@ class TestPriceCommand:
         assert np.array_equal(stacked, surface.values.reshape(surface.nt + 1, -1))
         assert times[0] == params.T and times[-1] == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_default_archive_is_the_library_solve(self, run_cli, tmp_path, n):
+        out = tmp_path / "npz"
+        if n == 1:
+            cfg = base_config(grid=dict(self.GRID))
+        else:
+            cfg = {"market": {"sigma": [0.2, 0.3], "T": 1.0},
+                   "payoff": {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K},
+                   "grid": {"nx": [9, 7]}}
+        assert run_cli("price", cfg, out) == 0
+        assert not (out / "surface.csv").exists()
+        report = read_json(out / "report.json")
+        resolved = read_json(out / "resolved_config.json")
+        grid = resolved["config"]["grid"]
+        run = cli.load_config(out / "config.json")
+        surface = pde.solve_terminal_value(run.payoff, run.params, run.solver, run.grid)
+        axes = [f"x_{i + 1}" for i in range(n)]
+        with np.load(out / "surface.npz", allow_pickle=False) as archive:
+            assert archive.files == ["t", *axes, "u", "config_digest"]
+            assert np.array_equal(archive["u"], surface.values)
+            assert np.array_equal(archive["t"], np.arange(report["nt"] + 1) * report["dt"])
+            for i, name in enumerate(axes):
+                assert np.array_equal(archive[name], np.linspace(grid["lo"][i], grid["hi"][i],
+                                                                 grid["nx"][i]))
+            digest = archive["config_digest"]
+            assert digest.dtype.kind == "U"
+            assert digest.item() == report["config_digest"] == resolved["config_digest"]
+
+    def test_archive_lands_at_exactly_the_configured_path(self, run_cli, tmp_path):
+        out = tmp_path / "bin"
+        cfg = base_config(grid=dict(self.GRID), outputs={"surface_path": "s.bin"})
+        assert run_cli("price", cfg, out) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "config.json", "report.json", "resolved_config.json", "s.bin"]
+        with np.load(out / "s.bin", allow_pickle=False) as archive:
+            assert archive["u"].shape == (read_json(out / "report.json")["nt"] + 1, 41)
+
     def test_resolved_config_reruns_cleanly(self, run_cli, tmp_path):
         """The echoed config is itself a valid config with the same digest."""
         out = tmp_path / "echo"
@@ -443,6 +481,18 @@ class TestSimulateCommand:
         cfg["game"]["dynamics"] = "sde"
         assert run_cli("simulate", cfg, tmp_path / "sde") == 0
 
+    @pytest.mark.parametrize("dynamics", ["sde", "discrete"])
+    def test_zero_paths_returns_2_before_certifying(self, run_cli, tmp_path, capsys,
+                                                    monkeypatch, dynamics):
+        def no_certify(cfg):
+            raise AssertionError("certified before checking game.paths")
+
+        monkeypatch.setattr(cli, "_certify", no_certify)
+        out = tmp_path / "zero"
+        assert run_cli("simulate", self.small(dynamics=dynamics, N=16, paths=0), out) == 2
+        assert capsys.readouterr().err == "error: game.paths must be >= 1\n"
+        assert not (out / "report.json").exists()
+
     def test_horizon_on_the_step_grid_runs(self, run_cli, tmp_path):
         out = tmp_path / "on"
         assert run_cli("simulate", self.small(dynamics="discrete", N=30, t0=0.1), out) == 0
@@ -468,6 +518,21 @@ class TestCheckOperators:
         lines = table.read_text().splitlines()
         assert lines[1] == "input,m,err_plus,err_minus,norm_M"
         assert len(lines) == 2 + 2 * 20  # digest + header + inputs * rungs
+
+    def test_table_bytes_match_savetxt(self, run_cli, tmp_path):
+        out = tmp_path / "ops2"
+        cfg = {"market": {"sigma": [1.0, 1.0], "r": 0.1, "T": 1.0},
+               "payoff": {"kind": "constant", "value": 5.0}, "solver": {"n_dirs": 16},
+               "operators": {"m_ladder": [1, 10, 1000], "inputs": 6, "seed": 5}}
+        assert run_cli("check-operators", cfg, out) == 0
+        text = (out / "game_table.csv").read_text()
+        lines = text.splitlines(keepends=True)
+        rows = np.loadtxt(io.StringIO("".join(lines[2:])), delimiter=",", ndmin=2)
+        assert rows.shape == (3 * 6, 5)
+        ref = io.StringIO()
+        ref.write("".join(lines[:2]))
+        np.savetxt(ref, rows, fmt="%d,%.17g,%.17g,%.17g,%.17g")
+        assert text == ref.getvalue()
 
 
 class TestGameValueCommand:
@@ -512,6 +577,23 @@ class TestGameValueCommand:
             sides = {line.rsplit(",", 1)[1].strip() for line in fh if line[0].isdigit()}
         assert sides == {"minus", "plus"}
 
+    def test_archive_tables_are_the_dpp_tables(self, run_cli, tmp_path):
+        out = tmp_path / "gvz"
+        cfg = base_config(
+            grid={"lo": [LOG_K - 1.5], "hi": [LOG_K + 1.5], "nx": 21, "nt": 10},
+            game={"m": 2.0}, outputs={"table_path": "tables.npz"})
+        assert run_cli("game-value", cfg, out) == 0
+        assert not (out / "game_table.csv").exists()
+        report = read_json(out / "report.json")
+        run = cli.load_config(out / "config.json")
+        with np.load(out / "tables.npz", allow_pickle=False) as archive:
+            assert archive.files == ["t", "x_1", "u_minus", "u_plus", "config_digest"]
+            for side in ("minus", "plus"):
+                tables = game.dpp_solve(run.payoff, run.params, 2.0, run.grid, side)
+                assert np.array_equal(archive[f"u_{side}"], getattr(tables, f"u_{side}"))
+            assert np.array_equal(archive["t"], np.arange(11) * report["dt"])
+            assert archive["config_digest"].item() == report["config_digest"]
+
 
 class TestCompareCommand:
     def test_three_way_report(self, run_cli, tmp_path):
@@ -552,7 +634,7 @@ class TestSubprocess:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
-        assert (out / "surface.csv").exists()
+        assert (out / "surface.npz").exists()
         assert (out / "resolved_config.json").exists()
 
     def test_import_loads_no_scipy(self):

@@ -16,7 +16,7 @@ from tugpricer import (BasketPut, ConstantStrategy, DirectionSet,
                        greedy_strategy_pair, mc_value,
                        null_strategy_pair, path_rng, simulate_discrete_game,
                        simulate_sde_paths, solve_terminal_value,
-                       write_value_table_csv)
+                       write_value_table)
 from tugpricer import game
 from tugpricer._interp import multilinear
 from tugpricer.game import _BLOCK, _HALF
@@ -580,7 +580,7 @@ class TestDppSolve:
                                  u_plus=np.arange(6, dtype=float).reshape(2, 3),
                                  u_minus=np.zeros((2, 3)))
         path = tmp_path / "tables.csv"
-        write_value_table_csv(path, tables, config_digest="deadbeef")
+        write_value_table(path, tables, config_digest="deadbeef")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_digest=deadbeef"
         assert lines[1] == "t,x_1,u,side"
@@ -591,6 +591,16 @@ class TestDppSolve:
         # slices descend from T within each side
         assert [r[0] for r in rows[:6]] == ["1", "1", "1", "0", "0", "0"]
         assert [float(r[2]) for r in rows[6:9]] == [3.0, 4.0, 5.0]
+
+    def test_table_archive_holds_the_populated_sides(self, tmp_path):
+        spec = GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(3,), nt=1)
+        lower = np.arange(6, dtype=float).reshape(2, 3)
+        tables = GameValueTables(spec=spec, dt=1.0, m=1.0, u_minus=lower)
+        write_value_table(tmp_path / "tables.npz", tables, config_digest="deadbeef")
+        with np.load(tmp_path / "tables.npz", allow_pickle=False) as archive:
+            assert archive.files == ["t", "x_1", "u_minus", "config_digest"]
+            assert np.array_equal(archive["u_minus"], lower)
+            assert np.array_equal(archive["t"], [0.0, 1.0])
 
 
 def savetxt_tables(path, tables: GameValueTables, config_digest=None) -> None:
@@ -621,7 +631,7 @@ class TestValueTableCsvBytes:
         lower = rng.standard_normal((5, *spec.nx)) * 1e3
         tables = GameValueTables(spec=spec, dt=0.7 / 3.0, m=10.0, u_minus=lower,
                                  u_plus=lower + rng.random((5, *spec.nx)))
-        write_value_table_csv(tmp_path / "new.csv", tables, config_digest="deadbeef")
+        write_value_table(tmp_path / "new.csv", tables, config_digest="deadbeef")
         savetxt_tables(tmp_path / "old.csv", tables, config_digest="deadbeef")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -631,7 +641,7 @@ class TestValueTableCsvBytes:
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
         values = np.stack([np.resize(special, 12), np.resize(special[::-1], 12)])
         tables = GameValueTables(spec=spec, dt=1.0, m=1.0, **{f"u_{side}": values.reshape(2, 4, 3)})
-        write_value_table_csv(tmp_path / "new.csv", tables)
+        write_value_table(tmp_path / "new.csv", tables)
         savetxt_tables(tmp_path / "old.csv", tables)
         text = (tmp_path / "new.csv").read_text()
         assert text == (tmp_path / "old.csv").read_text()

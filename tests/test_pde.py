@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from tugpricer import (BarrierParams, BasketPut, GridSpec, MarketParams,
                        cfl_max_dt, constant_payoff, constant_running_cost,
                        default_domain, interior_derivatives, interior_mask,
                        read_surface_csv, resolve_time_steps,
-                       solve_terminal_value, write_surface_csv)
+                       solve_terminal_value, write_surface)
 from tugpricer import isaacs, pde
 
 from oracles import put_value_oracle
@@ -453,7 +454,7 @@ class TestSurfaceCsv:
     def test_round_trip(self, tmp_path):
         grid = self._small_grid()
         path = tmp_path / "surface.csv"
-        write_surface_csv(path, grid)
+        write_surface(path, grid)
         times, points, values = read_surface_csv(path)
         assert times[0] == 1.0 and times[-1] == 0.0  # slices run from T down
         npts = 12
@@ -466,7 +467,7 @@ class TestSurfaceCsv:
     def test_digest_comment_is_skipped(self, tmp_path):
         grid = self._small_grid()
         path = tmp_path / "surface.csv"
-        write_surface_csv(path, grid, config_digest="ab12")
+        write_surface(path, grid, config_digest="ab12")
         first = path.read_text().splitlines()[0]
         assert first == "# config_digest=ab12"
         times, _, _ = read_surface_csv(path)
@@ -479,7 +480,7 @@ class TestSurfaceCsv:
                         nx=(17, 9)[:n], nt=5)
         values = rng.standard_normal((6, *spec.nx)) * 10.0 ** rng.integers(-8, 8, (6, *spec.nx))
         grid = PriceGrid(spec=spec, dt=1.0 / 3.0, values=values)
-        write_surface_csv(tmp_path / "new.csv", grid, config_digest="ab12")
+        write_surface(tmp_path / "new.csv", grid, config_digest="ab12")
         savetxt_surface(tmp_path / "old.csv", grid, config_digest="ab12")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -489,7 +490,7 @@ class TestSurfaceCsv:
         special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308, 0.1])
         values = np.stack([special, special[::-1], -special])
         grid = PriceGrid(spec=spec, dt=0.1, values=values)
-        write_surface_csv(tmp_path / "new.csv", grid)
+        write_surface(tmp_path / "new.csv", grid)
         savetxt_surface(tmp_path / "old.csv", grid)
         text = (tmp_path / "new.csv").read_text()
         assert text == (tmp_path / "old.csv").read_text()
@@ -501,6 +502,35 @@ class TestSurfaceCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValidationError):
             read_surface_csv(path)
+
+
+class TestSurfaceArchive:
+    def _small_grid(self):
+        spec = GridSpec(lo=np.array([0.0, -1.0]), hi=np.array([1.0, 2.0]), nx=(3, 4), nt=2)
+        return PriceGrid(spec=spec, dt=0.5, values=np.arange(36.0).reshape(3, 3, 4) / 7.0)
+
+    def test_round_trip(self, tmp_path):
+        grid = self._small_grid()
+        path = str(tmp_path / "surface.dat")  # a str path gains no ".npz"
+        write_surface(path, grid, config_digest="ab12")
+        assert [p.name for p in tmp_path.iterdir()] == ["surface.dat"]
+        with zipfile.ZipFile(path) as zf:
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == ["t", "x_1", "x_2", "u", "config_digest"]
+            assert np.array_equal(archive["t"], [0.0, 0.5, 1.0])  # ascending: u[k] at t[k]
+            for i, axis in enumerate(grid.axes):
+                assert np.array_equal(archive[f"x_{i + 1}"], axis)
+            assert np.array_equal(archive["u"], grid.values)
+            assert archive["config_digest"].item() == "ab12"
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        grid = self._small_grid()
+        write_surface(tmp_path / "a.npz", grid)
+        write_surface(tmp_path / "b.npz", grid)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        with np.load(tmp_path / "a.npz", allow_pickle=False) as archive:
+            assert archive.files == ["t", "x_1", "x_2", "u"]  # no digest given
 
 
 class TestPriceGrid:
