@@ -14,12 +14,14 @@ draws every row of its block row-major in one call of 32-bit words and reads
 coin j as the top bit of byte j, the bit ``integers(0, 2, int8)`` would give.
 The SDE draws only the block's first 4096 rows of normals; row j >= 4096 is
 the negation of row j - 4096, an antithetic pair with the same law under any
-Markov strategy.  Standard errors treat each such pair as one sample (see
-``_estimate``).
+Markov strategy.  That half is applied by subtraction, never stored.
+Standard errors treat each such pair as one sample (see ``_estimate``).
 
 Both simulators split a step into its coefficients, built from the controls
 alone, and the state update that applies them.  A pair of exact constant
-strategies builds the coefficients once per run; any other pair, every step.
+strategies builds the coefficients once per run; a greedy pair sharing one
+core, once per slice of its surface that the clock reads; any other pair,
+every step.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     Distinct (seed, block) keys give independent streams.  The block's paths
     take consecutive row-major slices of one draw from it: all of them in the
     coin game, the first min(B, ``_HALF``) in the SDE, whose later rows negate
-    the rows ``_HALF`` before them.  The coin game draws ceil(count / 4)
-    ``uint32`` words and reads coin i as 2 (byte i >> 7) - 1 of their
-    little-endian bytes, the same coins as ``integers(0, 2, int8)``.
+    the rows ``_HALF`` before them; the SDE draw holds only the drawn rows.
+    The coin game draws ceil(count / 4) ``uint32`` words and reads coin i as
+    2 (byte i >> 7) - 1 of their little-endian bytes, the same coins as
+    ``integers(0, 2, int8)``.
     """
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -124,10 +127,12 @@ class FeedbackStrategy:
 
     Implementations provide :meth:`controls` acting on state batches of shape
     (B, n).  A simulation reads each player by one of three rules: a greedy
-    pair that shares one core makes one table lookup per step (its tables are
-    checked once per slice, when first read); an exact :class:`ConstantStrategy`
-    (not a subclass) is read and checked once per run, at the start state; any
-    other strategy is read and checked on every step.  Violations raise
+    pair that shares one core reads each slice of its surface that the clock
+    reaches once per run, before any path is drawn (the core checks a slice's
+    table on its first read; a greedy view in any other pair reads the checked
+    tables on every step); an exact :class:`ConstantStrategy` (not a
+    subclass) is read and checked once per run, at the start state; any other
+    strategy is read and checked on every step.  Violations raise
     :class:`StrategyContractError` naming the offending state and time.
     """
 
@@ -210,9 +215,17 @@ class _GreedyCore:
         self.dirs = dirs
         self.side = side
         self.h = grid.spec.h
+        # per axis: (lo, h, interior nodes), as Python numbers for the per-step snap
+        self._axes = [(float(lo), float(h), nx - 2)
+                      for lo, h, nx in zip(grid.spec.lo, self.h, grid.spec.nx)]
         self._tables: dict[int, Array] = {}
 
-    def _slice_table(self, k: int) -> Array:
+    def slice_index(self, t: float) -> int:
+        """The slice whose controls a state at time t plays: the nearest one."""
+        return min(max(round(t / self.grid.dt), 0), self.grid.nt)
+
+    def table(self, k: int) -> Array:
+        """Slice k's table, built and checked on first read and then kept."""
         cached = self._tables.get(k)
         if cached is not None:
             return cached
@@ -225,21 +238,31 @@ class _GreedyCore:
         self._tables[k] = table
         return table
 
+    def columns(self, rows: Array) -> tuple[Array, Array, Array, Array]:
+        """(theta+, d+, theta-, d-) of table rows."""
+        n = self.grid.n
+        return rows[:, :n], rows[:, n], rows[:, n + 1:2 * n + 1], rows[:, 2 * n + 1]
+
+    def node(self, x: Array) -> Array:
+        """Flat table row of the interior node nearest each row of x."""
+        flat = None
+        for a, (lo, h, inner) in enumerate(self._axes):
+            q = x[:, a] - lo
+            q /= h
+            idx = np.rint(q, out=q).astype(np.intp)
+            np.maximum(idx, 1, out=idx)
+            np.minimum(idx, inner, out=idx)
+            idx -= 1
+            if flat is None:
+                flat = idx
+            else:
+                flat *= inner
+                flat += idx
+        return flat
+
     def lookup(self, x: Array, t: float) -> tuple[Array, Array, Array, Array]:
         """(theta+, d+, theta-, d-) at the interior node nearest each row of x."""
-        spec = self.grid.spec
-        n = spec.n
-        k = min(max(round(t / self.grid.dt), 0), self.grid.nt)
-        table = self._slice_table(k)
-        flat = np.zeros(x.shape[0], dtype=np.intp)
-        stride = 1
-        for a in range(n - 1, -1, -1):
-            idx = np.minimum(np.maximum(np.rint((x[:, a] - spec.lo[a]) / self.h[a])
-                                        .astype(np.intp), 1), spec.nx[a] - 2) - 1
-            flat += idx * stride
-            stride *= spec.nx[a] - 2
-        rows = table.take(flat, axis=0)
-        return rows[:, :n], rows[:, n], rows[:, n + 1:2 * n + 1], rows[:, 2 * n + 1]
+        return self.columns(self.table(self.slice_index(t)).take(self.node(x), axis=0))
 
 
 @dataclass
@@ -276,49 +299,61 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
           store: Callable) -> None:
     """Play every path from (cfg.start, cfg.t0) for `steps` steps of length `dt`.
 
-    Each block draws its noise once, ``draw(gen, (B, steps, n + 1))``, advances
-    ``X = advance(X, coef, noise[:, k])`` with ``coef = prep(tp, dp, tm, dm)``
-    built from the controls read at the pre-step state, then hands its rows to
-    ``store(lo, hi, X, acc)``; acc holds the discounted left-endpoint sums of
-    the running cost `rc` (0 when None).
+    Each block of B paths draws its noise once, ``draw(gen, (B, steps, n + 1))``
+    (the SDE returns only its min(B, ``_HALF``) drawn rows), advances
+    ``X = advance(X, coef, noise[:, k])`` with ``coef = prep(tp, dp, tm, dm)``,
+    two (rows, n) terms elementwise in the controls read at the pre-step
+    state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds the
+    discounted left-endpoint sums of the running cost `rc` (0 when None).
 
-    Controls are read by one of three rules: a greedy pair sharing one core
-    makes one ``lookup`` per step; an exact :class:`ConstantStrategy` is read
-    and checked once, at (cfg.start, cfg.t0) before any block is drawn, and its
-    (1, n) and (1,) rows broadcast against X; any other strategy goes through
-    ``checked_controls`` on every step.  ``prep`` reads the controls only, so
-    when both players are exact constants it runs once per run, before any
-    block is drawn; for any other pair it runs on every step.  ``advance``
-    adds its terms to X in a fixed order, so both routes round alike.
+    ``prep`` runs by one of three rules; the first two read and check every
+    control they use before any block is drawn:
+
+    * both players exact :class:`ConstantStrategy`: once per run, on the rows
+      read at (cfg.start, cfg.t0), which broadcast against X; a term that is
+      exactly zero is passed as None and left out (adding it could only turn
+      a -0.0 state into +0.0);
+    * a greedy pair sharing one core: once per slice the clock reads, on the
+      core's checked table, giving an (interior nodes, 2n) coefficient table
+      from which each step gathers one row per path, bit for bit ``prep`` of
+      the gathered controls;
+    * any other pair: on every step, after ``_reader`` reads each player.
+
+    ``advance`` adds its terms to X in a fixed order, so every route rounds alike.
     """
+    n = params.n
+    times = [cfg.t0 + k * dt for k in range(steps)]
     if (isinstance(strat_plus, _GreedyView) and isinstance(strat_minus, _GreedyView)
             and strat_plus.core is strat_minus.core
             and (strat_plus.player, strat_minus.player) == ("plus", "minus")):
-        # one lookup per step serves both views; the core checked its tables
-        read = strat_plus.core.lookup
+        core = strat_plus.core
+        slices = [core.slice_index(t) for t in times]
+        tables = {s: np.hstack(prep(*core.columns(core.table(s))))
+                  for s in dict.fromkeys(slices)}  # in clock order
+        step_tables = [tables[s] for s in slices]
+
+        def coef_at(X, k):
+            rows = step_tables[k].take(core.node(X), axis=0)
+            return rows[:, :n], rows[:, n:]
     else:
         read_plus, read_minus = _reader(strat_plus, cfg), _reader(strat_minus, cfg)
+        if type(strat_plus) is type(strat_minus) is ConstantStrategy:
+            fixed = tuple(c if c.any() else None
+                          for c in prep(*read_plus(None, cfg.t0), *read_minus(None, cfg.t0)))
 
-        def read(X, t):
-            return (*read_plus(X, t), *read_minus(X, t))
-
-    if type(strat_plus) is type(strat_minus) is ConstantStrategy:
-        fixed = prep(*read(None, cfg.t0))
-
-        def coef_at(X, t):
-            return fixed
-    else:
-        def coef_at(X, t):
-            return prep(*read(X, t))
+            def coef_at(X, k):
+                return fixed
+        else:
+            def coef_at(X, k):
+                return prep(*read_plus(X, times[k]), *read_minus(X, times[k]))
 
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)
-        noise = draw(path_rng(cfg.seed, lo // _BLOCK), (hi - lo, steps, params.n + 1))
+        noise = draw(path_rng(cfg.seed, lo // _BLOCK), (hi - lo, steps, n + 1))
         X = np.tile(cfg.start, (hi - lo, 1))
         acc = np.zeros(hi - lo)
-        for k in range(steps):
-            t_k = cfg.t0 + k * dt
-            coef = coef_at(X, t_k)
+        for k, t_k in enumerate(times):
+            coef = coef_at(X, k)
             if rc is not None:
                 acc += np.exp(-params.r * (params.T - t_k)) * rc(X, t_k) * dt
             X = advance(X, coef, noise[:, k])
@@ -364,20 +399,28 @@ def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callabl
         return drift * dt, sigma * (tp - tm) * sqdt
 
     def advance(X, coef, z):
+        # z holds the h drawn rows; rows h.. of X replay rows ..B - h negated,
+        # applied by subtraction: a (-z) = -(a z) and x + (-y) = x - y exactly
         shift, lever = coef
-        X = X + shift
-        X += spread * z[:, :n]
-        X += lever * z[:, n][:, None]
+        B, h = X.shape[0], z.shape[0]
+        X = X + shift if shift is not None else X.copy()
+        term = spread * z[:, :n]
+        X[:h] += term
+        X[h:] -= term[:B - h]
+        if lever is not None:
+            zn = z[:, n][:, None]
+            if lever.shape[0] == 1:  # one broadcast row
+                term = lever * zn
+                X[:h] += term
+                X[h:] -= term[:B - h]
+            else:
+                X[:h] += lever[:h] * zn
+                X[h:] -= lever[h:] * zn[:B - h]
         return X
 
     def draw(gen: np.random.Generator, shape) -> Array:
-        # antithetic halves, filled in place: no block-sized temporaries
-        B = shape[0]
-        h = min(B, _HALF)
-        noise = np.empty(shape)
-        gen.standard_normal(out=noise[:h])
-        np.negative(noise[:B - h], out=noise[h:])
-        return noise
+        # the antithetic block's drawn half only; advance applies the other
+        return gen.standard_normal((min(shape[0], _HALF), *shape[1:]))
 
     return dt, draw, prep, advance
 
@@ -433,18 +476,6 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
     drift = params.mu * dt
     spread = (2.0 / root_n) * sigma
 
-    def draw(gen: np.random.Generator, shape) -> Array:
-        # coin i is the top bit of byte i (see path_rng), read in place: no
-        # block-sized temporaries
-        count = math.prod(shape)
-        words = gen.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
-        bits = words.astype("<u4", copy=False).view(np.uint8)[:count]
-        bits >>= 7
-        coins = bits.view(np.int8)
-        coins <<= 1  # 0/1 -> -1/+1
-        coins -= 1
-        return coins.reshape(shape)
-
     def prep(tp, dp, tm, dm):
         scaled_p = tp * (np.minimum(dp / root_n, 1.0) / root_n)[:, None]
         scaled_m = tm * (np.minimum(dm / root_n, 1.0) / root_n)[:, None]
@@ -454,12 +485,28 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
         lever, push = coef
         X = X + drift
         X += spread * c[:, :n]
-        X += lever * c[:, n][:, None]
-        X += push
+        if lever is not None:
+            X += lever * c[:, n][:, None]
+        if push is not None:
+            X += push
         return X
 
-    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, steps, dt, draw,
+    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, steps, dt, _coins,
                   prep, advance)
+
+
+def _coins(gen: np.random.Generator, shape) -> Array:
+    """A coin-game block's +-1 coins as int8: coin i is the top bit t of byte i
+    of ceil(count / 4) raw words (see ``path_rng``), mapped to 2t - 1 by four
+    passes over the words in place, with no block-sized temporaries."""
+    count = math.prod(shape)
+    words = gen.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
+    words = words.astype("<u4", copy=False)
+    words >>= 7  # the top bit of each byte to its bottom bit
+    words &= 0x01010101
+    words *= 0xFE  # 0 or 0xFE per byte; no byte carries into the next
+    words ^= 0xFFFFFFFF  # 0xFF (-1) or 0x01 (+1)
+    return words.view(np.int8)[:count].reshape(shape)
 
 
 def _game_steps(T: float, t0: float, N: int,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +128,14 @@ class TestPathRng:
                 got = np.stack(states[block * (steps + 1):(block + 1) * (steps + 1)], axis=1)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_coins_are_the_int8_coins(self):
+        # 37 * 9 * 3 = 999 coins: the last word is read in part
+        shape = (37, 9, 3)
+        coins = game._coins(path_rng(12, 3), shape)
+        want = path_rng(12, 3).integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
+        assert coins.dtype == np.int8 and coins.shape == shape
+        assert np.array_equal(coins, want)
+
     def test_one_stream_per_block(self, monkeypatch):
         calls = []
 
@@ -236,6 +246,18 @@ class TestSdeSimulation:
         assert term.shape == (4000, 1)
         tol = 3.0 * params.sigma[0] * math.sqrt(params.T / cfg.paths)
         assert abs(term[:, 0].mean() - 0.05) < tol
+
+    def test_block_holds_only_its_drawn_half(self):
+        # one full block of 8192 x 200 x 2 normals is 26 MB; the drawn half is 13 MB
+        sp, sm = null_strategy_pair(1)
+        cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK, seed=3, nt=200)
+        tracemalloc.start()
+        try:
+            simulate_sde_paths(cfg, params_1d(), sp, sm, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * _BLOCK * cfg.nt * 2 * 8
 
     def test_steered_drift(self):
         # aligned directions with one active intensity add 2*m*sigma drift
@@ -972,3 +994,91 @@ class TestConstantReads:
         with pytest.raises(StrategyContractError, match=r"outside \[0, m=1\.0\] at x=\[4\.605"):
             self._run(sim, sp, sm, threads=2)
         assert draws == []
+
+
+@functools.cache
+def _solved_for_greedy(n):
+    """(payoff, params, solved surface, directions, side) of a small bounded game."""
+    if n == 1:
+        params = params_1d(mu=0.02, sigma=0.2, r=0.05)
+        spec = GridSpec(lo=np.array([LOG_K - 2]), hi=np.array([LOG_K + 2]), nx=(41,))
+        payoff, dirs, side = PUT, DirectionSet.for_dimension(1), "minus"
+    else:
+        # a bounded_minus solve leaves [0, sup g] on small 2-D grids; bounded_plus keeps it
+        params = params_2d()
+        spec = GridSpec(lo=np.full(2, LOG_K - 1.5), hi=np.full(2, LOG_K + 1.5), nx=(11, 13))
+        payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+        dirs, side = DirectionSet.for_dimension(2, 8), "plus"
+    grid = solve_terminal_value(payoff, params,
+                                SolverConfig(mode=f"bounded_{side}", m=2.0, n_dirs=dirs.count),
+                                spec)
+    return payoff, params, grid, dirs, side
+
+
+class TestGreedyCoefficients:
+    """A greedy pair sharing one core builds its step coefficients once per slice;
+    the same views behind _Delegate are read and prepared on every step."""
+
+    @staticmethod
+    def _pair(n):
+        payoff, params, grid, dirs, side = _solved_for_greedy(n)
+        return payoff, params, grid, greedy_strategy_pair(grid, params, 2.0, dirs, side)
+
+    @staticmethod
+    def _cfg(n, paths, nt=30):
+        # the clock (t0 = 0.1, 30 steps) is off the surface's slices in both dimensions
+        return SimConfig(start=np.full(n, LOG_K + 0.1), t0=0.1, paths=paths, seed=5, nt=nt)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_node_is_the_nearest_interior_node(self, n):
+        # both routes snap through the same node(); check it against a search
+        _, _, grid, (gp, _) = self._pair(n)
+        spec = grid.spec
+        x = np.random.default_rng(0).uniform(spec.lo - 2 * spec.h, spec.hi + 2 * spec.h,
+                                             size=(500, n))
+        nearest = [np.argmin(np.abs(x[:, a, None] - spec.axes[a][None, 1:-1]), axis=1)
+                   for a in range(n)]
+        want = np.ravel_multi_index(nearest, tuple(k - 2 for k in spec.nx))
+        assert np.array_equal(gp.core.node(x), want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("paths", [1, _HALF - 1, _HALF + 1, _BLOCK + 808])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_slice_coefficients_match_the_checked_route(self, n, paths, threads):
+        payoff, params, _, (gp, gm) = self._pair(n)
+        cfg = self._cfg(n, paths)
+        checked = simulate_sde_paths(cfg, params, _Delegate(gp), _Delegate(gm), threads)
+        sliced = simulate_sde_paths(cfg, params, gp, gm, threads)
+        assert np.array_equal(sliced, checked)
+        checked = mc_value(payoff, params, _Delegate(gp), _Delegate(gm), cfg, threads)
+        sliced = mc_value(payoff, params, gp, gm, cfg, threads)
+        assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_slice_coefficients_match_with_running_cost(self, threads):
+        payoff, params, _, (gp, gm) = self._pair(1)
+        rc = RunningCost(h=lambda x, t: -1.0 - (x[:, 0] - LOG_K) ** 2 - t, alpha=1.0)
+        with_cost = replace(params, running_cost=rc)
+        cfg = self._cfg(1, _BLOCK + 808)
+        checked = mc_value(payoff, with_cost, _Delegate(gp), _Delegate(gm), cfg, threads)
+        sliced = mc_value(payoff, with_cost, gp, gm, cfg, threads)
+        assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
+        assert sliced.mean != mc_value(payoff, params, gp, gm, cfg, threads).mean
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_slice_is_built_once_before_any_draw(self, monkeypatch, n):
+        payoff, params, grid, (gp, gm) = self._pair(n)
+        events = []
+        real_batch, real_rng = game.greedy_controls_batch, game.path_rng
+        monkeypatch.setattr(game, "greedy_controls_batch",
+                            lambda *a: events.append("slice") or real_batch(*a))
+        monkeypatch.setattr(game, "path_rng", lambda *a: events.append("draw") or real_rng(*a))
+        # 60 steps from t0 = 0.1 are shorter than the surface's slices, so some
+        # slices serve several steps
+        cfg = self._cfg(n, 2 * _BLOCK + 1, nt=60)
+        mc_value(payoff, params, gp, gm, cfg, threads=2)
+        dt = (params.T - cfg.t0) / cfg.nt
+        slices = {min(max(round((cfg.t0 + k * dt) / grid.dt), 0), grid.nt)
+                  for k in range(cfg.nt)}
+        assert len(slices) < cfg.nt
+        assert events == ["slice"] * len(slices) + ["draw"] * 3
