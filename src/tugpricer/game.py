@@ -18,10 +18,11 @@ Markov strategy.  That half is applied by subtraction, never stored.
 Standard errors treat each such pair as one sample (see ``_estimate``).
 
 Both simulators split a step into its coefficients, built from the controls
-alone, and the state update that applies them.  A pair of exact constant
-strategies builds the coefficients once per run; a greedy pair sharing one
-core, once per slice of its surface that the clock reads; any other pair,
-every step.
+alone, and the state update that applies them.  A pair whose players are
+each an exact constant strategy or a bare greedy view, the views on one
+grid and clock, builds them before any draw: once per run without a view,
+else once per slice of the surface that the clock reads.  Any other pair
+builds them every step.
 """
 
 from __future__ import annotations
@@ -126,14 +127,15 @@ class FeedbackStrategy:
     """Markov control rule for one player: (x, t) -> (theta, d), d <= m.
 
     Implementations provide :meth:`controls` acting on state batches of shape
-    (B, n).  A simulation reads each player by one of three rules: a greedy
-    pair that shares one core reads each slice of its surface that the clock
-    reaches once per run, before any path is drawn (the core checks a slice's
-    table on its first read; a greedy view in any other pair reads the checked
-    tables on every step); an exact :class:`ConstantStrategy` (not a
-    subclass) is read and checked once per run, at the start state; any other
-    strategy is read and checked on every step.  Violations raise
-    :class:`StrategyContractError` naming the offending state and time.
+    (B, n).  A simulation reads a pair by one of two rules.  When each player
+    is an exact :class:`ConstantStrategy` (not a subclass) or a bare view of
+    :func:`greedy_strategy_pair`, and all views' surfaces share one grid and
+    time step, every control is read and checked once per run, before any
+    path is drawn: a constant at the start state, a view's surface once per
+    slice the clock reaches.  Any other pair has both players read and
+    checked on every step; a view read that way builds and checks its slice
+    on each read.  Violations raise :class:`StrategyContractError` naming the
+    offending state and time.
     """
 
     m: float
@@ -218,30 +220,19 @@ class _GreedyCore:
         # per axis: (lo, h, interior nodes), as Python numbers for the per-step snap
         self._axes = [(float(lo), float(h), nx - 2)
                       for lo, h, nx in zip(grid.spec.lo, self.h, grid.spec.nx)]
-        self._tables: dict[int, Array] = {}
 
     def slice_index(self, t: float) -> int:
         """The slice whose controls a state at time t plays: the nearest one."""
         return min(max(round(t / self.grid.dt), 0), self.grid.nt)
 
     def table(self, k: int) -> Array:
-        """Slice k's table, built and checked on first read and then kept."""
-        cached = self._tables.get(k)
-        if cached is not None:
-            return cached
+        """Slice k's table, built and checked on every call; nothing is kept."""
         tp, dp, tm, dm = greedy_controls_batch(*pde._interior_inputs(self.grid.values[k], self.h),
                                                self.m, self.params, self.dirs, self.side)
         t = k * self.grid.dt
         for theta, d in ((tp, dp), (tm, dm)):
             _check_controls(theta, d, self.m, lambda i: f"interior node {i} of the slice t={t}")
-        table = np.column_stack([tp, dp, tm, dm])
-        self._tables[k] = table
-        return table
-
-    def columns(self, rows: Array) -> tuple[Array, Array, Array, Array]:
-        """(theta+, d+, theta-, d-) of table rows."""
-        n = self.grid.n
-        return rows[:, :n], rows[:, n], rows[:, n + 1:2 * n + 1], rows[:, 2 * n + 1]
+        return np.column_stack([tp, dp, tm, dm])
 
     def node(self, x: Array) -> Array:
         """Flat table row of the interior node nearest each row of x."""
@@ -260,10 +251,6 @@ class _GreedyCore:
                 flat += idx
         return flat
 
-    def lookup(self, x: Array, t: float) -> tuple[Array, Array, Array, Array]:
-        """(theta+, d+, theta-, d-) at the interior node nearest each row of x."""
-        return self.columns(self.table(self.slice_index(t)).take(self.node(x), axis=0))
-
 
 @dataclass
 class _GreedyView(FeedbackStrategy):
@@ -274,9 +261,15 @@ class _GreedyView(FeedbackStrategy):
     def __post_init__(self) -> None:
         self.m = self.core.m
 
+    def columns(self, rows: Array) -> tuple[Array, Array]:
+        """This player's (theta, d) of core table rows."""
+        n = self.core.grid.n
+        j = 0 if self.player == "plus" else n + 1
+        return rows[:, j:j + n], rows[:, j + n]
+
     def controls(self, x: Array, t: float) -> tuple[Array, Array]:
-        tp, dp, tm, dm = self.core.lookup(x, t)
-        return (tp, dp) if self.player == "plus" else (tm, dm)
+        core = self.core
+        return self.columns(core.table(core.slice_index(t)).take(core.node(x), axis=0))
 
 
 def greedy_strategy_pair(grid: pde.PriceGrid, params: MarketParams, m: float,
@@ -285,7 +278,7 @@ def greedy_strategy_pair(grid: pde.PriceGrid, params: MarketParams, m: float,
     """Feedback strategies that replay the lattice optimizers of a solved surface.
 
     States snap to the nearest interior node of the nearest time slice, so the
-    controls are piecewise constant; both returned views share one cache.
+    controls are piecewise constant; both returned views share one core.
     """
     if dirs is None:
         dirs = DirectionSet.for_dimension(grid.n)
@@ -306,46 +299,55 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
     state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds the
     discounted left-endpoint sums of the running cost `rc` (0 when None).
 
-    ``prep`` runs by one of three rules; the first two read and check every
-    control they use before any block is drawn:
+    ``prep`` runs by one of two rules:
 
-    * both players exact :class:`ConstantStrategy`: once per run, on the rows
-      read at (cfg.start, cfg.t0), which broadcast against X; a term that is
-      exactly zero is passed as None and left out (adding it could only turn
-      a -0.0 state into +0.0);
-    * a greedy pair sharing one core: once per slice the clock reads, on the
-      core's checked table, giving an (interior nodes, 2n) coefficient table
-      from which each step gathers one row per path, bit for bit ``prep`` of
-      the gathered controls;
-    * any other pair: on every step, after ``_reader`` reads each player.
+    * each player an exact :class:`ConstantStrategy` or a bare ``_GreedyView``,
+      all views' cores on one ``grid.spec`` and ``grid.dt``: before any block
+      is drawn, each constant is read and checked once, at (cfg.start,
+      cfg.t0), each core's table once per slice the clock reads, in clock
+      order, and ``prep`` runs once per slice on the two players' columns (a
+      constant's one row broadcasts), giving an (interior nodes, 2n)
+      coefficient table from which each step gathers one row per path, bit
+      for bit ``prep`` of the gathered controls.  Without a view, ``prep``
+      runs once on the two rows, which broadcast against X, and a term that
+      is exactly zero is passed as None and left out (adding it could only
+      turn a -0.0 state into +0.0);
+    * any other pair: on every step, on both players' ``checked_controls``.
 
-    ``advance`` adds its terms to X in a fixed order, so every route rounds alike.
+    ``advance`` adds its terms to X in a fixed order, so both routes round alike.
     """
     n = params.n
     times = [cfg.t0 + k * dt for k in range(steps)]
-    if (isinstance(strat_plus, _GreedyView) and isinstance(strat_minus, _GreedyView)
-            and strat_plus.core is strat_minus.core
-            and (strat_plus.player, strat_minus.player) == ("plus", "minus")):
-        core = strat_plus.core
-        slices = [core.slice_index(t) for t in times]
-        tables = {s: np.hstack(prep(*core.columns(core.table(s))))
-                  for s in dict.fromkeys(slices)}  # in clock order
-        step_tables = [tables[s] for s in slices]
-
-        def coef_at(X, k):
-            rows = step_tables[k].take(core.node(X), axis=0)
-            return rows[:, :n], rows[:, n:]
-    else:
-        read_plus, read_minus = _reader(strat_plus, cfg), _reader(strat_minus, cfg)
-        if type(strat_plus) is type(strat_minus) is ConstantStrategy:
-            fixed = tuple(c if c.any() else None
-                          for c in prep(*read_plus(None, cfg.t0), *read_minus(None, cfg.t0)))
+    players = (strat_plus, strat_minus)
+    views = [s for s in players if type(s) is _GreedyView]
+    if (all(type(s) in (ConstantStrategy, _GreedyView) for s in players)
+            and len({(v.core.grid.spec, v.core.grid.dt) for v in views}) <= 1):
+        fixed = [checked_controls(s, cfg.start[None, :], cfg.t0)
+                 if type(s) is ConstantStrategy else None for s in players]
+        if not views:
+            coef = tuple(c if c.any() else None for c in prep(*fixed[0], *fixed[1]))
 
             def coef_at(X, k):
-                return fixed
+                return coef
         else:
+            clock = views[0].core  # every view's core has its node layout and slices
+            slices = [clock.slice_index(t) for t in times]
+            cores = dict.fromkeys(v.core for v in views)
+            tables = {}
+            for s in dict.fromkeys(slices):  # in clock order
+                built = {core: core.table(s) for core in cores}
+                (tp, dp), (tm, dm) = (f if f is not None else p.columns(built[p.core])
+                                      for p, f in zip(players, fixed))
+                tables[s] = np.hstack(prep(tp, dp, tm, dm))
+            step_tables = [tables[s] for s in slices]
+
             def coef_at(X, k):
-                return prep(*read_plus(X, times[k]), *read_minus(X, times[k]))
+                rows = step_tables[k].take(clock.node(X), axis=0)
+                return rows[:, :n], rows[:, n:]
+    else:
+        def coef_at(X, k):
+            return prep(*checked_controls(strat_plus, X, times[k]),
+                        *checked_controls(strat_minus, X, times[k]))
 
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)
@@ -365,15 +367,6 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(worker, starts))
-
-
-def _reader(strategy: FeedbackStrategy, cfg: SimConfig | DiscreteGameConfig) -> Callable:
-    """One player's ``(X, t) -> (theta, d)``: an exact ConstantStrategy (a subclass
-    may override ``controls``) is checked here once, any other on every call."""
-    if type(strategy) is ConstantStrategy:
-        rows = checked_controls(strategy, cfg.start[None, :], cfg.t0)
-        return lambda X, t: rows
-    return lambda X, t: checked_controls(strategy, X, t)
 
 
 def _check_start(cfg: SimConfig | DiscreteGameConfig, params: MarketParams) -> None:
@@ -408,7 +401,7 @@ def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callabl
         X[:h] += term
         X[h:] -= term[:B - h]
         if lever is not None:
-            zn = z[:, n][:, None]
+            zn = z[:, n:].copy()  # one contiguous copy of the strided column, read twice
             if lever.shape[0] == 1:  # one broadcast row
                 term = lever * zn
                 X[:h] += term

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import __future__
 import ast
+import inspect
+import json
+import re
 import types
 from pathlib import Path
 
@@ -84,3 +87,20 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_from_imports(path):
     assert unused_from_imports(path.read_text()) == []
+
+
+def test_traced_span_names_are_public_functions():
+    # the benchmark's tracer keys its per-layer metrics on "module.function"
+    # span names; a renamed function would read 0 there without an error
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    metrics = {m["name"] for m in json.loads(
+        (spans.parents[1] / "BENCHMARK.json").read_text())["per_layer"]}
+    names = {node.value for node in ast.walk(ast.parse(spans.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and re.fullmatch(r"(game|isaacs)\.\w+", node.value)} - metrics
+    assert "game.checked_controls" in names and "isaacs.greedy_controls_batch" in names
+    for name in sorted(names):
+        module, attr = name.split(".")
+        obj = getattr({"game": game, "isaacs": isaacs}[module], attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(obj), name
+        assert obj.__module__ == f"tugpricer.{module}", name

@@ -965,9 +965,9 @@ class TestConstantReads:
         calls = self._count_reads(monkeypatch)
         mixed = self._run("sde", gp, cm, threads)
         assert mixed.mean == checked.mean and mixed.stderr == checked.stderr
-        # the greedy view is read on each of 30 steps of 2 blocks, the constant once
+        # the constant is read once; the greedy view's slices are read as tables
         assert sum(s is cm for s, _, _ in calls) == 1
-        assert sum(s is gp for s, _, _ in calls) == 2 * 30
+        assert sum(s is gp for s, _, _ in calls) == 0
 
     def test_subclass_that_reads_the_state_stays_per_step(self, monkeypatch):
         class Contrarian(ConstantStrategy):
@@ -1015,14 +1015,41 @@ def _solved_for_greedy(n):
     return payoff, params, grid, dirs, side
 
 
+@functools.cache
+def _second_surface(n, nx=None):
+    """Another solved surface of ``_solved_for_greedy(n)``'s game, at m = 1: on the
+    same grid and time step by default, else on ``nx`` nodes per axis."""
+    payoff, params, grid, dirs, side = _solved_for_greedy(n)
+    spec = grid.spec if nx is None else replace(grid.spec, nx=nx, nt=None)
+    return solve_terminal_value(payoff, params,
+                                SolverConfig(mode=f"bounded_{side}", m=1.0, n_dirs=dirs.count),
+                                spec)
+
+
+def _constant(n, sign):
+    theta = np.array([1.0]) if n == 1 else np.array([0.6, -0.8])
+    return ConstantStrategy(theta=sign * theta, d=1.0)
+
+
 class TestGreedyCoefficients:
-    """A greedy pair sharing one core builds its step coefficients once per slice;
-    the same views behind _Delegate are read and prepared on every step."""
+    """A pair of exact constants and bare greedy views on one grid builds its step
+    coefficients once per slice; the same players behind _Delegate are read and
+    prepared on every step."""
 
     @staticmethod
-    def _pair(n):
+    def _pair(n, kind="shared"):
         payoff, params, grid, dirs, side = _solved_for_greedy(n)
-        return payoff, params, grid, greedy_strategy_pair(grid, params, 2.0, dirs, side)
+        gp, gm = greedy_strategy_pair(grid, params, 2.0, dirs, side)
+        if kind == "view_plus":
+            gm = _constant(n, -1.0)
+        elif kind == "view_minus":
+            gp = _constant(n, 1.0)
+        elif kind == "two_cores":
+            _, gm = greedy_strategy_pair(_second_surface(n), params, 1.0, dirs, side)
+        elif kind == "two_grids":
+            nx = tuple(k - 4 for k in grid.spec.nx)
+            _, gm = greedy_strategy_pair(_second_surface(n, nx), params, 1.0, dirs, side)
+        return payoff, params, grid, (gp, gm)
 
     @staticmethod
     def _cfg(n, paths, nt=30):
@@ -1041,11 +1068,8 @@ class TestGreedyCoefficients:
         want = np.ravel_multi_index(nearest, tuple(k - 2 for k in spec.nx))
         assert np.array_equal(gp.core.node(x), want)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("paths", [1, _HALF - 1, _HALF + 1, _BLOCK + 808])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_slice_coefficients_match_the_checked_route(self, n, paths, threads):
-        payoff, params, _, (gp, gm) = self._pair(n)
+    def _check_routes(self, kind, n, paths, threads):
+        payoff, params, _, (gp, gm) = self._pair(n, kind)
         cfg = self._cfg(n, paths)
         checked = simulate_sde_paths(cfg, params, _Delegate(gp), _Delegate(gm), threads)
         sliced = simulate_sde_paths(cfg, params, gp, gm, threads)
@@ -1053,6 +1077,40 @@ class TestGreedyCoefficients:
         checked = mc_value(payoff, params, _Delegate(gp), _Delegate(gm), cfg, threads)
         sliced = mc_value(payoff, params, gp, gm, cfg, threads)
         assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("paths", [1, _HALF - 1, _HALF + 1, _BLOCK + 808])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_slice_coefficients_match_the_checked_route(self, n, paths, threads):
+        self._check_routes("shared", n, paths, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("paths", [1, _HALF - 1, _HALF + 1, _BLOCK + 808])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["view_plus", "view_minus", "two_cores"])
+    def test_mixed_pairs_match_the_checked_route(self, kind, n, paths, threads):
+        self._check_routes(kind, n, paths, threads)
+
+    @pytest.mark.parametrize("kind", ["view_plus", "two_cores"])
+    def test_coin_game_table_route_matches_the_checked_route(self, kind):
+        payoff, params, _, (gp, gm) = self._pair(1, kind)
+        cfg = DiscreteGameConfig(start=np.array([LOG_K + 0.1]), t0=0.1, N=30,
+                                 paths=_BLOCK + 808, seed=5)
+        checked = simulate_discrete_game(cfg, payoff, params, _Delegate(gp), _Delegate(gm), 2)
+        sliced = simulate_discrete_game(cfg, payoff, params, gp, gm, 2)
+        assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
+
+    def test_views_on_two_grids_are_read_every_step(self, monkeypatch):
+        payoff, params, _, (gp, gm) = self._pair(1, "two_grids")
+        cfg = self._cfg(1, _BLOCK + 808)
+        checked = mc_value(payoff, params, _Delegate(gp), _Delegate(gm), cfg, 2)
+        reads = []
+        real = game.checked_controls
+        monkeypatch.setattr(game, "checked_controls",
+                            lambda s, x, t: reads.append(s) or real(s, x, t))
+        stepped = mc_value(payoff, params, gp, gm, cfg, 2)
+        assert stepped.mean == checked.mean and stepped.stderr == checked.stderr
+        assert len(reads) == 2 * 2 * cfg.nt  # both players, each step of 2 blocks
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_slice_coefficients_match_with_running_cost(self, threads):
@@ -1065,9 +1123,8 @@ class TestGreedyCoefficients:
         assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
         assert sliced.mean != mc_value(payoff, params, gp, gm, cfg, threads).mean
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_each_slice_is_built_once_before_any_draw(self, monkeypatch, n):
-        payoff, params, grid, (gp, gm) = self._pair(n)
+    def _check_slices_before_draws(self, monkeypatch, kind, n, blocks):
+        payoff, params, grid, (gp, gm) = self._pair(n, kind)
         events = []
         real_batch, real_rng = game.greedy_controls_batch, game.path_rng
         monkeypatch.setattr(game, "greedy_controls_batch",
@@ -1075,10 +1132,19 @@ class TestGreedyCoefficients:
         monkeypatch.setattr(game, "path_rng", lambda *a: events.append("draw") or real_rng(*a))
         # 60 steps from t0 = 0.1 are shorter than the surface's slices, so some
         # slices serve several steps
-        cfg = self._cfg(n, 2 * _BLOCK + 1, nt=60)
+        cfg = self._cfg(n, (blocks - 1) * _BLOCK + 1, nt=60)
         mc_value(payoff, params, gp, gm, cfg, threads=2)
         dt = (params.T - cfg.t0) / cfg.nt
         slices = {min(max(round((cfg.t0 + k * dt) / grid.dt), 0), grid.nt)
                   for k in range(cfg.nt)}
         assert len(slices) < cfg.nt
-        assert events == ["slice"] * len(slices) + ["draw"] * 3
+        assert events == ["slice"] * len(slices) + ["draw"] * blocks
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_slice_is_built_once_before_any_draw(self, monkeypatch, n):
+        self._check_slices_before_draws(monkeypatch, "shared", n, 3)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_view_against_a_constant_builds_its_slices_before_any_draw(self, monkeypatch, n):
+        # no worker thread builds a slice, so none is built twice
+        self._check_slices_before_draws(monkeypatch, "view_plus", n, 4)
