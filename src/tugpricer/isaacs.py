@@ -26,11 +26,22 @@ gives that player's best reply to every outer direction, and the outer
 player's table follows from the three.  The split is symmetric in the two
 players, and the inf-sup of phi is minus the sup-inf of -phi, so side
 'minus' runs the same search on negated pieces.
+
+In 1-D the default directions, ``DirectionSet.for_dimension(1)``, are
+exactly [-1, +1], each player's lattice is {-1, +1} x {0, m}, and each
+outer action meets one of two replies: the same direction, worth
+-lam (c_k + c_k), or the opposed one, worth -2 q at every lam.  For that
+set ``_pair_table`` builds the outer table and the inner reply in closed
+form from (B,) vectors, with the lattice's own floats, ranking and tie
+rules, so values and greedy controls are the lattice's bit for bit on
+finite inputs.  The choice rests on the direction set alone: any other 1-D
+set (reversed, or with duplicates) and every n >= 2 search the lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +56,8 @@ UNIT_TOL = 1e-12
 # 2**17 doubles (1 MiB) stay in a core's L2 cache, and larger blocks ran
 # slower (2-D kernel, K=724)
 _CHUNK_ELEMS = 1 << 17
+# the exact 1-D direction pair, which takes the closed form of _pair_table
+_PAIR = np.array([[-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -149,16 +162,31 @@ def _phi_pieces(p: Array, M: Array, params, dirs: Array, sign: float):
     return D, QD, q, c
 
 
-def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float):
-    """Yield (rows, D, QD, q, c) over consecutive row slices of the batch,
-    each with as many rows as fit their K x K Gram blocks in _CHUNK_ELEMS
-    (at least one row; ``_outer_table`` splits a single larger block)."""
+def _is_pair(dirs: DirectionSet) -> bool:
+    """Whether dirs is exactly [[-1], [1]], the set of DirectionSet.for_dimension(1)."""
+    d = dirs.dirs
+    return d.shape == (2, 1) and d[0, 0] == -1.0 and d[1, 0] == 1.0
+
+
+def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float, m: float):
+    """Yield (rows, D, table, reply) over consecutive row slices of the batch:
+    the rows' direction table D (B,K,n), their outer table (``_outer_table``)
+    and ``reply(ko, jo)``, the inner player's best (direction index, intensity
+    index) against outer direction ko at intensity jo*m.  Each slice has as
+    many rows as fit their K x K Gram blocks in _CHUNK_ELEMS (at least one
+    row; ``_outer_table`` splits a single larger block).  The exact 1-D pair
+    [-1, +1] takes the closed form ``_pair_table`` instead of the lattice."""
     B = p.shape[0]
+    pair = _is_pair(dirs)
     K = dirs.count + (0 if dirs.n == 1 else 2)
     chunk = max(1, _CHUNK_ELEMS // (K * K))
     for start in range(0, B, chunk):
         rows = slice(start, min(B, start + chunk))
-        yield (rows, *_phi_pieces(p[rows], M[rows], params, dirs.dirs, sign))
+        if pair:
+            yield (rows, *_pair_table(p[rows, 0], M[rows, 0, 0], params.sigma[0], sign, m))
+        else:
+            pieces = _phi_pieces(p[rows], M[rows], params, dirs.dirs, sign)
+            yield rows, pieces[0], _outer_table(*pieces, m), partial(_reply, *pieces, m=m)
 
 
 def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float) -> Array:
@@ -237,22 +265,78 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
     M = np.asarray(M, dtype=float)
     _check_batch(p, M, params, dirs)
     out = np.empty(p.shape[0])
-    for rows, *pieces in _chunks(p, M, params, dirs, sign):
-        out[rows] = sign * np.max(_outer_table(*pieces, m), axis=(1, 2))
+    for rows, _, table, _ in _chunks(p, M, params, dirs, sign, m):
+        out[rows] = sign * np.max(table, axis=(1, 2))
     const = -0.5 * _trace_s2m(M, params.sigma) - p @ params.mu
     return out + const + params.r * np.asarray(xi, dtype=float)
 
 
-def _reply(D: Array, QD: Array, q: Array, c: Array, k: Array, d: Array, m: float):
+def _reply(D: Array, QD: Array, q: Array, c: Array, k: Array, j: Array, m: float):
     """The inner player's best (direction index, intensity index) against
-    outer direction k at intensity d: the first minimum, in the flattened
+    outer direction k at intensity j*m: the first minimum, in the flattened
     (direction, intensity) scan, of phi - const rebuilt for that row as
     ``_outer_table`` recomputes its values."""
     rows = np.arange(k.size)
+    d = m * j
     a = np.einsum("bi,bil->bl", D[rows, k], QD) - 0.5 * q - 0.5 * q[rows, k][:, None]
     s = c + c[rows, k][:, None]
     inner = np.stack([a - d[:, None] * s, a - (d[:, None] + m) * s], axis=2)
     return np.divmod(np.argmin(inner.reshape(k.size, -1), axis=1), 2)
+
+
+def _pair_table(p: Array, M: Array, sigma: float, sign: float, m: float):
+    """``_chunks``' (D, table, reply) for the 1-D pair D = [-1, +1], from the
+    (B,) vectors p = p_0 and M = M_00, without the lattice search.
+
+    With q = sign sigma^2 M and c = sign p, a same-direction pair at
+    lam = d+ + d- is worth -lam (c_k + c_k) and an opposed pair -2q for every
+    lam, so each table entry picks one of two values.  The pick and the
+    values repeat the lattice's floats: the inner direction is chosen on the
+    shifted Gram values q/2 and fl(-3q/2), each less m c_l once per lam step,
+    the first (theta = -1) on a tie, and the values are rebuilt term by term
+    in ``_outer_table``'s order.  The lattice's einsum sums each product onto
+    +0.0, which turns -0.0 into +0.0; that changes no value except the
+    opposed Gram entry, taken here as 0.0 - q (its sign of zero does not
+    change a rank).
+    """
+    B = p.size
+    q = sign * (M * sigma * sigma)                       # q_k = D_k' Q D_k, both k
+    hq = -0.5 * q
+    c = np.multiply.outer(_PAIR[:, 0], sign * p)         # c_k = D_k . sign p
+    # the Gram entry D_k Q D_l less q_l/2 for l = k and for l = -k
+    g_same = q + hq
+    g_opposed = (0.0 - q) + hq
+    # s[lam, k, l]: that entry less lam c_l, outer k, inner l
+    s = np.empty((3, 2, 2, B))
+    s[0, 0, 0] = s[0, 1, 1] = g_same
+    s[0, 0, 1] = s[0, 1, 0] = g_opposed
+    mc = m * c
+    np.subtract(s[0], mc, out=s[1])
+    np.subtract(s[1], mc, out=s[2])
+    # argmin's pick of l = 0: the first minimum, or a NaN in the first place
+    first = (s[:, :, 0] <= s[:, :, 1]) | np.isnan(s[:, :, 0])
+    same = (g_same + hq) - np.array([0.0, m, 2.0 * m])[:, None, None] * (c + c)
+    # less c_0 + c_1, +0.0 unless p is not finite, as the lattice's lam (c_l + c_k)
+    opposed = (g_opposed + hq) - (c[0] + c[1])
+    # outer k = 0 meets the same direction at l = 0, outer k = 1 at l = 1
+    val = np.where(first != np.array([[False], [True]]), same, opposed)   # (lam, k, B)
+    # stored (k, j, B), so a row's max or argmax reads four contiguous slabs;
+    # no entry is -0.0 for finite inputs, so the max is the lattice's in any order
+    out = np.empty((2, 2, B))
+    np.minimum(val[:2], val[1:], out=out.transpose(1, 0, 2))
+    return (np.broadcast_to(_PAIR, (B, 2, 1)), out.transpose(2, 0, 1),
+            partial(_pair_reply, same, opposed))
+
+
+def _pair_reply(same: Array, opposed: Array, k: Array, j: Array):
+    """``_reply`` for ``_pair_table``: the inner player's first minimum over
+    (direction l, intensity i) of the same-direction value at lam = (j + i) m
+    where l = k, and the opposed value where l != k."""
+    B = k.size
+    i = np.arange(2)
+    own = same[j[:, None] + i, k[:, None], np.arange(B)[:, None]]       # (B, i)
+    inner = np.where((k[:, None] == i)[:, :, None], own[:, None, :], opposed[:, None, None])
+    return np.divmod(np.argmin(inner.reshape(B, 4), axis=1), 2)
 
 
 def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
@@ -278,11 +362,10 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     # replies (inner); side 'minus' swaps the roles
     (th_out, d_out), (th_in, d_in) = (((theta_m, d_m), (theta_p, d_p)) if side == "plus"
                                       else ((theta_p, d_p), (theta_m, d_m)))
-    for rows, D, QD, q, c in _chunks(p, M, params, dirs, sign):
-        table = _outer_table(D, QD, q, c, m).reshape(q.shape[0], -1)
-        ko, jo = np.divmod(np.argmax(table, axis=1), 2)
-        ki, ji = _reply(D, QD, q, c, ko, m * jo, m)
-        idx = np.arange(q.shape[0])
+    for rows, D, table, reply in _chunks(p, M, params, dirs, sign, m):
+        ko, jo = np.divmod(np.argmax(table.reshape(D.shape[0], -1), axis=1), 2)
+        ki, ji = reply(ko, jo)
+        idx = np.arange(D.shape[0])
         th_out[rows] = D[idx, ko]
         th_in[rows] = D[idx, ki]
         d_out[rows] = m * jo

@@ -835,25 +835,17 @@ class TestGreedyStrategies:
             greedy_strategy_pair(grid, params_2d(), 2.0, DirectionSet.for_dimension(1))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_shared_lookup_matches_the_checked_path(self, monkeypatch, threads):
-        class Delegate(FeedbackStrategy):
-            def __init__(self, inner):
-                self.inner = inner
-                self.m = inner.m
-
-            def controls(self, x, t):
-                return self.inner.controls(x, t)
-
+    def test_table_route_matches_the_checked_path(self, monkeypatch, threads):
         params, grid = self._solved()
         gp, gm = greedy_strategy_pair(grid, params, 2.0)
         cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=_BLOCK + 808, seed=5, nt=30)
-        checked = mc_value(PUT, params, Delegate(gp), Delegate(gm), cfg, threads=threads)
+        checked = mc_value(PUT, params, _Delegate(gp), _Delegate(gm), cfg, threads=threads)
         calls = []
         real = game.checked_controls
         monkeypatch.setattr(game, "checked_controls",
                             lambda *a: calls.append(a[2]) or real(*a))
         shared = mc_value(PUT, params, gp, gm, cfg, threads=threads)
-        assert calls == []  # one table lookup per step serves both views
+        assert calls == []  # the bare views read their slice tables, not checked_controls
         assert shared.mean == checked.mean and shared.stderr == checked.stderr
 
     @pytest.mark.parametrize("mixed", [False, True])

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tugpricer import ConstantStrategy, DirectionSet, MarketParams, ValidationError
-from tugpricer import isaacs
+from tugpricer import (BasketPut, ConstantStrategy, DirectionSet, GridSpec, MarketParams,
+                       SimConfig, SolverConfig, ValidationError, greedy_strategy_pair, mc_value,
+                       solve_terminal_value)
+from tugpricer import isaacs, pde
 from tugpricer.isaacs import greedy_controls_batch, hm_values_batch, limit_values_batch
 
 from oracles import (brute_greedy, brute_hm, limit_envelopes_oracle, limit_oracle,
@@ -507,11 +509,13 @@ class TestGreedyControls:
             greedy(inp_1d(), 1.0, params_1d(), DIRS_1D, "both")
 
 
-@pytest.mark.parametrize("n, count", [(1, None), (2, 12)])
+@pytest.mark.parametrize("n, count", [(1, None), (2, 12), (1, "reversed")])
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_chunked_batches_match_one_chunk(n, count, side, rng, monkeypatch):
+    # "reversed" is the 1-D pair in the order [+1, -1], which the lattice searches
     params = params_nd(n, r=0.1)
-    dirs = DirectionSet.for_dimension(n, count)
+    dirs = (DirectionSet(DIRS_1D.dirs[::-1]) if count == "reversed"
+            else DirectionSet.for_dimension(n, count))
     B = 11
     xi = rng.normal(size=B)
     p = rng.normal(size=(B, n))
@@ -528,6 +532,158 @@ def test_chunked_batches_match_one_chunk(n, count, side, rng, monkeypatch):
         for got, want in zip(greedy_controls_batch(xi, p, M, 3.0, params, dirs, side),
                              whole_greedy):
             assert np.array_equal(got, want)
+
+
+def bits(a):
+    """The IEEE bits of a float array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestPairClosedForm:
+    """The 1-D pair [-1, +1] skips the lattice search; its values and greedy
+    controls are the lattice's bit for bit, and any other set searches."""
+
+    SIDES = ("plus", "minus")
+
+    @staticmethod
+    def both_routes(monkeypatch, xi, p, M, m, params, side, dirs=DIRS_1D):
+        """(value, controls) of the closed form, then of the lattice."""
+        fast = (hm_values_batch(xi, p, M, m, params, dirs, side),
+                greedy_controls_batch(xi, p, M, m, params, dirs, side))
+        with monkeypatch.context() as patch:
+            patch.setattr(isaacs, "_is_pair", lambda dirs: False)
+            lattice = (hm_values_batch(xi, p, M, m, params, dirs, side),
+                       greedy_controls_batch(xi, p, M, m, params, dirs, side))
+        return fast, lattice
+
+    def assert_same_bits(self, monkeypatch, xi, p, M, params, ms=(0.5, 2.0, 10.0)):
+        for m in ms:
+            for side in self.SIDES:
+                (hm_f, g_f), (hm_l, g_l) = self.both_routes(monkeypatch, xi, p, M, m,
+                                                            params, side)
+                assert np.array_equal(bits(hm_f), bits(hm_l))
+                for got, want in zip(g_f, g_l):
+                    assert np.array_equal(bits(got), bits(want))
+
+    @staticmethod
+    def degenerate(rng, B, subnormal=True):
+        """Rows with signed zeros, rounded values that tie, huge ones and subnormals."""
+        special = [0.0, -0.0, 0.25, -0.5, 1.0, -1.0, 2.0, 1e300, -1e300]
+        if subnormal:
+            special += [5e-324, -5e-324, 1e-310, -1e-310]
+        special = np.array(special)
+        xi = rng.choice(np.array([0.0, -0.0, 1.0, -2.0]), size=B)
+        return xi, rng.choice(special, size=(B, 1)), rng.choice(special, size=(B, 1, 1))
+
+    def test_random_batches_match_the_lattice(self, monkeypatch, rng):
+        for _ in range(20):
+            B = int(rng.integers(1, 300))
+            params = MarketParams(mu=np.array([rng.normal()]),
+                                  sigma=np.array([rng.uniform(0.1, 2.0)]),
+                                  r=float(rng.choice([0.0, 0.05])), T=1.0)
+            scale = 10.0 ** rng.integers(-3, 2, size=(B, 1))
+            p = rng.normal(size=(B, 1)) * scale
+            M = rng.normal(size=(B, 1, 1)) * scale[:, :, None]
+            self.assert_same_bits(monkeypatch, rng.normal(size=B), p, M, params)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.0, 0.03])
+    def test_degenerate_batches_match_the_lattice(self, mu, monkeypatch, rng):
+        # p = 0 and M = 0 rows reach the value's sign of zero, and rounded rows
+        # make same and opposed replies tie exactly
+        for sigma in (1.0, 0.2):
+            params = MarketParams(mu=np.array([mu]), sigma=np.array([sigma]), r=0.0, T=1.0)
+            self.assert_same_bits(monkeypatch, *self.degenerate(rng, 400), params,
+                                  ms=(0.25, 1.0, 3.7))
+
+    def test_non_finite_rows_stay_nan(self, monkeypatch, rng):
+        # NaN where the lattice gives NaN (the NaN's sign bit may differ)
+        B = 64
+        p = rng.choice(np.array([np.nan, np.inf, -np.inf, 1.0, 0.0]), size=(B, 1))
+        M = rng.choice(np.array([np.nan, np.inf, -np.inf, 1.0, 0.0, 1e308]), size=(B, 1, 1))
+        params = params_1d(mu=0.03, sigma=1.5)
+        with np.errstate(all="ignore"):
+            for side in self.SIDES:
+                (hm_f, g_f), (hm_l, g_l) = self.both_routes(monkeypatch, np.zeros(B), p, M,
+                                                            2.0, params, side)
+                assert np.array_equal(hm_f, hm_l, equal_nan=True)
+                for got, want in zip(g_f, g_l):
+                    assert np.array_equal(got, want)
+
+    def test_surface_slices_match_the_lattice(self, monkeypatch):
+        # every slice of a bounded 1-D surface, as the PDE and the greedy
+        # strategies feed the operator
+        params = MarketParams(mu=np.zeros(1), sigma=np.array([0.2]), r=0.0, T=1.0)
+        spec = GridSpec(lo=np.array([np.log(100.0) - 4.0]),
+                        hi=np.array([np.log(100.0) + 4.0]), nx=(201,))
+        put = BasketPut(weights=np.array([1.0]), strike=100.0)
+        grid = solve_terminal_value(put, params, SolverConfig(mode="bounded_minus", m=10.0),
+                                    spec)
+        xi, p, M = (np.concatenate(a) for a in zip(*(pde._interior_inputs(u, spec.h)
+                                                      for u in grid.values)))
+        self.assert_same_bits(monkeypatch, xi, p, M, params, ms=(10.0,))
+
+    def test_lower_value_never_exceeds_upper(self, rng):
+        # README's lower value <= upper value, with no tolerance, in 1-D.  Not
+        # at subnormal gradients: p = 5e-324, M = 0 at m = 0.5 gives a lower
+        # value of 5e-324 against an upper 0.0, on the lattice as here
+        params = params_1d(mu=0.02, sigma=0.7, r=0.05)
+        batches = [self.degenerate(rng, 300, subnormal=False)]
+        for _ in range(20):
+            B = 200
+            batches.append((rng.normal(size=B), rng.normal(size=(B, 1)),
+                            rng.normal(size=(B, 1, 1)) * 10.0 ** rng.integers(-2, 2)))
+        for xi, p, M in batches:
+            for m in (0.5, 2.0, 10.0):
+                lower = hm_values_batch(xi, p, M, m, params, DIRS_1D, "plus")
+                upper = hm_values_batch(xi, p, M, m, params, DIRS_1D, "minus")
+                assert np.all(lower <= upper)
+
+    def test_pde_and_greedy_monte_carlo_skip_the_lattice(self, monkeypatch):
+        params = params_1d(sigma=0.2)
+        spec = GridSpec(lo=np.array([np.log(100.0) - 2.0]),
+                        hi=np.array([np.log(100.0) + 2.0]), nx=(101,))
+        put = BasketPut(weights=np.array([1.0]), strike=100.0)
+        cfg = SimConfig(start=np.array([np.log(100.0)]), t0=0.0, paths=500, seed=3, nt=40)
+
+        def run():
+            grid = solve_terminal_value(put, params, SolverConfig(mode="bounded_minus", m=2.0),
+                                        spec)
+            est = mc_value(put, params, *greedy_strategy_pair(grid, params, 2.0), cfg)
+            return grid.values, est
+
+        with monkeypatch.context() as patch:
+            patch.setattr(isaacs, "_is_pair", lambda dirs: False)
+            want_values, want = run()
+
+        def refuse(*args):
+            raise AssertionError("the 1-D pair reached the lattice search")
+
+        monkeypatch.setattr(isaacs, "_outer_table", refuse)
+        values, est = run()
+        assert np.array_equal(bits(values), bits(want_values))
+        assert est.mean == want.mean and est.stderr == want.stderr
+
+    @pytest.mark.parametrize("dirs", [[[1.0], [-1.0]], [[-1.0], [1.0], [1.0]]],
+                             ids=["reversed", "duplicate"])
+    def test_other_one_dimensional_sets_search_the_lattice(self, dirs, monkeypatch, rng):
+        dirs = DirectionSet(np.array(dirs))
+        calls = []
+        real = isaacs._outer_table
+        monkeypatch.setattr(isaacs, "_outer_table", lambda *a: calls.append(1) or real(*a))
+        params = params_1d(mu=0.03, sigma=1.2, r=0.04)
+        for _ in range(10):
+            inp = inp_1d(xi=rng.normal(), p=rng.normal(), M=rng.normal())
+            for m in (0.5, 5.0):
+                for side in self.SIDES:
+                    calls.clear()
+                    want = brute_hm(*inp, m, params.mu, params.sigma, params.r, dirs.dirs, side)
+                    assert hm(inp, m, params, dirs, side) == pytest.approx(want, abs=1e-12)
+                    gtp, gdp, gtm, gdm = greedy(inp, m, params, dirs, side)
+                    tp, dp, tm, dm = brute_greedy(*inp, m, params.mu, params.sigma,
+                                                  dirs.dirs, side)
+                    assert np.array_equal(gtp, tp) and gdp == dp
+                    assert np.array_equal(gtm, tm) and gdm == dm
+                    assert len(calls) == 2
 
 
 class TestBatchShapes:
