@@ -41,70 +41,60 @@ from .market import (BasketPut, MarketParams, Payoff, TabulatedPayoff, certify_p
 _MISSING = object()
 
 
-class _Node:
-    """One object level of the config tree; tracks consumed keys so that
-    anything left over can be reported as an unknown key by full path."""
-
-    def __init__(self, data, path: str):
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path or 'config'} must be a JSON object")
-        self._data = data
-        self._path = path
-        self._seen: set[str] = set()
-
-    def key(self, name: str) -> str:
-        return f"{self._path}.{name}" if self._path else name
-
-    def take(self, name: str, default=_MISSING):
-        self._seen.add(name)
-        if name in self._data:
-            return self._data[name]
-        if default is _MISSING:
-            raise ValidationError(f"missing required key {self.key(name)}")
-        return default
-
-    def child(self, name: str, required: bool = False) -> "_Node":
-        """The named section; an optional one that is absent or null is empty."""
-        raw = self.take(name, None)
-        if raw is None:
-            if required:
-                raise ValidationError(f"missing required section {self.key(name)}")
-            raw = {}
-        return _Node(raw, self.key(name))
-
-    def close(self) -> None:
-        unknown = sorted(set(self._data) - self._seen)
-        if unknown:
-            raise ValidationError(f"unknown config key {self.key(unknown[0])}")
+def _scalar(value, key: str, integer: bool = False, gt=None, ge=None):
+    """A finite number (an int when ``integer``), ``> gt`` and ``>= ge`` when given."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValidationError(f"{key} must be {'an integer' if integer else 'a number'}")
+    value = int(value) if integer else float(value)
+    if not (integer or np.isfinite(value)):
+        raise ValidationError(f"{key} must be finite")
+    if gt is not None and not value > gt:
+        raise ValidationError(f"{key} must be > {gt}")
+    if ge is not None and not value >= ge:
+        raise ValidationError(f"{key} must be >= {ge}")
+    return value
 
 
-def _scalar(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path} must be a number")
-    val = float(value)
-    if not np.isfinite(val):
-        raise ValidationError(f"{path} must be finite")
-    return val
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path} must be an integer")
-    return int(value)
-
-
-def _vector(value, path: str, n: int | None = None) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        out = [_scalar(value, path)]
-        if n is not None and n != 1:
-            out = out * n
-        return out
+def _items(value, key: str, each, what: str = "a non-empty list", gt=None) -> list:
+    """A non-empty list with ``each(item, key[i])`` applied to every item, all
+    of them ``> gt`` when given."""
     if not isinstance(value, list) or not value:
-        raise ValidationError(f"{path} must be a number or a non-empty list")
-    out = [_scalar(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if n is not None and len(out) != n:
-        raise ValidationError(f"{path} must have {n} entries, got {len(out)}")
+        raise ValidationError(f"{key} must be {what}")
+    out = [each(v, f"{key}[{i}]") for i, v in enumerate(value)]
+    if gt is not None and not all(v > gt for v in out):
+        raise ValidationError(f"{key} entries must be > {gt}")
     return out
+
+
+def _vector(value, key: str, n: int | None = None) -> list[float]:
+    """A number (repeated ``n`` times) or a list of numbers, of length ``n`` when given."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out = [_scalar(value, key)] * (n or 1)
+    else:
+        out = _items(value, key, _scalar, "a number or a non-empty list")
+    if n is not None and len(out) != n:
+        raise ValidationError(f"{key} must have {n} entries, got {len(out)}")
+    return out
+
+
+def _counts(value, key: str, n: int) -> list[int]:
+    """Per-axis node counts: an integer for every axis or a list of integers;
+    ``GridSpec`` checks the length."""
+    if isinstance(value, list):
+        return [_scalar(v, f"{key}[{i}]", integer=True) for i, v in enumerate(value)]
+    return [_scalar(value, key, integer=True)] * n
+
+
+def _choice(value, key: str, options: tuple[str, ...]):
+    if value not in options:
+        raise ValidationError(f"{key} must be one of {', '.join(options)} (got {value!r})")
+    return value
+
+
+def _text(value, key: str, nonempty: bool = False) -> str:
+    if not isinstance(value, str) or (nonempty and not value):
+        raise ValidationError(f"{key} must be a {'non-empty ' * nonempty}string")
+    return value
 
 
 def _build(section: str, make, *args, **kwargs):
@@ -119,227 +109,205 @@ def _build(section: str, make, *args, **kwargs):
         raise ValidationError(f"{section}.{exc}") from exc
 
 
-def _optional(node: _Node, name: str) -> float | None:
-    value = node.take(name, None)
-    return None if value is None else _scalar(value, node.key(name))
+class _Node:
+    """One object level of the config tree.
+
+    Every read takes a key and its default, checks the value, names the
+    dotted key in any error and records the value it returns in ``echo``;
+    ``close`` reports a key that no read took as unknown and returns the
+    echo.  An explicit null is read as absent only where the default is null.
+    """
+
+    def __init__(self, data, path: str):
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path or 'config'} must be a JSON object")
+        self._data = data
+        self.path = path
+        self.echo: dict = {}
+
+    def key(self, name: str) -> str:
+        return f"{self.path}.{name}" if self.path else name
+
+    def read(self, name: str, default=_MISSING, check=None, **opts):
+        """The value at ``name``, passed through ``check(value, key, **opts)``."""
+        if name in self._data:
+            value = self._data[name]
+        elif default is _MISSING:
+            raise ValidationError(f"missing required key {self.key(name)}")
+        else:
+            value = default
+        if check is not None and not (value is None and default is None):
+            value = check(value, self.key(name), **opts)
+        self.echo[name] = value
+        return value
+
+    def number(self, name: str, default=_MISSING, gt=None) -> float | None:
+        return self.read(name, default, _scalar, gt=gt)
+
+    def integer(self, name: str, default=_MISSING, ge=None) -> int | None:
+        return self.read(name, default, _scalar, integer=True, ge=ge)
+
+    def vector(self, name: str, default=_MISSING, n: int | None = None) -> list[float] | None:
+        return self.read(name, default, _vector, n=n)
+
+    def choice(self, name: str, options: tuple[str, ...], default=_MISSING) -> str:
+        return self.read(name, default, _choice, options=options)
+
+    def child(self, name: str, required: bool = False) -> "_Node":
+        """The named section; an optional one that is absent or null is empty."""
+        raw = self.read(name, None)
+        if raw is None:
+            if required:
+                raise ValidationError(f"missing required section {self.key(name)}")
+            raw = {}
+        node = _Node(raw, self.key(name))
+        self.echo[name] = node.echo
+        return node
+
+    def close(self) -> dict:
+        unknown = sorted(set(self._data) - set(self.echo))
+        if unknown:
+            raise ValidationError(f"unknown config key {self.key(unknown[0])}")
+        return self.echo
 
 
-def _parse_market(node: _Node) -> tuple[MarketParams, dict]:
-    sigma = _vector(node.take("sigma"), "market.sigma")
-    mu = _vector(node.take("mu", 0.0), "market.mu", len(sigma))
-    r = _scalar(node.take("r", 0.0), "market.r")
-    T = _scalar(node.take("T"), "market.T")
+def _parse_market(node: _Node) -> MarketParams:
+    sigma = node.vector("sigma")
+    mu = node.vector("mu", 0.0, len(sigma))
+    r = node.number("r", 0.0)
+    T = node.number("T")
     rc = None
-    rc_echo = None
-    if node.take("running_cost", None) is not None:
+    if node.read("running_cost", None) is not None:
         rc_node = node.child("running_cost")
-        value = _scalar(rc_node.take("value"), "market.running_cost.value")
-        alpha = _optional(rc_node, "alpha")
+        value = rc_node.number("value")
+        alpha = rc_node.number("alpha", None)
         rc_node.close()
-        rc = _build("market.running_cost", constant_running_cost, value, alpha)
-        rc_echo = {"value": value, "alpha": rc.alpha}
+        rc = _build(rc_node.path, constant_running_cost, value, alpha)
+        rc_node.echo["alpha"] = rc.alpha
     node.close()
-    params = _build("market", MarketParams, mu=np.array(mu), sigma=np.array(sigma),
-                    r=r, T=T, running_cost=rc)
-    echo = {"mu": mu, "sigma": sigma, "r": r, "T": T, "running_cost": rc_echo}
-    return params, echo
+    return _build(node.path, MarketParams, mu=np.array(mu), sigma=np.array(sigma), r=r, T=T,
+                  running_cost=rc)
 
 
-def _parse_payoff(node: _Node, n: int, base: Path) -> tuple[Payoff, dict]:
-    kind = node.take("kind")
-    if kind == "basket_put":
-        weights = _vector(node.take("weights"), "payoff.weights", n)
-        strike = _scalar(node.take("strike"), "payoff.strike")
-        lip = _optional(node, "lipschitz_bound")
-        sup = _optional(node, "sup_bound")
-        node.close()
-        payoff = _build("payoff", BasketPut, weights=np.array(weights), strike=strike,
-                        lipschitz_bound=lip, sup_bound=sup)
-        echo = {"kind": kind, "weights": weights, "strike": strike,
-                "lipschitz_bound": payoff.lipschitz_bound, "sup_bound": payoff.sup_bound}
-        return payoff, echo
+def _parse_payoff(node: _Node, n: int, base: Path) -> Payoff:
+    kind = node.choice("kind", ("basket_put", "constant", "table"))
     if kind == "constant":
-        value = _scalar(node.take("value"), "payoff.value")
+        value = node.number("value")
         node.close()
-        return _build("payoff", constant_payoff, value, n), {"kind": kind, "value": value}
-    if kind == "table":
-        rel = node.take("path")
-        if not isinstance(rel, str):
-            raise ValidationError("payoff.path must be a string")
-        lip = _optional(node, "lipschitz_bound")
-        sup = _optional(node, "sup_bound")
-        node.close()
+        return _build(node.path, constant_payoff, value, n)
+    if kind == "basket_put":
+        weights = node.vector("weights", n=n)
+        strike = node.number("strike")
+    else:
+        rel = node.read("path", _MISSING, _text)
+    lip = node.number("lipschitz_bound", None)
+    sup = node.number("sup_bound", None)
+    node.close()
+    if kind == "basket_put":
+        payoff = _build(node.path, BasketPut, weights=np.array(weights), strike=strike,
+                        lipschitz_bound=lip, sup_bound=sup)
+    else:
         path = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
         axes, table = read_payoff_table(path)  # its messages lead with the file path
-        payoff = _build("payoff", TabulatedPayoff, axes=axes, table=table,
+        payoff = _build(node.path, TabulatedPayoff, axes=axes, table=table,
                         lipschitz_bound=lip, sup_bound=sup)
         if payoff.n != n:
             raise ValidationError(
-                f"payoff.path table has {payoff.n} axes but market.sigma implies n={n}")
-        echo = {"kind": kind, "path": str(rel),
-                "lipschitz_bound": payoff.lipschitz_bound, "sup_bound": payoff.sup_bound}
-        return payoff, echo
-    raise ValidationError(
-        f"payoff.kind must be one of basket_put, constant, table (got {kind!r})")
+                f"{node.key('path')} table has {payoff.n} axes but market.sigma implies n={n}")
+    node.echo.update(lipschitz_bound=payoff.lipschitz_bound, sup_bound=payoff.sup_bound)
+    return payoff
 
 
-def _parse_grid(node: _Node, params: MarketParams,
-                payoff: Payoff) -> tuple[pde.GridSpec, dict]:
+def _parse_grid(node: _Node, params: MarketParams, payoff: Payoff) -> pde.GridSpec:
     n = params.n
-    lo_raw = node.take("lo", None)
-    hi_raw = node.take("hi", None)
-    if (lo_raw is None) != (hi_raw is None):
-        raise ValidationError("grid.lo and grid.hi must be given together")
-    if lo_raw is None:
+    if (node.read("lo", None) is None) != (node.read("hi", None) is None):
+        raise ValidationError(f"{node.key('lo')} and {node.key('hi')} must be given together")
+    lo, hi = node.vector("lo", None, n), node.vector("hi", None, n)
+    if lo is None:
         lo, hi = pde.default_domain(params, payoff.center())
-    else:
-        lo = np.array(_vector(lo_raw, "grid.lo", n))
-        hi = np.array(_vector(hi_raw, "grid.hi", n))
-    nx_raw = node.take("nx", 101)
-    if isinstance(nx_raw, list):
-        nx = tuple(_integer(v, f"grid.nx[{i}]") for i, v in enumerate(nx_raw))
-    else:
-        nx = tuple([_integer(nx_raw, "grid.nx")] * n)
-    nt = node.take("nt", None)
-    if nt is not None:
-        nt = _integer(nt, "grid.nt")
+        node.echo.update(lo=[float(v) for v in lo], hi=[float(v) for v in hi])
+    nx = node.read("nx", 101, _counts, n=n)
+    nt = node.integer("nt", None)
     node.close()
-    spec = _build("grid", pde.GridSpec, lo=lo, hi=hi, nx=nx, nt=nt)
-    echo = {"lo": [float(v) for v in lo], "hi": [float(v) for v in hi],
-            "nx": list(nx), "nt": nt}
-    return spec, echo
+    return _build(node.path, pde.GridSpec, lo=np.array(lo), hi=np.array(hi), nx=tuple(nx), nt=nt)
 
 
-def _parse_solver(node: _Node, params: MarketParams) -> tuple[pde.SolverConfig, dict]:
-    mode = node.take("mode", "limit_F")
-    m = _optional(node, "m")
-    eps = _optional(node, "eps_grad")
-    n_dirs = node.take("n_dirs", None)
-    if n_dirs is not None:
-        n_dirs = _integer(n_dirs, "solver.n_dirs")
-    cfl = _scalar(node.take("cfl", 0.5), "solver.cfl")
-    boundary = node.take("boundary", "discounted_payoff")
+def _parse_solver(node: _Node, params: MarketParams) -> pde.SolverConfig:
+    fields = dict(mode=node.read("mode", "limit_F"), m=node.number("m", None),
+                  eps_grad=node.number("eps_grad", None), n_dirs=node.integer("n_dirs", None),
+                  cfl=node.number("cfl", 0.5), boundary=node.read("boundary", "discounted_payoff"))
     node.close()
-    cfg = _build("solver", pde.SolverConfig, mode=mode, m=m, eps_grad=eps, n_dirs=n_dirs,
-                 cfl=cfl, boundary=boundary)
-    echo = {"mode": cfg.mode, "m": cfg.m,
-            "eps_grad": cfg.resolved_eps_grad(params),
-            "n_dirs": _directions("solver", params.n, cfg.n_dirs).count,
-            "cfl": cfg.cfl, "boundary": cfg.boundary}
-    return cfg, echo
+    cfg = _build(node.path, pde.SolverConfig, **fields)
+    node.echo.update(
+        eps_grad=cfg.resolved_eps_grad(params),
+        n_dirs=_build(node.path, isaacs.DirectionSet.for_dimension, params.n, cfg.n_dirs).count)
+    return cfg
 
 
-def _directions(section: str, n: int, n_dirs: int | None) -> isaacs.DirectionSet:
-    return _build(section, isaacs.DirectionSet.for_dimension, n, n_dirs)
-
-
-def _parse_strategies(node: _Node, n: int) -> dict:
-    kind = node.take("kind", "null")
-    if kind == "null":
-        node.close()
-        return {"kind": "null"}
-    if kind == "constant":
-        out = {"kind": "constant"}
+def _parse_strategies(node: _Node, n: int) -> tuple | None:
+    """The null or constant pair, checked now; None for a greedy pair, which
+    needs a solved surface."""
+    kind = node.choice("kind", ("null", "constant", "greedy"), "null")
+    if kind == "greedy":
+        node.choice("mode", ("bounded_minus", "bounded_plus"), "bounded_minus")
+    elif kind == "constant":
+        sides = []
         for name in ("plus", "minus"):
             sub = node.child(name, required=True)
-            theta = _vector(sub.take("theta"), f"game.strategies.{name}.theta", n)
-            d = _scalar(sub.take("d"), f"game.strategies.{name}.d")
+            sides.append((sub, sub.vector("theta", n=n), sub.number("d")))
             sub.close()
-            out[name] = {"theta": theta, "d": d}
-        out["m"] = _optional(node, "m")
-        node.close()
-        return out
-    if kind == "greedy":
-        mode = node.take("mode", "bounded_minus")
-        if mode not in ("bounded_minus", "bounded_plus"):
-            raise ValidationError(
-                "game.strategies.mode must be bounded_minus or bounded_plus")
-        node.close()
-        return {"kind": "greedy", "mode": mode}
-    raise ValidationError(
-        f"game.strategies.kind must be one of null, constant, greedy (got {kind!r})")
-
-
-def _parse_game(node: _Node, params: MarketParams, payoff: Payoff) -> dict:
-    n = params.n
-    m = _scalar(node.take("m", 10.0), "game.m")
-    if m <= 0:
-        raise ValidationError("game.m must be > 0")
-    n_dirs = node.take("n_dirs", None)
-    if n_dirs is not None:
-        n_dirs = _integer(n_dirs, "game.n_dirs")
-        _directions("game", n, n_dirs)
-    N = _integer(node.take("N", 100), "game.N")
-    if N < 1:
-        raise ValidationError("game.N must be >= 1")
-    paths = _integer(node.take("paths", 10000), "game.paths")
-    if paths < 0:
-        raise ValidationError("game.paths must be >= 0")
-    seed = game._check_seed(node.take("seed", 0), "game.seed")
-    start_raw = node.take("start", None)
-    start = (list(payoff.center()) if start_raw is None
-             else _vector(start_raw, "game.start", n))
-    t0 = _scalar(node.take("t0", 0.0), "game.t0")
-    if not 0.0 <= t0 < params.T:
-        raise ValidationError("game.t0 must lie in [0, market.T)")
-    nt_sim = _integer(node.take("nt_sim", 200), "game.nt_sim")
-    if nt_sim < 1:
-        raise ValidationError("game.nt_sim must be >= 1")
-    side = node.take("side", "both")
-    if side not in ("plus", "minus", "both"):
-        raise ValidationError("game.side must be plus, minus or both")
-    dynamics = node.take("dynamics", "sde")
-    if dynamics not in ("sde", "discrete"):
-        raise ValidationError("game.dynamics must be sde or discrete")
-    strategies = _parse_strategies(node.child("strategies"), n)
+        m = node.number("m", None)
+        if m is None:
+            m = max(d for _, _, d in sides)
     node.close()
-    return {"m": m, "n_dirs": n_dirs, "N": N, "paths": paths, "seed": seed,
-            "start": [float(v) for v in start], "t0": t0, "nt_sim": nt_sim,
-            "side": side, "dynamics": dynamics, "strategies": strategies}
+    if kind == "null":
+        return game.null_strategy_pair(n)
+    if kind == "constant":
+        return tuple(_build(sub.path, game.ConstantStrategy, theta=np.array(theta), d=d, m=m)
+                     for sub, theta, d in sides)
+    return None
+
+
+def _parse_game(node: _Node, params: MarketParams, payoff: Payoff) -> tuple[dict, tuple | None]:
+    n = params.n
+    node.number("m", 10.0, gt=0)
+    n_dirs = node.integer("n_dirs", None)
+    if n_dirs is not None:
+        _build(node.path, isaacs.DirectionSet.for_dimension, n, n_dirs)
+    node.integer("N", 100, ge=1)
+    node.integer("paths", 10000, ge=0)
+    node.read("seed", 0, game._check_seed)
+    if node.vector("start", None, n) is None:
+        node.echo["start"] = [float(v) for v in payoff.center()]
+    if not 0.0 <= node.number("t0", 0.0) < params.T:
+        raise ValidationError(f"{node.key('t0')} must lie in [0, market.T)")
+    node.integer("nt_sim", 200, ge=1)
+    node.choice("side", ("plus", "minus", "both"), "both")
+    node.choice("dynamics", ("sde", "discrete"), "sde")
+    strategies = _parse_strategies(node.child("strategies"), n)
+    return node.close(), strategies
 
 
 def _parse_outputs(node: _Node, n: int) -> dict:
-    surface = node.take("surface_path", "surface.npz")
-    report = node.take("report_path", "report.json")
-    table = node.take("table_path", "game_table.csv")
-    points_raw = node.take("points", None)
-    points = None
-    if points_raw is not None:
-        if not isinstance(points_raw, list) or not points_raw:
-            raise ValidationError("outputs.points must be a non-empty list")
-        points = [_vector(p, f"outputs.points[{i}]", n) for i, p in enumerate(points_raw)]
-    node.close()
+    node.read("points", None, _items, each=functools.partial(_vector, n=n))
     taken = {"resolved_config.json": "resolved_config.json"}  # normalised path -> owner
-    for name, val in (("surface_path", surface), ("report_path", report),
-                      ("table_path", table)):
-        if not isinstance(val, str) or not val:
-            raise ValidationError(f"outputs.{name} must be a non-empty string")
+    for name, default in (("surface_path", "surface.npz"), ("report_path", "report.json"),
+                          ("table_path", "game_table.csv")):
+        val = node.read(name, default, _text, nonempty=True)
         key = os.path.normpath(val)
         if key in taken:
-            raise ValidationError(f"outputs.{name} ({val!r}) collides with {taken[key]}")
-        taken[key] = f"outputs.{name}"
-    return {"surface_path": surface, "report_path": report, "table_path": table,
-            "points": points}
+            raise ValidationError(f"{node.key(name)} ({val!r}) collides with {taken[key]}")
+        taken[key] = node.key(name)
+    return node.close()
 
 
 def _parse_operators(node: _Node) -> dict:
-    ladder_raw = node.take("m_ladder", [1, 10, 100, 1000])
-    if not isinstance(ladder_raw, list) or not ladder_raw:
-        raise ValidationError("operators.m_ladder must be a non-empty list")
-    ladder = [_scalar(v, f"operators.m_ladder[{i}]") for i, v in enumerate(ladder_raw)]
-    if any(v <= 0 for v in ladder):
-        raise ValidationError("operators.m_ladder entries must be > 0")
-    inputs = _integer(node.take("inputs", 100), "operators.inputs")
-    if inputs < 1:
-        raise ValidationError("operators.inputs must be >= 1")
-    seed = game._check_seed(node.take("seed", 7), "operators.seed")
-    p_min = _scalar(node.take("p_min", 0.5), "operators.p_min")
-    p_max = _scalar(node.take("p_max", 2.0), "operators.p_max")
-    if not 0 < p_min <= p_max:
-        raise ValidationError("operators must satisfy 0 < p_min <= p_max")
-    node.close()
-    return {"m_ladder": ladder, "inputs": inputs, "seed": seed,
-            "p_min": p_min, "p_max": p_max}
+    node.read("m_ladder", [1, 10, 100, 1000], _items, each=_scalar, gt=0)
+    node.integer("inputs", 100, ge=1)
+    node.read("seed", 7, game._check_seed)
+    if not 0 < node.number("p_min", 0.5) <= node.number("p_max", 2.0):
+        raise ValidationError(f"{node.key('p_min')} must lie in (0, {node.key('p_max')}]")
+    return node.close()
 
 
 class RunConfig:
@@ -347,26 +315,17 @@ class RunConfig:
 
     def __init__(self, data: dict, base: Path):
         root = _Node(data, "")
-        self.params, market_echo = _parse_market(root.child("market", required=True))
-        n = self.params.n
-        self.payoff, payoff_echo = _parse_payoff(root.child("payoff", required=True),
-                                                 n, base)
-        self.grid, grid_echo = _parse_grid(root.child("grid"), self.params, self.payoff)
-        self.solver, solver_echo = _parse_solver(root.child("solver"), self.params)
-        self.game = _parse_game(root.child("game"), self.params, self.payoff)
-        self.outputs = _parse_outputs(root.child("outputs"), n)
+        self.params = _parse_market(root.child("market", required=True))
+        self.payoff = _parse_payoff(root.child("payoff", required=True), self.params.n, base)
+        self.grid = _parse_grid(root.child("grid"), self.params, self.payoff)
+        self.solver = _parse_solver(root.child("solver"), self.params)
+        self.game, self.strategies = _parse_game(root.child("game"), self.params, self.payoff)
+        self.outputs = _parse_outputs(root.child("outputs"), self.params.n)
         self.operators = _parse_operators(root.child("operators"))
         certify = root.child("certify")
-        self.certify_samples = _integer(certify.take("samples", 4096), "certify.samples")
+        self.certify_samples = certify.integer("samples", 4096, ge=2)
         certify.close()
-        if self.certify_samples < 2:
-            raise ValidationError("certify.samples must be >= 2")
-        root.close()
-        self.resolved = {
-            "market": market_echo, "payoff": payoff_echo, "grid": grid_echo,
-            "solver": solver_echo, "game": self.game, "outputs": self.outputs,
-            "operators": self.operators, "certify": {"samples": self.certify_samples},
-        }
+        self.resolved = root.close()
 
     def override_seed(self, seed: int) -> None:
         self.game["seed"] = game._check_seed(seed, "--seed")
@@ -411,26 +370,18 @@ def _points(cfg: RunConfig) -> np.ndarray:
 
 
 def _build_strategies(cfg: RunConfig, surface: pde.PriceGrid | None = None):
-    """The configured strategy pair; a greedy pair reuses ``surface``, the
-    solve under ``cfg.solver``, when its own solver settings are the same."""
-    spec = cfg.game["strategies"]
-    n = cfg.params.n
-    if spec["kind"] == "null":
-        return game.null_strategy_pair(n)
-    if spec["kind"] == "constant":
-        m = spec["m"]
-        if m is None:
-            m = max(spec["plus"]["d"], spec["minus"]["d"])
-        return tuple(_build(f"game.strategies.{name}", game.ConstantStrategy,
-                            theta=np.array(spec[name]["theta"]), d=spec[name]["d"], m=m)
-                     for name in ("plus", "minus"))
-    solver = pde.SolverConfig(mode=spec["mode"], m=cfg.game["m"],
-                              n_dirs=cfg.solver.n_dirs, cfl=cfg.solver.cfl,
-                              eps_grad=cfg.solver.eps_grad)
+    """The configured pair: the null or constant pair checked at load, or a
+    greedy pair that reuses ``surface``, the solve under ``cfg.solver``, when
+    its own solver settings are the same, and plays the solve's directions."""
+    if cfg.strategies is not None:
+        return cfg.strategies
+    mode = cfg.game["strategies"]["mode"]
+    solver = pde.SolverConfig(mode=mode, m=cfg.game["m"], n_dirs=cfg.solver.n_dirs,
+                              cfl=cfg.solver.cfl, eps_grad=cfg.solver.eps_grad)
     if surface is None or solver != cfg.solver:
         surface = pde.solve_terminal_value(cfg.payoff, cfg.params, solver, cfg.grid)
-    side = "minus" if spec["mode"] == "bounded_minus" else "plus"
-    dirs = isaacs.DirectionSet.for_dimension(n, cfg.game["n_dirs"])
+    side = "minus" if mode == "bounded_minus" else "plus"
+    dirs = isaacs.DirectionSet.for_dimension(cfg.params.n, solver.n_dirs)
     return game.greedy_strategy_pair(surface, cfg.params, cfg.game["m"], dirs, side)
 
 

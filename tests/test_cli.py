@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tugpricer import cli, game, pde
+from tugpricer import cli, game, isaacs, pde
 from tugpricer._interp import multilinear
 from tugpricer.errors import ValidationError
 from tugpricer.market import BasketPut, MarketParams
@@ -148,6 +148,14 @@ class TestConfigParsing:
         run = load(tmp_path, cfg)
         assert run.resolved["market"]["mu"] == [0.05, 0.05]
         assert run.params.n == 2
+
+    def test_echo_keeps_resolved_values_and_types(self, tmp_path):
+        cfg = base_config(grid={"nx": 11})
+        cfg["market"].update(r=0, running_cost={"value": -0.5})
+        r = load(tmp_path, cfg).resolved
+        assert r["market"]["running_cost"] == {"value": -0.5, "alpha": 0.5}
+        assert json.dumps(r["market"]["r"]) == "0.0"
+        assert json.dumps(r["grid"]["nx"]) == "[11]"
 
     def test_bad_payoff_kind(self, tmp_path):
         cfg = base_config()
@@ -279,6 +287,24 @@ class TestExitCodes:
         ("game.strategies.minus.d", "game", {"strategies": {
             "kind": "constant", "plus": {"theta": [1.0], "d": 0.5},
             "minus": {"theta": [-1.0], "d": 2.0}, "m": 1.0}}),
+        ("game.strategies.plus.theta", "game", {"strategies": {
+            "kind": "constant", "plus": {"theta": [0.5], "d": 0.0},
+            "minus": {"theta": [-1.0], "d": 0.0}}}),
+        ("game.strategies.kind", "game", {"strategies": {"kind": "random"}}),
+        ("game.strategies.mode", "game", {"strategies": {"kind": "greedy",
+                                                         "mode": "limit_F"}}),
+        ("game.side", "game", {"side": "left"}),
+        ("game.dynamics", "game", {"dynamics": "coin"}),
+        ("game.seed", "game", {"seed": -1}),
+        ("game.start", "game", {"start": [LOG_K, LOG_K]}),
+        ("grid.nt", "grid", {"nt": 0}),
+        ("solver.n_dirs", "solver", {"n_dirs": 2.5}),
+        ("operators.m_ladder", "operators", {"m_ladder": [1, 0]}),
+        ("operators.inputs", "operators", {"inputs": 0}),
+        ("operators.p_min", "operators", {"p_min": 3.0}),
+        ("certify.samples", "certify", {"samples": 1}),
+        ("outputs.points", "outputs", {"points": []}),
+        ("market.r", "market", {"r": None}),  # null is absent only where the default is
     ])
     def test_rejected_value_names_its_dotted_key(self, run_cli, tmp_path, capsys,
                                                  key, section, value):
@@ -385,10 +411,39 @@ class TestPriceCommand:
         with np.load(out / "s.bin", allow_pickle=False) as archive:
             assert archive["u"].shape == (read_json(out / "report.json")["nt"] + 1, 41)
 
-    def test_resolved_config_reruns_cleanly(self, run_cli, tmp_path):
+    @pytest.mark.parametrize("sections", [
+        {},
+        {"game": {"strategies": {"kind": "constant", "plus": {"theta": [1.0], "d": 2},
+                                 "minus": {"theta": -1.0, "d": 0}}}},
+        {"game": {"m": 2, "strategies": {"kind": "greedy", "mode": "bounded_plus"}}},
+        {"market": {"sigma": [0.2, 0.3], "mu": 0.01, "T": 1.0},
+         "payoff": {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K},
+         "solver": {"n_dirs": 8}, "game": {"n_dirs": 16}},
+        {"market": {"sigma": 0.2, "T": 1.0, "running_cost": {"value": -0.5}}},
+        {"payoff": {"kind": "table", "path": "put.csv", "sup_bound": K,
+                    "lipschitz_bound": 2 * K}},
+        {"game": {"dynamics": "discrete", "N": 16, "side": "minus", "start": LOG_K}},
+        {"market": {"sigma": 0.2, "T": 1.0, "running_cost": None},
+         "payoff": {"kind": "basket_put", "weights": 1.0, "strike": K,
+                    "lipschitz_bound": None, "sup_bound": None},
+         "grid": None, "solver": None, "game": None, "outputs": None, "operators": None,
+         "certify": None},
+        {"solver": {"m": None, "eps_grad": None, "n_dirs": None},
+         "game": {"n_dirs": None, "start": None, "strategies": None},
+         "outputs": {"points": None}},
+    ], ids=["defaults", "constant", "greedy", "2d", "running_cost", "table", "discrete",
+            "null_sections", "null_keys"])
+    def test_resolved_config_reruns_cleanly(self, run_cli, tmp_path, sections):
         """The echoed config is itself a valid config with the same digest."""
         out = tmp_path / "echo"
-        cfg = base_config(grid={"lo": [LOG_K - 1], "hi": [LOG_K + 1], "nx": 11})
+        n = len(np.atleast_1d(sections.get("market", {}).get("sigma", 0.2)))
+        cfg = base_config(**{"grid": {"lo": [LOG_K - 1] * n, "hi": [LOG_K + 1] * n,
+                                      "nx": 11}, **sections})
+        x = np.linspace(LOG_K - 2, LOG_K + 2, 41).tolist()
+        table = "x_1,g\n" + "".join(f"{v!r},{max(K - math.exp(v), 0.0)!r}\n" for v in x)
+        out.mkdir()
+        for base in (out, tmp_path):  # the run's and the reload's config directory
+            (base / "put.csv").write_text(table)
         assert run_cli("price", cfg, out) == 0
         resolved = read_json(out / "resolved_config.json")
         again = load(tmp_path, resolved["config"])
@@ -459,6 +514,32 @@ class TestSimulateCommand:
         assert run_cli("simulate", cfg, out) == 0
         report = read_json(out / "report.json")
         assert 0.0 <= report["mean"] <= K
+
+    def test_greedy_pair_plays_the_solver_directions(self, run_cli, tmp_path, monkeypatch):
+        """The greedy controls search the direction set the surface was solved
+        with (``solver.n_dirs``), not the DPP's (``game.n_dirs``)."""
+        counts = {"hm": set(), "greedy": set()}
+        hm, greedy = isaacs.hm_values_batch, game.greedy_controls_batch
+
+        def hm_spy(xi, p, M, m, params, dirs, side):
+            counts["hm"].add(dirs.dirs.shape[0])
+            return hm(xi, p, M, m, params, dirs, side)
+
+        def greedy_spy(xi, p, M, m, params, dirs, side):
+            counts["greedy"].add(dirs.dirs.shape[0])
+            return greedy(xi, p, M, m, params, dirs, side)
+
+        monkeypatch.setattr(isaacs, "hm_values_batch", hm_spy)
+        monkeypatch.setattr(game, "greedy_controls_batch", greedy_spy)
+        cfg = base_config(
+            market={"sigma": [0.2, 0.2], "T": 1.0},
+            payoff={"kind": "basket_put", "weights": [0.5, 0.5], "strike": K},
+            grid={"lo": [LOG_K - 2.0] * 2, "hi": [LOG_K + 2.0] * 2, "nx": [11, 13]},
+            solver={"n_dirs": 8},
+            game={"m": 2.0, "n_dirs": 16, "paths": 50, "nt_sim": 5, "seed": 5,
+                  "strategies": {"kind": "greedy", "mode": "bounded_plus"}})
+        assert run_cli("simulate", cfg, tmp_path / "dirs") == 0
+        assert counts == {"hm": {8}, "greedy": {8}}
 
     def test_discrete_dynamics(self, run_cli, tmp_path):
         cfg = self.small(dynamics="discrete", N=16, paths=500)
@@ -610,6 +691,20 @@ class TestCompareCommand:
         pt = report["points"][0]
         assert {"u_pde", "u_dpp_minus", "u_dpp_plus"} <= set(pt)
         assert "mc" not in report  # paths=0 disables the Monte Carlo leg
+
+    def test_bad_constant_pair_is_refused_before_solving(self, run_cli, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the strategy pair")
+
+        monkeypatch.setattr(game, "dpp_solve", no_solve)
+        monkeypatch.setattr(pde, "solve_terminal_value", no_solve)
+        cfg = base_config(game={"strategies": {
+            "kind": "constant", "plus": {"theta": [0.5], "d": 1.0},
+            "minus": {"theta": [-1.0], "d": 0.0}}})
+        assert run_cli("compare", cfg, tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: game.strategies.plus.theta must be a unit vector")
 
     def test_monte_carlo_leg(self, run_cli, tmp_path):
         out = tmp_path / "cmpmc"
