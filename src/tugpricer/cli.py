@@ -208,7 +208,11 @@ def _parse_payoff(node: _Node, n: int, base: Path) -> Payoff:
                         lipschitz_bound=lip, sup_bound=sup)
     else:
         path = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-        axes, table = read_payoff_table(path)  # its messages lead with the file path
+        try:
+            axes, table = read_payoff_table(path)  # its messages lead with the file path
+        except OSError as exc:
+            raise ValidationError(f"{node.key('path')} {rel!r} cannot be read: "
+                                  f"{exc.strerror or exc}") from exc
         payoff = _build(node.path, TabulatedPayoff, axes=axes, table=table,
                         lipschitz_bound=lip, sup_bound=sup)
         if payoff.n != n:

@@ -41,7 +41,7 @@ set (reversed, or with duplicates) and every n >= 2 search the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -58,6 +58,12 @@ UNIT_TOL = 1e-12
 _CHUNK_ELEMS = 1 << 17
 # the exact 1-D direction pair, which takes the closed form of _pair_table
 _PAIR = np.array([[-1.0], [1.0]])
+# the most directions a fan may have: 32 times the largest default (2048).
+# One input of the lattice search compares K^2 direction pairs, an estimated
+# 12 s at this K in 2-D (the default K = 722 takes 1.5 ms), so a larger fan
+# is no usable run; the cap refuses it before any direction array (at this K
+# at most 2 MiB, at n = 4) is allocated.
+MAX_DIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,8 @@ class DirectionSet:
             count = 720 if n == 2 else 2048
         if count < 2:
             raise ValidationError("n_dirs must be >= 2")
+        if count > MAX_DIRS:
+            raise ValidationError(f"n_dirs must be <= {MAX_DIRS}, got {count}")
         if n == 2:
             ang = 2.0 * np.pi * np.arange(count) / count
             d = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -120,8 +128,25 @@ def _sms(M: Array, sigma: Array) -> Array:
     return M * sigma[..., :, None] * sigma[..., None, :]
 
 
-def _trace_s2m(M: Array, sigma: Array) -> Array:
-    return np.sum(np.diagonal(M, axis1=-2, axis2=-1) * sigma**2, axis=-1)
+def _row_sum(terms: list[Array]) -> Array:
+    """Row sums of the columns ``terms``, with np.sum's floats up to the sign
+    of a zero.
+
+    np.sum adds fewer than 8 columns to 0.0 from left to right; this adds
+    them left to right without the 0.0, one ufunc call per column (none for
+    one), far cheaper.  The sums are equal, except that a row of -0.0 sums
+    to -0.0 here and to +0.0 in np.sum: 0.0 + this is np.sum exactly.  From
+    8 columns np.sum adds in blocks, and this calls it.
+    """
+    if len(terms) < 8:
+        return reduce(np.add, terms)
+    return np.add.reduce(np.stack(terms, axis=1), axis=1)
+
+
+def _trace_s2m(M: Array, sigma_sq) -> Array:
+    """trace(S^2 M) per row of a (B, n, n) batch, from the n values of
+    sigma**2, summed by :func:`_row_sum` (add 0.0 for np.sum's floats)."""
+    return _row_sum([M[:, i, i] * s for i, s in enumerate(sigma_sq)])
 
 
 def _augment(dirs: Array, p: Array) -> Array:
@@ -267,7 +292,8 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
     out = np.empty(p.shape[0])
     for rows, _, table, _ in _chunks(p, M, params, dirs, sign, m):
         out[rows] = sign * np.max(table, axis=(1, 2))
-    const = -0.5 * _trace_s2m(M, params.sigma) - p @ params.mu
+    # 0.0 + keeps np.sum's +0.0 for a diagonal of -0.0, which the result shows
+    const = -0.5 * (0.0 + _trace_s2m(M, params.sigma**2)) - p @ params.mu
     return out + const + params.r * np.asarray(xi, dtype=float)
 
 
@@ -373,6 +399,47 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     return theta_p, d_p, theta_m, d_m
 
 
+class _Limit:
+    """The limit operator of one market and eps_grad, on batches that
+    :meth:`check` accepts: sigma, sigma**2 and the fallback weight 2/n are
+    derived once.  ``limit_values_batch`` builds one per call; the PDE step
+    builds one per solve and checks its batch shapes once.
+
+    It works column by column, on (B,) arrays for each p_i and M_ij, with
+    the floats of the whole-batch formulas it replaces: S M S entry by entry
+    as (M_ij sigma_i) sigma_j, the quadratic form's terms (p_i (SMS)_ij) p_j
+    added in ``np.einsum``'s order, (i, j) row-major, and each sum over i
+    by :func:`_row_sum`.
+    """
+
+    def __init__(self, params, eps_grad: float):
+        n = params.n
+        self.params, self.eps_grad, self.n = params, eps_grad, n
+        # (i, j, sigma_i, sigma_j) in row-major order
+        self.pairs = [(i, j, params.sigma[i], params.sigma[j]) for i in range(n) for j in range(n)]
+        self.sigma_sq = list(params.sigma**2)
+        self.mean_weight = 2.0 / n
+
+    def check(self, p: Array, M: Array) -> None:
+        _check_batch(p, M, self.params)
+
+    def __call__(self, xi: Array, p: Array, M: Array) -> Array:
+        col = list(p.T)
+        sms = [M[:, i, j] * s_i * s_j for i, j, s_i, s_j in self.pairs]
+        # np.einsum and np.sum add to a leading 0.0, which these sums leave
+        # out; that can only change the sign of a zero, and no such sign
+        # reaches the result, as each sum enters it before mu . p is added,
+        # and mu . p is never -0.0
+        quad = 2.0 * reduce(
+            np.add, [col[i] * e * col[j] for (i, j, _, _), e in zip(self.pairs, sms)])
+        norm_sq = _row_sum([c * c for c in col])
+        mask = np.sqrt(norm_sq) >= self.eps_grad
+        lead = np.where(mask, quad / np.where(mask, norm_sq, 1.0),
+                        self.mean_weight * _row_sum(sms[::self.n + 1]))
+        trace = _trace_s2m(M, self.sigma_sq)
+        return lead + 0.5 * trace + p @ self.params.mu - self.params.r * xi
+
+
 def limit_values_batch(xi: Array, p: Array, M: Array, params, eps_grad: float) -> Array:
     """Gradient-weighted limit operator over a batch of (xi, p, M) triples.
 
@@ -381,12 +448,8 @@ def limit_values_batch(xi: Array, p: Array, M: Array, params, eps_grad: float) -
     the eigenvalue average (2/n) trace(S M S), which lies between the
     envelope values 2 lambda_min and 2 lambda_max of S M S.
     """
-    _check_batch(p, M, params)
-    sms = _sms(M, params.sigma)
-    norm_sq = np.sum(p * p, axis=1)
-    mask = np.sqrt(norm_sq) >= eps_grad
-    safe = np.where(mask, norm_sq, 1.0)
-    lead = np.where(mask,
-                    2.0 * np.einsum("bi,bij,bj->b", p, sms, p) / safe,
-                    (2.0 / params.n) * np.trace(sms, axis1=1, axis2=2))
-    return lead + 0.5 * _trace_s2m(M, params.sigma) + p @ params.mu - params.r * xi
+    kernel = _Limit(params, eps_grad)
+    p = np.asarray(p, dtype=float)
+    M = np.asarray(M, dtype=float)
+    kernel.check(p, M)
+    return kernel(np.asarray(xi, dtype=float), p, M)

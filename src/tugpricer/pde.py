@@ -9,6 +9,17 @@ a CFL restriction ``dt <= cfl * min h_i^2 / (5 n max sigma_i^2)``.
 Under that restriction the step is monotone in 1-D.  For n >= 2 it is not:
 with the four-corner cross term, raising a neighbour value can lower a node's
 next value (ROADMAP item 1 tracks a monotone replacement).
+
+A solve prepares its step once, in ``_Workspace``: the stencil's neighbour
+slices and the gradient and Hessian buffers that each step refills in place
+(``_Stencil``), the mode's operator (for limit_F the kernel ``isaacs._Limit``,
+with its constants derived and its batch shapes checked against those
+buffers; for the bounded modes ``hm_values_batch``), and the interior points
+of a running cost.  A step then writes the discounted payoff over the slice
+and the interior update over its core through slices.
+``interior_derivatives`` and ``limit_values_batch`` check their inputs on
+every call and run the same stencil and kernel, so every node gets the same
+floats either way, for every n <= 4 and mode.
 """
 
 from __future__ import annotations
@@ -225,29 +236,65 @@ def _shift(n: int, axis: int, off: int, axis2: int | None = None, off2: int = 0)
     return tuple(sl)
 
 
+class _Stencil:
+    """Central differences on one grid shape, written into buffers it owns.
+
+    Built once: the interior's neighbour slices, the divisors 2 h_i, h_i^2
+    and 4 h_i h_j, the gradient buffer p (*interior, n), the Hessian buffer
+    M (*interior, n, n) and the views of their entries.  :meth:`fill` writes
+    each entry term by term in the order of
+
+        p_i  = (u[+i] - u[-i]) / (2 h_i)
+        M_ii = (u[+i] - 2 u + u[-i]) / h_i^2
+        M_ij = M_ji = (u[+i+j] - u[+i-j] - u[-i+j] + u[-i-j]) / (4 h_i h_j)
+
+    so M is symmetric by construction and both are exact on quadratics.
+    """
+
+    def __init__(self, h: Array, interior: tuple[int, ...]):
+        n = h.size
+        self.core = tuple(slice(1, -1) for _ in range(n))
+        self.p = np.empty(interior + (n,))
+        self.M = np.empty(interior + (n, n))
+        self.axes = [(_shift(n, i, +1), _shift(n, i, -1), 2.0 * h[i], h[i] ** 2,
+                      self.p[..., i], self.M[..., i, i]) for i in range(n)]
+        self.cross = [(_shift(n, i, +1, j, +1), _shift(n, i, +1, j, -1),
+                       _shift(n, i, -1, j, +1), _shift(n, i, -1, j, -1), 4.0 * h[i] * h[j],
+                       self.M[..., i, j], self.M[..., j, i])
+                      for i in range(n) for j in range(i + 1, n)]
+
+    def fill(self, u: Array) -> None:
+        core = u[self.core]
+        for up, dn, two_h, h_sq, p_i, m_ii in self.axes:
+            u_up, u_dn = u[up], u[dn]
+            np.subtract(u_up, u_dn, out=p_i)
+            np.divide(p_i, two_h, out=p_i)
+            np.multiply(core, 2.0, out=m_ii)
+            np.subtract(u_up, m_ii, out=m_ii)
+            np.add(m_ii, u_dn, out=m_ii)
+            np.divide(m_ii, h_sq, out=m_ii)
+        for pp, pm, mp, mm, four_hh, m_ij, m_ji in self.cross:
+            np.subtract(u[pp], u[pm], out=m_ij)
+            np.subtract(m_ij, u[mp], out=m_ij)
+            np.add(m_ij, u[mm], out=m_ij)
+            np.divide(m_ij, four_hh, out=m_ij)
+            m_ji[...] = m_ij
+
+
 def interior_derivatives(u: Array, h: Array) -> tuple[Array, Array]:
     """Central-difference gradient and Hessian on all interior nodes.
 
-    Returns p with shape (*interior, n) and M with shape (*interior, n, n);
-    cross terms use the four-corner formula, so M is symmetric by construction
-    and both are exact on quadratics.
+    Returns p with shape (*interior, n) and M with shape (*interior, n, n),
+    with the floats of :class:`_Stencil`, which the solver's step fills.
     """
-    n = u.ndim
-    core = u[tuple(slice(1, -1) for _ in range(n))]
-    p = np.empty(core.shape + (n,))
-    M = np.empty(core.shape + (n, n))
-    for i in range(n):
-        up = u[_shift(n, i, +1)]
-        dn = u[_shift(n, i, -1)]
-        p[..., i] = (up - dn) / (2.0 * h[i])
-        M[..., i, i] = (up - 2.0 * core + dn) / h[i] ** 2
-        for j in range(i + 1, n):
-            cross = (u[_shift(n, i, +1, j, +1)] - u[_shift(n, i, +1, j, -1)]
-                     - u[_shift(n, i, -1, j, +1)] + u[_shift(n, i, -1, j, -1)])
-            val = cross / (4.0 * h[i] * h[j])
-            M[..., i, j] = val
-            M[..., j, i] = val
-    return p, M
+    u = np.asarray(u, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if u.ndim < 1 or min(u.shape) < 3 or h.shape != (u.ndim,):
+        raise ValidationError(f"u shape {u.shape} and h shape {h.shape} do not fit: want at "
+                              f"least 3 nodes per axis of u and one spacing per axis in h")
+    stencil = _Stencil(h, tuple(k - 2 for k in u.shape))
+    stencil.fill(u)
+    return stencil.p, stencil.M
 
 
 def _interior_inputs(u: Array, h: Array) -> tuple[Array, Array, Array]:
@@ -258,13 +305,20 @@ def _interior_inputs(u: Array, h: Array) -> tuple[Array, Array, Array]:
     return xi, p.reshape(-1, n), M.reshape(-1, n, n)
 
 
-def _batched_operator(config: SolverConfig, params: MarketParams):
-    """G(xi, p, M) over a batch of points, for the configured mode."""
+def _operator(config: SolverConfig, params: MarketParams, p: Array, M: Array):
+    """G(xi, p, M) of the configured mode on batches shaped like p and M.
+
+    limit_F runs the kernel ``isaacs._Limit``, built and checked against
+    those shapes once; the bounded modes call ``hm_values_batch``, whose
+    direction search outweighs its checks.
+    """
     eps = config.resolved_eps_grad(params)
     if config.mode == "limit_F":
-        return lambda xi, p, M: isaacs.limit_values_batch(xi, p, M, params, eps)
+        kernel = isaacs._Limit(params, eps)
+        kernel.check(p, M)
+        return kernel
     dirs = isaacs.DirectionSet.for_dimension(params.n, config.n_dirs)
-    side = "plus" if config.mode == "bounded_plus" else "minus"
+    side = config.mode.removeprefix("bounded_")
     return lambda xi, p, M: -isaacs.hm_values_batch(xi, p, M, config.m, params, dirs, side)
 
 
@@ -285,31 +339,37 @@ def _march(terminal: Array, nt: int, dt: float, step) -> Array:
 
 
 class _Workspace:
-    """The explicit step, set up once per solve; ``ws(values_next, t_next)`` steps back dt."""
+    """The explicit step, prepared once per solve (see the module docstring);
+    ``ws(values_next, t_next)`` steps back dt and returns a new slice.  The
+    buffers' (B, n) and (B, n, n) row views are the operator's inputs."""
 
     def __init__(self, payoff: Payoff, params: MarketParams, config: SolverConfig,
                  spec: GridSpec, dt: float):
         if spec.n > 4:
             raise ValidationError("solver supports at most 4 spatial dimensions")
+        n = spec.n
         self.terminal = _lattice(payoff, params, spec)
-        self.params, self.h, self.dt = params, spec.h, dt
-        interior = np.zeros(spec.nx, dtype=bool)
-        interior[tuple(slice(1, -1) for _ in range(spec.n))] = True
-        self.interior, self.boundary = interior, ~interior
-        self.boundary_payoff = self.terminal[self.boundary]
-        self.interior_points = spec.points()[interior.reshape(-1)]
-        self.operator = _batched_operator(config, params)
+        self.params, self.dt = params, dt
+        self.interior = tuple(k - 2 for k in spec.nx)
+        self.stencil = _Stencil(spec.h, self.interior)
+        self.core = self.stencil.core
+        self.rows = self.stencil.p.reshape(-1, n), self.stencil.M.reshape(-1, n, n)   # views
+        self.operator = _operator(config, params, *self.rows)
+        self.cost_points = None
+        if params.running_cost is not None:
+            self.cost_points = spec.points().reshape(*spec.nx, n)[self.core].reshape(-1, n)
 
     def __call__(self, values_next: Array, t_next: float) -> Array:
-        xi, p, M = _interior_inputs(values_next, self.h)
-        rhs = self.operator(xi, p, M)
-        if self.params.running_cost is not None:
-            rhs = rhs + self.params.running_cost(self.interior_points, t_next)
-        out = np.empty_like(values_next)
-        out[self.interior] = xi + self.dt * rhs
+        self.stencil.fill(values_next)
+        core = values_next[self.core]
+        rhs = self.operator(core.reshape(-1), *self.rows)
+        if self.cost_points is not None:
+            rhs = rhs + self.params.running_cost(self.cost_points, t_next)
         t = t_next - self.dt
         disc = np.exp(-self.params.r * (self.params.T - t))
-        out[self.boundary] = disc * self.boundary_payoff
+        out = np.multiply(self.terminal, disc)      # the boundary; the core is overwritten
+        rhs *= self.dt
+        np.add(core, rhs.reshape(self.interior), out=out[self.core])
         return out
 
 

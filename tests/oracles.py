@@ -2,7 +2,11 @@
 
 Everything here is written directly from the mathematical definitions with
 naive loops and library quadrature/interpolation, deliberately sharing no
-code with the package internals.
+code with the package internals.  The exceptions are the whole-batch
+formulas at the end: the explicit step as the solver took it before its
+prepared workspace, built on the public derivatives and operators, and the
+NumPy expressions the derivatives and operators evaluated before they
+worked column by column, kept to pin their floats bit for bit.
 """
 
 from __future__ import annotations
@@ -215,3 +219,78 @@ def binomial_walk_mean(payoff_func, x0: float, sigma: float, N: int,
     xs = x0 + (2.0 * sigma / np.sqrt(N)) * (2.0 * j - steps)
     w = binom.pmf(j, steps, 0.5)
     return float(np.sum(w * np.array([payoff_func(np.array([v])) for v in xs])))
+
+
+def central_differences_formula(u, h):
+    """Central-difference gradient and Hessian of every interior node, as
+    whole-array expressions over shifted slices of u: p (*interior, n) and
+    M (*interior, n, n), with the four-corner cross term."""
+    u = np.asarray(u, dtype=float)
+    n = u.ndim
+
+    def shifted(offsets):
+        return u[tuple(slice(1 + o, u.shape[a] - 1 + o) for a, o in enumerate(offsets))]
+
+    def offs(*pairs):
+        o = [0] * n
+        for axis, off in pairs:
+            o[axis] = off
+        return o
+
+    core = shifted([0] * n)
+    p = np.empty(core.shape + (n,))
+    M = np.empty(core.shape + (n, n))
+    for i in range(n):
+        up, dn = shifted(offs((i, 1))), shifted(offs((i, -1)))
+        p[..., i] = (up - dn) / (2.0 * h[i])
+        M[..., i, i] = (up - 2.0 * core + dn) / h[i] ** 2
+        for j in range(i + 1, n):
+            cross = (shifted(offs((i, 1), (j, 1))) - shifted(offs((i, 1), (j, -1)))
+                     - shifted(offs((i, -1), (j, 1))) + shifted(offs((i, -1), (j, -1))))
+            M[..., i, j] = M[..., j, i] = cross / (4.0 * h[i] * h[j])
+    return p, M
+
+
+def limit_batch_formula(xi, p, M, mu, sigma, r, eps_grad):
+    """The limit operator over a batch as whole-batch NumPy expressions:
+    S M S by broadcasting, the quadratic form by ``np.einsum``, the sums by
+    ``np.sum`` and ``np.trace``, mu . p by ``@``, and the |p| < eps_grad
+    fallback by ``np.where`` over every row."""
+    sms = M * sigma[:, None] * sigma[None, :]
+    norm_sq = np.sum(p * p, axis=1)
+    mask = np.sqrt(norm_sq) >= eps_grad
+    safe = np.where(mask, norm_sq, 1.0)
+    lead = np.where(mask, 2.0 * np.einsum("bi,bij,bj->b", p, sms, p) / safe,
+                    (2.0 / sigma.size) * np.trace(sms, axis1=1, axis2=2))
+    trace = np.sum(np.diagonal(M, axis1=-2, axis2=-1) * sigma**2, axis=-1)
+    return lead + 0.5 * trace + p @ mu - r * xi
+
+
+def bounded_constant_formula(p, M, mu, sigma):
+    """The part of the bounded operator that no control moves,
+    -1/2 trace(S^2 M) - mu . p, as whole-batch NumPy expressions."""
+    return -0.5 * np.sum(np.diagonal(M, axis1=-2, axis2=-1) * sigma**2, axis=-1) - p @ mu
+
+
+def explicit_step_oracle(values_next, t_next, terminal, points, h, dt, params, operator):
+    """One backward explicit step as the solver took it before its prepared
+    workspace: the public ``interior_derivatives``, ``operator(xi, p, M)``
+    (the mode's public operator, negated in the bounded modes) on the flat
+    interior, a running cost at t_next on the interior rows of ``points``
+    (all nodes in C order), and boolean-mask writes of the interior update
+    and of the discounted-payoff boundary."""
+    from tugpricer.pde import interior_derivatives
+
+    n = values_next.ndim
+    interior = np.zeros(values_next.shape, dtype=bool)
+    interior[tuple(slice(1, -1) for _ in range(n))] = True
+    p, M = interior_derivatives(values_next, h)
+    xi = values_next[interior]
+    rhs = operator(xi, p.reshape(-1, n), M.reshape(-1, n, n))
+    if params.running_cost is not None:
+        rhs = rhs + params.running_cost(points[interior.reshape(-1)], t_next)
+    out = np.empty_like(values_next)
+    out[interior] = xi + dt * rhs
+    t = t_next - dt
+    out[~interior] = np.exp(-params.r * (params.T - t)) * terminal[~interior]
+    return out

@@ -317,6 +317,40 @@ class TestExitCodes:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
 
+    @pytest.mark.parametrize("key, count", [("solver.n_dirs", 2**64),
+                                            ("solver.n_dirs", isaacs.MAX_DIRS + 1),
+                                            ("game.n_dirs", 2**64),
+                                            ("game.n_dirs", isaacs.MAX_DIRS + 1)])
+    def test_direction_count_over_the_cap_exits_2(self, run_cli, tmp_path, capsys,
+                                                  monkeypatch, key, count):
+        """A 2-D fan larger than isaacs.MAX_DIRS is refused at load, by key,
+        before any direction array is built."""
+        build = isaacs.DirectionSet.__init__
+
+        def no_fan(self, dirs):
+            if np.shape(dirs)[0] > isaacs.MAX_DIRS:
+                raise AssertionError("built a fan over the cap")
+            build(self, dirs)
+
+        monkeypatch.setattr(isaacs.DirectionSet, "__init__", no_fan)
+        section, name = key.split(".")
+        cfg = base_config(market={"sigma": [0.2, 0.2], "T": 1.0},
+                          payoff={"kind": "basket_put", "weights": [0.5, 0.5], "strike": K},
+                          **{section: {name: count}})
+        assert run_cli("price", cfg, tmp_path / "bad") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {key} must be <= {isaacs.MAX_DIRS}, got {count}"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_payoff_table_names_its_key(self, run_cli, tmp_path, capsys, kind):
+        (tmp_path / "run" / "tables").mkdir(parents=True)  # beside the run's config
+        rel = "tables/none.csv" if kind == "missing" else "tables"
+        cfg = base_config(payoff={"kind": "table", "path": rel})
+        assert run_cli("price", cfg, tmp_path / "run") == 2
+        lines = capsys.readouterr().err.splitlines()
+        reason = "No such file or directory" if kind == "missing" else "Is a directory"
+        assert lines == [f"error: payoff.path {rel!r} cannot be read: {reason}"]
+
     def test_point_outside_box_returns_2(self, run_cli, tmp_path):
         cfg = base_config(grid={"lo": [LOG_K - 2], "hi": [LOG_K + 2], "nx": 11},
                           outputs={"points": [[10.0]]})

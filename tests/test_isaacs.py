@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,8 +13,8 @@ from tugpricer import (BasketPut, ConstantStrategy, DirectionSet, GridSpec, Mark
 from tugpricer import isaacs, pde
 from tugpricer.isaacs import greedy_controls_batch, hm_values_batch, limit_values_batch
 
-from oracles import (brute_greedy, brute_hm, limit_envelopes_oracle, limit_oracle,
-                     phi_formula)
+from oracles import (bounded_constant_formula, brute_greedy, brute_hm, limit_batch_formula,
+                     limit_envelopes_oracle, limit_oracle, phi_formula)
 
 EPS = 1e-8  # eps_grad of the limit operator: the solver's default at sigma = 1
 
@@ -714,3 +716,130 @@ class TestBatchShapes:
             limit_values_batch(*self.ONE_ROW_1D, self.PARAMS_2D, EPS)
         with pytest.raises(ValidationError, match="dimension 2"):
             limit_values_batch(np.zeros(1), np.ones(2), np.eye(2)[None], self.PARAMS_2D, EPS)
+
+
+def same_floats(got, want) -> bool:
+    """Equal shapes and floats, NaN where NaN, and equal sign bits (so -0.0 != 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def special_batch(rng, n, B):
+    """(xi, p, M) with magnitudes over 16 decades, signed zeros, rows with
+    p = 0 and with |p| below EPS, and, in a few rows, NaN and infinities."""
+    p = rng.normal(size=(B, n)) * 10.0 ** rng.integers(-8, 8, size=(B, n))
+    M = rng.normal(size=(B, n, n)) * 10.0 ** rng.integers(-8, 8, size=(B, n, n))
+    M = M + M.transpose(0, 2, 1)
+    xi = rng.normal(size=B)
+    for arr in (p, M, xi):
+        pick = rng.random(arr.shape)
+        arr[pick < 0.15] = -0.0
+        arr[(pick >= 0.15) & (pick < 0.3)] = 0.0
+    p[: B // 4] = 0.0
+    p[B // 4: B // 3] = 1e-12
+    if B >= 12:
+        p[-1, 0], M[-2, 0, 0], M[-3, -1, -1], p[-4, -1] = np.nan, np.inf, -np.inf, np.inf
+    return xi, p, M
+
+
+class TestColumnKernels:
+    """The operators' kernels work column by column; these pin their floats
+    to the whole-batch formulas (np.einsum, np.sum, np.trace) they replace."""
+
+    def market(self, rng, n, mu_kind):
+        mu = {"zero": np.zeros(n), "negzero": np.full(n, -0.0),
+              "random": rng.normal(size=n) * 0.1}[mu_kind]
+        return MarketParams(mu=mu, sigma=rng.uniform(0.05, 2.0, size=n), r=0.05, T=1.0)
+
+    @pytest.mark.parametrize("mu_kind", ["zero", "negzero", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+    def test_limit_matches_the_batch_formula(self, rng, n, mu_kind):
+        for B in (0, 1, 2, 13, 400):
+            params = self.market(rng, n, mu_kind)
+            xi, p, M = special_batch(rng, n, B)
+            for eps in (EPS, 1e-3):
+                with np.errstate(all="ignore"):
+                    got = limit_values_batch(xi, p, M, params, eps)
+                    want = limit_batch_formula(xi, p, M, params.mu, params.sigma, params.r, eps)
+                assert same_floats(got, want), (n, B, eps)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bounded_matches_the_batch_formula(self, rng, n, side):
+        """The table search is unchanged; the value adds the constant term
+        -trace(S^2 M)/2 - mu . p and then r xi, as before."""
+        dirs = DirectionSet.for_dimension(n, 6)
+        for mu_kind in ("zero", "negzero", "random"):
+            params = self.market(rng, n, mu_kind)
+            xi, p, M = special_batch(rng, n, 40)
+            with np.errstate(all="ignore"):
+                got = hm_values_batch(xi, p, M, 2.0, params, dirs, side)
+                sign = 1.0 if side == "plus" else -1.0
+                table = np.empty(len(xi))
+                for rows, _, t, _ in isaacs._chunks(p, M, params, dirs, sign, 2.0):
+                    table[rows] = sign * np.max(t, axis=(1, 2))
+                want = (table + bounded_constant_formula(p, M, params.mu, params.sigma)
+                        + params.r * xi)
+            assert same_floats(got, want), mu_kind
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bounded_sign_of_zero_at_the_origin(self, n):
+        """At p = 0, M = 0 and xi = 0, each with either sign of zero, side
+        'plus' returns +0.0 and side 'minus' the sign of xi, for any r and a
+        mu of +0.0, -0.0 or not zero (the values of the previous release)."""
+        zeros = [(xi, pv, mv) for xi in (0.0, -0.0) for pv in (0.0, -0.0) for mv in (0.0, -0.0)]
+        xi = np.array([z[0] for z in zeros])
+        p = np.array([[z[1]] * n for z in zeros])
+        M = np.array([np.full((n, n), z[2]) for z in zeros])
+        dirs = DirectionSet.for_dimension(n, 8)
+        for mu0 in (0.0, -0.0, 0.03):
+            for r in (0.0, 0.05):
+                params = MarketParams(mu=np.full(n, mu0), sigma=np.full(n, 0.7), r=r, T=1.0)
+                for side in ("plus", "minus"):
+                    got = hm_values_batch(xi, p, M, 2.0, params, dirs, side)
+                    want_negative = np.signbit(xi) if side == "minus" else np.zeros(8, bool)
+                    assert np.all(got == 0.0)
+                    assert np.array_equal(np.signbit(got), want_negative), (mu0, r, side)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_public_operator_is_check_then_kernel(self, rng, n):
+        params = self.market(rng, n, "random")
+        xi, p, M = special_batch(rng, n, 30)
+        with np.errstate(all="ignore"):
+            assert same_floats(limit_values_batch(xi, p, M, params, EPS),
+                               isaacs._Limit(params, EPS)(xi, p, M))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_row_sum_is_np_sum(self, rng, n):
+        """0.0 + _row_sum is np.sum exactly, sign of zero included; without
+        the 0.0 only a row of -0.0 differs (it sums to -0.0)."""
+        for B in (1, 2, 7, 64, 1000):
+            x = rng.normal(size=(B, n)) * 10.0 ** rng.integers(-8, 8, size=(B, n))
+            pick = rng.random((B, n))
+            x[pick < 0.4] = -0.0
+            x[pick > 0.8] = 0.0
+            x[0] = -0.0
+            if B > 1:
+                x[1, 0] = np.nan
+            with np.errstate(all="ignore"):
+                got = isaacs._row_sum(list(x.T))
+                want = np.sum(x, axis=1)
+            assert same_floats(0.0 + got, want)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestDirectionCap:
+    @pytest.mark.parametrize("count", [isaacs.MAX_DIRS + 1, 2**64])
+    def test_refused_before_any_allocation(self, count):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"n_dirs must be <= {isaacs.MAX_DIRS}"):
+                DirectionSet.for_dimension(2, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_one_dimension_still_ignores_the_count(self):
+        assert DirectionSet.for_dimension(1, 2**64).count == 2

@@ -15,8 +15,10 @@ from tugpricer import (BarrierParams, BasketPut, GridSpec, MarketParams,
                        read_surface_csv, resolve_time_steps,
                        solve_terminal_value, write_surface)
 from tugpricer import isaacs, pde
+from tugpricer.market import RunningCost
 
-from oracles import put_value_oracle
+from oracles import (central_differences_formula, explicit_step_oracle,
+                     put_value_oracle)
 
 K = 100.0
 LOG_K = math.log(K)
@@ -184,11 +186,39 @@ class TestDerivatives:
         assert p[0, 2] == pytest.approx(Q @ x + b, abs=1e-12)
         assert M[0, 2] == pytest.approx(Q, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_whole_array_formula(self, rng, n):
+        """Entry by entry, the stencil repeats the whole-array expressions
+        bit for bit, signed zeros included."""
+        for _ in range(5):
+            shape = tuple(int(k) for k in rng.integers(3, 8 if n < 3 else 5, size=n))
+            u = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            u[rng.random(shape) < 0.2] = -0.0
+            u[rng.random(shape) < 0.1] = 0.0
+            h = rng.uniform(0.01, 1.0, size=n)
+            for got, want in zip(interior_derivatives(u, h), central_differences_formula(u, h)):
+                assert same_floats(got, want)
+
+    @pytest.mark.parametrize("u, h", [(np.zeros((2, 5)), [0.1, 0.1]),
+                                      (np.zeros(5), [0.1, 0.1]),
+                                      (np.zeros((5, 5)), [0.1]),
+                                      (np.float64(1.0), [])])
+    def test_refuses_shapes_that_do_not_fit(self, u, h):
+        with pytest.raises(ValidationError, match="do not fit"):
+            interior_derivatives(u, h)
+
+
+def same_floats(got, want) -> bool:
+    """Equal shapes and floats, NaN where NaN, and equal sign bits (so -0.0 != 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
 
 def one_point(config, params, p, M, xi=0.0) -> float:
     """The solver's G(xi, p, M) for the configured mode, on a one-row batch."""
-    op = pde._batched_operator(config, params)
-    return float(op(np.array([xi]), np.array([p], dtype=float), np.array([M], dtype=float))[0])
+    p, M = np.array([p], dtype=float), np.array([M], dtype=float)
+    return float(pde._operator(config, params, p, M)(np.array([xi]), p, M)[0])
 
 
 class TestApplyOperator:
@@ -258,6 +288,86 @@ class TestStepBackward:
         with pytest.raises(PreconditionError):
             one_step(np.ones(201), constant_payoff(1.0, 1), params_1d(sigma=1.0),
                      SolverConfig(), spec, dt=0.1)
+
+
+class TestPreparedStep:
+    """The workspace's step against the step as the solver took it before
+    (``oracles.explicit_step_oracle``: public derivatives and operators,
+    boolean-mask writes), float for float and sign bit for sign bit."""
+
+    CONFIGS = [SolverConfig(), SolverConfig(mode="bounded_plus", m=2.0, n_dirs=6),
+               SolverConfig(mode="bounded_minus", m=2.0, n_dirs=6)]
+
+    def case(self, n, config, running_cost=None):
+        params = MarketParams(mu=np.array([0.03, -0.02, 0.0][:n]),
+                              sigma=np.array([0.3, 0.2, 0.25][:n]), r=0.04, T=1.0,
+                              running_cost=running_cost)
+        payoff = BasketPut(weights=np.full(n, 1.0 / n), strike=K)
+        spec = GridSpec(lo=np.full(n, LOG_K - 1.5), hi=np.full(n, LOG_K + 1.5),
+                        nx=(9, 7, 6)[:n], nt=10)
+        dt = params.T / spec.nt
+        ws = pde._Workspace(payoff, params, config, spec, dt)
+        eps = config.resolved_eps_grad(params)
+        if config.mode == "limit_F":
+            def operator(xi, p, M):
+                return isaacs.limit_values_batch(xi, p, M, params, eps)
+        else:
+            dirs = isaacs.DirectionSet.for_dimension(n, config.n_dirs)
+            side = config.mode.removeprefix("bounded_")
+
+            def operator(xi, p, M):
+                return -isaacs.hm_values_batch(xi, p, M, config.m, params, dirs, side)
+
+        def oracle(u, t_next):
+            return explicit_step_oracle(u, t_next, ws.terminal, spec.points(), spec.h, dt,
+                                        params, operator)
+        return ws, oracle, spec, eps
+
+    def slices(self, ws, spec, eps, rng):
+        """The payoff (flat, p = 0, past the strike), a random slice, a slice
+        of signed zeros, and a plane too shallow for eps_grad beside a
+        steep one."""
+        yield ws.terminal
+        yield rng.normal(size=spec.nx)
+        zeros = np.zeros(spec.nx)
+        zeros[rng.random(spec.nx) < 0.5] = -0.0
+        yield zeros
+        x = spec.points()[:, 0].reshape(spec.nx)
+        yield np.where(x < LOG_K, 3.0 + 0.1 * eps * x, 2.0 * x)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.mode)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_mask_step(self, rng, n, config):
+        ws, oracle, spec, eps = self.case(n, config)
+        for u in self.slices(ws, spec, eps, rng):
+            for t_next in (1.0, 0.5):
+                assert same_floats(ws(u, t_next), oracle(u, t_next))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.mode)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_the_mask_step_with_a_running_cost(self, rng, n, config):
+        # a cost that varies over the nodes and in time, so a wrong row or time shows
+        cost = RunningCost(h=lambda x, t: -1.0 - 0.01 * np.sum(x, axis=1) - 0.3 * t, alpha=0.5)
+        ws, oracle, spec, eps = self.case(n, config, cost)
+        for u in self.slices(ws, spec, eps, rng):
+            assert same_floats(ws(u, 0.7), oracle(u, 0.7))
+
+    def test_steps_do_not_share_their_output(self, rng):
+        ws, _, spec, _ = self.case(2, SolverConfig())
+        u = rng.normal(size=spec.nx)
+        first = ws(u, 1.0)
+        kept = first.copy()
+        ws(rng.normal(size=spec.nx), 0.9)
+        assert same_floats(first, kept)
+
+    def test_limit_shapes_are_checked_once_per_solve(self, monkeypatch):
+        calls = []
+        check = isaacs._check_batch
+        monkeypatch.setattr(isaacs, "_check_batch", lambda *a: calls.append(1) or check(*a))
+        solve_terminal_value(BasketPut(weights=np.array([1.0]), strike=K),
+                             params_1d(mu=0.02, sigma=0.2), SolverConfig(),
+                             spec_1d(lo=LOG_K - 2, hi=LOG_K + 2, nx=21))
+        assert calls == [1]
 
 
 class TestSolveTerminalValue:
