@@ -36,6 +36,30 @@ form from (B,) vectors, with the lattice's own floats, ranking and tie
 rules, so values and greedy controls are the lattice's bit for bit on
 finite inputs.  The choice rests on the direction set alone: any other 1-D
 set (reversed, or with duplicates) and every n >= 2 search the lattice.
+
+Both public operators read only the best outer action: ``hm_values_batch``
+the max of the outer table, ``greedy_controls_batch`` its first argmax.  So
+the lattice search is pruned, alpha-beta style (Knuth and Moore, Artif.
+Intell. 6, 1975), in three batched passes over each chunk of inputs
+(``_search``):
+
+1. Seed rows: full rows (``_outer_table``) for every _SEED_STRIDE-th fan
+   direction and for +-p/|p|.  Their best entry is the incumbent alpha.
+2. Bound: every outer row against the seed inner directions only.  A min
+   over some of the inner actions is no smaller than the min over all, so
+   each row's least values there, plus a derived rounding tolerance, bound
+   its entries from above (``_row_bounds``).
+3. Survivors: full rows for the rows whose bound is not below alpha.
+
+A pruned row holds -inf.  Its entries were strictly below alpha, which is
+at most the max, so it held neither the max nor the first argmax, and the
+max, its sign of zero and the first-index argmax of the table are the full
+lattice's: ties are kept, as only a bound strictly below alpha prunes.  An
+input with a NaN or an infinity gets an inf or NaN bound, which prunes
+nothing, so its NaN stay where the full lattice puts them.  A fan of fewer
+than _FULL_BELOW directions makes every row a seed, which is the full
+lattice.  Each full row has the same floats in any block (``_outer_table``),
+so values and greedy controls equal the full lattice's bit for bit.
 """
 
 from __future__ import annotations
@@ -51,19 +75,26 @@ from .market import _halton
 Array = np.ndarray
 
 UNIT_TOL = 1e-12
-# cap on the elements of each scratch array of the lattice search, i.e. on
-# the Gram entries (input, outer direction, inner direction) shifted at once:
-# 2**17 doubles (1 MiB) stay in a core's L2 cache, and larger blocks ran
-# slower (2-D kernel, K=724)
+# cap on the elements of each scratch block of the lattice search: the Gram
+# entries (input, outer direction, inner direction) shifted at once for full
+# rows, and (input, seed, outer direction) for the bounds; a chunk of inputs
+# holds as many as fit their bound blocks.  2**17 doubles (1 MiB) stay in a
+# core's L2 cache, and larger blocks ran slower (2-D kernel, K=724)
 _CHUNK_ELEMS = 1 << 17
 # the exact 1-D direction pair, which takes the closed form of _pair_table
 _PAIR = np.array([[-1.0], [1.0]])
 # the most directions a fan may have: 32 times the largest default (2048).
-# One input of the lattice search compares K^2 direction pairs, an estimated
-# 12 s at this K in 2-D (the default K = 722 takes 1.5 ms), so a larger fan
-# is no usable run; the cap refuses it before any direction array (at this K
-# at most 2 MiB, at n = 4) is allocated.
+# One input of the lattice search compares up to K^2 direction pairs: at
+# this K in 2-D an estimated 12 s where every row survives the pruning, as
+# on near-flat inputs (1.5 ms at the default K = 722), and a measured 1.6 to
+# 1.8 s on operators-2d inputs, so a larger fan is no usable run; the cap
+# refuses it before any direction array (at this K at most 2 MiB, at n = 4)
+# is allocated.
 MAX_DIRS = 1 << 16
+# the pruned search's seed rows: every _SEED_STRIDE-th fan direction, or
+# every row for a fan of fewer than _FULL_BELOW directions
+_SEED_STRIDE = 32
+_FULL_BELOW = 128
 
 
 @dataclass(frozen=True)
@@ -193,34 +224,122 @@ def _is_pair(dirs: DirectionSet) -> bool:
     return d.shape == (2, 1) and d[0, 0] == -1.0 and d[1, 0] == 1.0
 
 
+def _seeds(count: int, K: int) -> Array:
+    """The outer rows searched in full first (module docstring): every
+    _SEED_STRIDE-th of the ``count`` fan directions and the rows after the
+    fan (+-p/|p|), or every row when the fan has fewer than _FULL_BELOW."""
+    if count < _FULL_BELOW:
+        return np.arange(K)
+    return np.concatenate([np.arange(0, count, _SEED_STRIDE), np.arange(count, K)])
+
+
 def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float, m: float):
     """Yield (rows, D, table, reply) over consecutive row slices of the batch:
-    the rows' direction table D (B,K,n), their outer table (``_outer_table``)
-    and ``reply(ko, jo)``, the inner player's best (direction index, intensity
+    the rows' direction table D (B,K,n), their outer table (``_search``) and
+    ``reply(ko, jo)``, the inner player's best (direction index, intensity
     index) against outer direction ko at intensity jo*m.  Each slice has as
-    many rows as fit their K x K Gram blocks in _CHUNK_ELEMS (at least one
-    row; ``_outer_table`` splits a single larger block).  The exact 1-D pair
-    [-1, +1] takes the closed form ``_pair_table`` instead of the lattice."""
+    many rows as fit the K x S blocks of their S seed rows in _CHUNK_ELEMS
+    (at least one row; the passes split a larger block).  The exact 1-D pair
+    [-1, +1] takes the closed form ``_pair_table`` instead of the search."""
     B = p.shape[0]
     pair = _is_pair(dirs)
     K = dirs.count + (0 if dirs.n == 1 else 2)
-    chunk = max(1, _CHUNK_ELEMS // (K * K))
+    seeds = _seeds(dirs.count, K)
+    chunk = max(1, _CHUNK_ELEMS // (K * seeds.size))
     for start in range(0, B, chunk):
         rows = slice(start, min(B, start + chunk))
         if pair:
             yield (rows, *_pair_table(p[rows, 0], M[rows, 0, 0], params.sigma[0], sign, m))
         else:
             pieces = _phi_pieces(p[rows], M[rows], params, dirs.dirs, sign)
-            yield rows, pieces[0], _outer_table(*pieces, m), partial(_reply, *pieces, m=m)
+            yield rows, pieces[0], _search(*pieces, m, seeds), partial(_reply, *pieces, m=m)
 
 
-def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float) -> Array:
-    """What the outer (maximizing) player secures with each lattice action.
+def _search(D: Array, QD: Array, q: Array, c: Array, m: float, seeds: Array) -> Array:
+    """The outer table (B, K, 2) of ``_outer_table``'s entries, with -inf in
+    each row that cannot hold the best entry (module docstring): the seed
+    rows, then the rows whose ``_row_bounds`` is not below the best seed
+    entry (every row where that comparison is not True, as with NaN)."""
+    B, K = q.shape
+    S = seeds.size
+    table = np.full((B, K, 2), -np.inf)
+    _outer_table(D, QD, q, c, m, None, seeds, table)
+    if S == K:
+        return table
+    alpha = np.max(table[:, seeds], axis=(1, 2))
+    keep = ~(_row_bounds(D, QD, q, c, m, seeds) < alpha[:, None])
+    keep[:, seeds] = False
+    b, k = np.nonzero(keep)
+    if b.size:
+        _outer_table(D, QD, q, c, m, *_row_sets(b, k, B), table)
+    return table
 
-    Returns (B, K, 2): entry [b, k, j] is the min over the inner player's
-    actions (direction l, intensity d) of phi - const against outer
-    direction k at intensity j*m.  Only the sum lam = d + j*m in {0, m, 2m}
-    enters phi, so three passes over the shifted Gram block
+
+def _row_sets(b: Array, k: Array, B: int):
+    """The rows k[i] of inputs b[i] (sorted by b) as ``_outer_table``'s row
+    sets: each input's rows in sets of w, the median count of rows per input
+    (at least 2), its last set padded by repeating its last row."""
+    counts = np.bincount(b, minlength=B)
+    some = counts[counts > 0]
+    w = max(2, int(np.partition(some, some.size // 2)[some.size // 2]))
+    sets = -(-counts // w)
+    owner = np.repeat(np.arange(B), sets)
+    # the set's first pair, and the last pair of its input
+    first = (np.repeat(np.cumsum(counts) - counts, sets)
+             + w * (np.arange(owner.size) - np.repeat(np.cumsum(sets) - sets, sets)))
+    last = np.cumsum(counts)[owner] - 1
+    return owner, k[np.minimum(first[:, None] + np.arange(w), last[:, None])]
+
+
+def _row_bounds(D: Array, QD: Array, q: Array, c: Array, m: float, seeds: Array) -> Array:
+    """(B, K): for each outer row, a float no smaller than its best entry in
+    ``_outer_table``, or inf or NaN.
+
+    Entry [k, j] is at most the smaller of the row's values at lam = j*m and
+    j*m + m, and each of these is at most the least value over any subset of
+    the inner directions, here the seeds, up to rounding.  Rounding moves
+    each value, ranked or recomputed, by at most (n + 5) u Z with u = 2**-53
+    and Z = max_l sum_i |(Q D_l)_i| + max |q| + 4 m max |c| (|D_ki| <= 1),
+    so the lattice's entry exceeds the bound computed here by at most
+    (4 n + 26) u Z; tol = (n + 8) 2**-46 Z is 128 (n + 8) u Z, with an
+    absolute (n + 8) 2**-1000 for the underflows.  2 Z overflows where a
+    sum could, and then tol, and every bound, is inf.
+    """
+    B, K = q.shape
+    n = D.shape[2]
+    S = seeds.size
+    hq = -0.5 * q
+    inner = QD[:, :, seeds].transpose(0, 2, 1)                 # Q D_l of the seeds
+    hq_s = hq[:, seeds, None]
+    mc = m * c[:, seeds, None]
+    least = np.empty((3, B, K))
+    step = max(1, _CHUNK_ELEMS // (B * S))
+    for start in range(0, K, step):
+        ks = slice(start, start + step)
+        shifted = np.matmul(inner, D[:, ks].transpose(0, 2, 1))  # (B, S, outer rows)
+        shifted += hq_s
+        for t in range(3):
+            if t:
+                shifted -= mc
+            np.min(shifted, axis=1, out=least[t, :, ks])
+    least += hq - np.array([0.0, m, 2.0 * m])[:, None, None] * c
+    best = np.maximum(np.minimum(least[0], least[1]), np.minimum(least[1], least[2]))
+    Z = (np.max(np.abs(QD).sum(axis=1), axis=1) + np.max(np.abs(q), axis=1)
+         + 4.0 * m * np.max(np.abs(c), axis=1))
+    tol = (n + 8) * (2.0**-47 * (2.0 * Z) + 2.0**-1000)
+    return best + tol[:, None]
+
+
+def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array | None,
+                 rows: Array, out: Array) -> None:
+    """Write into out[owner[i], rows[i]] (out is (B, K, 2)) what the outer
+    (maximizing) player secures with the lattice actions of the outer
+    directions rows[i] (G, r) of input owner[i] (G,).
+
+    Entry [b, k, j] is the min over the inner player's actions (direction
+    l, intensity d) of phi - const against outer direction k at intensity
+    j*m.  Only the sum lam = d + j*m in {0, m, 2m} enters phi, so three
+    passes over the shifted Gram block
 
         G_kl - q_l/2 - lam c_l,   lam = 0, m, 2m (one subtraction apart)
 
@@ -230,36 +349,64 @@ def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float) -> Array:
     is exactly 0 for l = k at lam = 0 and the same for every lam when
     c_l + c_k = 0, so such actions tie exactly, as in the scan of the direct
     formula.  The intensity search is exact: for fixed directions phi is
-    affine in each d, so only d in {0, m} can attain the optimum.  Outer
-    directions go in slices of at most _CHUNK_ELEMS Gram entries.
+    affine in each d, so only d in {0, m} can attain the optimum.
+
+    np.matmul rounds a one-row block (gemv) differently from a block of
+    several rows, and, in the BLAS this was measured with, a block of over
+    about 10**6 products differently again.  So the row sets go in slices of
+    at most _CHUNK_ELEMS // K rows, a lone last row padded with itself to
+    two, and as many sets share a block as fit _CHUNK_ELEMS Gram entries:
+    every row then ranks, and so has, the same floats in any block.
     """
     B, K = q.shape
-    n = D.shape[2]
+    shared = owner is None
+    if shared:
+        rows = rows[None]
     lam = np.array([[0.0], [m], [2.0 * m]])
     hq = -0.5 * q
-    Dx = np.concatenate([D, np.ones((B, K, 1))], axis=2)        # [D_k, 1]
     QDx = np.concatenate([QD, hq[:, None, :]], axis=1)          # [Q D_l; -q_l/2]
-    QDt = QD.transpose(0, 2, 1).reshape(B * K, n)              # row b*K + l: Q D_l
-    mc = m * c[:, None, :]
-    base = K * np.arange(B)[:, None, None]
-    out = np.empty((B, 2, K))
-    step = max(1, _CHUNK_ELEMS // (B * K))
-    scratch = np.empty((B, min(step, K), K))
-    for start in range(0, K, step):
-        ks = slice(start, min(K, start + step))
-        shifted = np.matmul(Dx[:, ks], QDx, out=scratch[:, :ks.stop - start])
-        reply = np.empty((B, 3, shifted.shape[1]), dtype=np.intp)
-        for t in range(3):
-            if t:
-                shifted -= mc
-            np.argmin(shifted, axis=2, out=reply[:, t])
-        # matmul rounding varies with the block's shape, so the shifted block
-        # only ranks; the values are recomputed, the same way for every shape
-        at = reply + base
-        val = (np.einsum("bki,btki->btk", D[:, ks], QDt.take(at, axis=0))
-               + hq.take(at) + hq[:, None, ks] - lam * (c.take(at) + c[:, None, ks]))
-        np.minimum(val[:, :2], val[:, 1:], out=out[:, :, ks])
-    return out.transpose(0, 2, 1)
+    QDt = QD.transpose(0, 2, 1).reshape(B * K, -1)             # row b*K + l: Q D_l
+    G, r = (B, rows.shape[1]) if shared else rows.shape
+    step = max(2, _CHUNK_ELEMS // K)
+    # no block has more than G * max(2, r) rows, nor more entries than the cap
+    # (or two rows where one row of K is over the cap)
+    scratch = np.empty(min(G * max(2, r) * K, max(_CHUNK_ELEMS, 2 * K)))
+    for lo in range(0, r, step):
+        ks = rows[:, lo:lo + step]
+        if ks.shape[1] == 1:
+            ks = np.repeat(ks, 2, axis=1)
+        group = max(1, _CHUNK_ELEMS // (ks.shape[1] * K))
+        for start in range(0, G, group):
+            if shared:
+                # every input, the same (increasing) rows: a slice of inputs,
+                # and of rows where they are consecutive
+                bs = slice(start, start + group)
+                base = K * np.arange(B)[bs, None, None]
+                cols = ks[0]
+                if cols[-1] - cols[0] == cols.size - 1:
+                    cols = slice(cols[0], cols[-1] + 1)
+                sel = (bs, cols)
+            else:
+                bs = owner[start:start + group]
+                base = K * bs[:, None, None]
+                sel = (bs[:, None], ks[start:start + group])
+            Dk = D[sel]
+            g, rb = Dk.shape[:2]
+            shifted = np.matmul(np.concatenate([Dk, np.ones((g, rb, 1))], axis=2),   # [D_k, 1]
+                                QDx[bs], out=scratch[:g * rb * K].reshape(g, rb, K))
+            mcb = m * c[bs][:, None, :]
+            reply = np.empty((g, 3, rb), dtype=np.intp)
+            for t in range(3):
+                if t:
+                    shifted -= mcb
+                np.argmin(shifted, axis=2, out=reply[:, t])
+            # matmul rounding varies with the block's shape, so the shifted
+            # block only ranks; the values are recomputed, the same way for
+            # every shape
+            at = reply + base
+            val = (np.einsum("bki,btki->btk", Dk, QDt.take(at, axis=0))
+                   + hq.take(at) + hq[sel][:, None] - lam * (c.take(at) + c[sel][:, None]))
+            out[sel] = np.minimum(val[:, :2], val[:, 1:]).transpose(0, 2, 1)
 
 
 def _check_m(m: float) -> float:

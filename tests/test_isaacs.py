@@ -511,10 +511,13 @@ class TestGreedyControls:
             greedy(inp_1d(), 1.0, params_1d(), DIRS_1D, "both")
 
 
-@pytest.mark.parametrize("n, count", [(1, None), (2, 12), (1, "reversed")])
+@pytest.mark.parametrize("n, count", [(1, None), (2, 12), (1, "reversed"), (2, 200), (3, 130),
+                                      (2, 1139)])
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_chunked_batches_match_one_chunk(n, count, side, rng, monkeypatch):
-    # "reversed" is the 1-D pair in the order [+1, -1], which the lattice searches
+    # "reversed" is the 1-D pair in the order [+1, -1], which the lattice
+    # searches; fans of 200 and 130 directions prune, and so does 1139, where
+    # blocks of _CHUNK_ELEMS // K rows would leave the last row alone
     params = params_nd(n, r=0.1)
     dirs = (DirectionSet(DIRS_1D.dirs[::-1]) if count == "reversed"
             else DirectionSet.for_dimension(n, count))
@@ -525,10 +528,13 @@ def test_chunked_batches_match_one_chunk(n, count, side, rng, monkeypatch):
     whole_hm = hm_values_batch(xi, p, M, 3.0, params, dirs, side)
     whole_greedy = greedy_controls_batch(xi, p, M, 3.0, params, dirs, side)
     K = dirs.count + (0 if n == 1 else 2)
+    S = isaacs._seeds(dirs.count, K).size
     # three rows per chunk, so the batch spans four chunks with a ragged last
-    # one; then 5 K entries, which in 2-D (K * K > 5 K) leaves one row per
-    # chunk and splits its outer directions into slices of five
-    for cap in (3 * K * K, 5 * K):
+    # one; then 5 K and 2 K entries, which leave one row per chunk (K * S > 5 K
+    # where n >= 2) and split its seed and survivor rows into segments of five
+    # or two rows (a lone last row padded to two), and, where it prunes, its
+    # bound block into slices of outer directions
+    for cap in (3 * K * S, 5 * K, 2 * K):
         monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", cap)
         assert np.array_equal(hm_values_batch(xi, p, M, 3.0, params, dirs, side), whole_hm)
         for got, want in zip(greedy_controls_batch(xi, p, M, 3.0, params, dirs, side),
@@ -686,6 +692,223 @@ class TestPairClosedForm:
                     assert np.array_equal(gtp, tp) and gdp == dp
                     assert np.array_equal(gtm, tm) and gdm == dm
                     assert len(calls) == 2
+
+
+def operators_batch(seed, B, n):
+    """The inputs of ``check-operators`` for n >= 2 (``cli.cmd_check_operators``):
+    unit gradients and symmetric M scaled to a spectral radius in [0.25, 1]."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    xi = rng.uniform(-1.0, 1.0, B)
+    raw = rng.standard_normal((B, n))
+    p = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    A = rng.standard_normal((B, n, n))
+    M = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+    M = M / np.max(np.abs(np.linalg.eigvalsh(M)), axis=1)[:, None, None]
+    return xi, p, M * rng.uniform(0.25, 1.0, B)[:, None, None]
+
+
+def every_row(count, K):
+    """A ``_seeds`` that makes every outer row a seed: the search without pruning."""
+    return np.arange(K)
+
+
+class TestPrunedSearch:
+    """Every search but the 1-D pair's computes full rows only for its seed
+    rows and for the rows whose bound reaches the best seed entry.  Its
+    values and greedy controls are those of the search over every row, bit
+    for bit; here even fans below _FULL_BELOW prune, so small K is covered."""
+
+    SIDES = ("plus", "minus")
+    MS = (0.5, 2.0, 10.0, 1000.0)
+
+    def assert_same_bits(self, monkeypatch, xi, p, M, params, dirs, ms=MS):
+        for m in ms:
+            for side in self.SIDES:
+                routes = []
+                for patch_name, value in (("_FULL_BELOW", 0), ("_seeds", every_row)):
+                    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+                        patch.setattr(isaacs, patch_name, value)
+                        routes.append((hm_values_batch(xi, p, M, m, params, dirs, side),
+                                       greedy_controls_batch(xi, p, M, m, params, dirs, side)))
+                (hm_p, g_p), (hm_e, g_e) = routes
+                assert np.array_equal(bits(hm_p), bits(hm_e)), (m, side)
+                for got, want in zip(g_p, g_e):
+                    assert np.array_equal(bits(got), bits(want)), (m, side)
+
+    @staticmethod
+    def market(rng, n):
+        return MarketParams(mu=rng.normal(size=n) * 0.1, sigma=rng.uniform(0.1, 2.0, size=n),
+                            r=0.05, T=1.0)
+
+    @pytest.mark.parametrize("count", [4, 16, 722])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_batches_match_every_row(self, n, count, monkeypatch, rng):
+        # K = count + 2: 6, 18 and 724 outer rows
+        dirs = DirectionSet.for_dimension(n, count)
+        for B in (0, 1, 37):
+            scale = 10.0 ** rng.integers(-3, 3, size=(B, 1))
+            p = rng.normal(size=(B, n)) * scale
+            M = rng.normal(size=(B, n, n)) * scale[:, :, None]
+            self.assert_same_bits(monkeypatch, rng.normal(size=B), p, M + M.transpose(0, 2, 1),
+                                  self.market(rng, n), dirs)
+
+    @pytest.mark.parametrize("count", [4, 16, 200])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_degenerate_batches_match_every_row(self, n, count, monkeypatch, rng):
+        # p = 0 and M = 0 rows tie every action; rounded entries make replies
+        # tie exactly; 1e300 overflows the Gram block; signed zeros and
+        # subnormals reach the signs of zero and the underflows
+        special = np.array([0.0, -0.0, 0.25, -0.5, 1.0, -1.0, 2.0, 1e300, -1e300,
+                            5e-324, -1e-310])
+        B = 120
+        p = rng.choice(special, size=(B, n))
+        M = rng.choice(special, size=(B, n, n))
+        M = np.where(np.tril(np.ones((n, n), bool)), M, M.transpose(0, 2, 1))
+        p[:10] = 0.0
+        M[:5] = 0.0
+        M[5:10] = -0.0
+        xi = rng.choice(np.array([0.0, -0.0, 1.0]), size=B)
+        for mu in (0.0, -0.0):
+            params = MarketParams(mu=np.full(n, mu), sigma=np.full(n, 0.5), r=0.0, T=1.0)
+            self.assert_same_bits(monkeypatch, xi, p, M, params,
+                                  DirectionSet.for_dimension(n, count))
+
+    def test_isotropic_ties_match_every_row(self, monkeypatch, rng):
+        # M = s I and a tiny or zero p: every outer row is worth -2 s up to
+        # rounding, so rows and bounds tie the best seed entry within ulps
+        B = 60
+        s = 10.0 ** rng.uniform(-3, 3, size=B)
+        p = rng.normal(size=(B, 2)) * rng.choice(np.array([0.0, 1e-14, 1e-9]), size=(B, 1))
+        M = s[:, None, None] * np.eye(2)
+        self.assert_same_bits(monkeypatch, np.zeros(B), p, M, params_nd(2),
+                              DirectionSet.for_dimension(2), ms=(0.5, 2.0))
+
+    def test_full_rows_take_blocks_of_two_rows_or_more(self, monkeypatch):
+        """np.matmul rounds a one-row block differently (gemv), so no block
+        of full rows has one row, whatever the cap cuts off."""
+        shapes = []
+        real = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, b, *args, **kwargs)
+
+        B, K = 3, 22
+        pieces = isaacs._phi_pieces(*operators_batch(3, B, 2)[1:], params_nd(2),
+                                    DirectionSet.for_dimension(2, 20).dirs, 1.0)
+        out = np.empty((B, K, 2))
+        monkeypatch.setattr(np, "matmul", spy)
+        for cap in (isaacs._CHUNK_ELEMS, 3 * K, 2 * K):
+            monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", cap)
+            isaacs._outer_table(*pieces, 2.0, None, np.arange(K), out)
+            isaacs._outer_table(*pieces, 2.0, np.array([0, 2]), np.array([[5], [9]]), out)
+            isaacs._outer_table(*pieces, 2.0, np.array([1]), np.arange(7)[None], out)
+        assert shapes and min(shape[-2] for shape in shapes) >= 2
+
+    @pytest.mark.parametrize("values", [
+        [np.nan, np.inf, -np.inf, 1.0, 0.0, 0.3],
+        [1.5e308, -1.5e308, 1e308, 3e307, 1.0, 0.0]], ids=["non-finite", "overflow"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_rows_match_every_row(self, n, values, monkeypatch, rng):
+        # an input with a NaN or an infinity, or whose Gram block overflows to
+        # one, keeps every row, so its NaN (or not) are where the search over
+        # every row puts them
+        B = 200
+        p = rng.choice(np.array(values), size=(B, n))
+        M = rng.choice(np.array(values), size=(B, n, n))
+        params = MarketParams(mu=np.zeros(n), sigma=np.linspace(1.0, 2.0, n), r=0.0, T=1.0)
+        self.assert_same_bits(monkeypatch, np.zeros(B), p, M, params,
+                              DirectionSet.for_dimension(n, 200), ms=(2.0,))
+
+    def test_operators_batches_match_every_row(self, monkeypatch):
+        params = MarketParams(mu=np.zeros(2), sigma=np.ones(2), r=0.1, T=1.0)
+        self.assert_same_bits(monkeypatch, *operators_batch(19801, 40, 2), params,
+                              DirectionSet.for_dimension(2), ms=(1.0, 10.0, 100.0, 1000.0))
+
+    def test_surface_slices_match_every_row(self, monkeypatch):
+        # every slice of a 2-D put surface, flat and near-flat regions
+        # included, as the PDE and the greedy strategies feed the operator
+        params = MarketParams(mu=np.array([0.02, -0.01]), sigma=np.array([0.3, 0.2]),
+                              r=0.0, T=0.25)
+        spec = GridSpec(lo=np.full(2, np.log(100.0) - 1.5), hi=np.full(2, np.log(100.0) + 1.5),
+                        nx=(9, 9))
+        put = BasketPut(weights=np.array([0.5, 0.5]), strike=100.0)
+        grid = solve_terminal_value(put, params, SolverConfig(mode="limit_F"), spec)
+        xi, p, M = (np.concatenate(a) for a in zip(*(pde._interior_inputs(u, spec.h)
+                                                      for u in grid.values)))
+        self.assert_same_bits(monkeypatch, xi, p, M, params, DirectionSet.for_dimension(2),
+                              ms=(2.0,))
+
+    @pytest.mark.parametrize("count, n", [(722, 2), (1139, 2), (300, 3)])
+    def test_any_rows_match_every_row(self, count, n, monkeypatch, rng):
+        """The exact-row helper gives each (input, row) the entries of the
+        call over every row: in row sets of one row (padded to two), of a
+        few rows and of every row, in the sets ``_row_sets`` makes, and in
+        slices that a small block cap cuts, a lone last row among them."""
+        B = 5
+        xi, p, M = operators_batch(7, B, n)
+        dirs = DirectionSet.for_dimension(n, count)
+        pieces = isaacs._phi_pieces(p, M, params_nd(n), dirs.dirs, 1.0)
+        K = count + 2
+        want = np.empty((B, K, 2))
+        isaacs._outer_table(*pieces, 10.0, None, np.arange(K), want)
+        keep = rng.random((B, K)) < 0.1
+        keep[2] = True
+        cases = [(np.array([0]), np.array([[K - 1]])),
+                 (np.array([1, 4]), np.array([[0, 3, 4], [7, 8, 9]])),
+                 (np.array([2]), np.arange(K)[None]),
+                 isaacs._row_sets(*np.nonzero(keep), B)]
+        for cap in (isaacs._CHUNK_ELEMS, 3 * K):
+            monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", cap)
+            for owner, rows in cases:
+                got = np.full((B, K, 2), -np.inf)
+                isaacs._outer_table(*pieces, 10.0, owner, rows, got)
+                mask = np.zeros((B, K), bool)
+                mask[owner[:, None], rows] = True
+                assert np.array_equal(bits(got[mask]), bits(want[mask])), cap
+                assert np.all(got[~mask] == -np.inf)
+
+    def test_row_sets_cover_each_input_once(self, rng):
+        # sets of the (upper) median count, padded by repeating the input's last row
+        keep = rng.random((9, 50)) < np.linspace(0.0, 1.0, 9)[:, None]
+        b, k = np.nonzero(keep)
+        owner, rows = isaacs._row_sets(b, k, 9)
+        for i in range(9):
+            assert set(rows[owner == i].ravel()) == set(k[b == i])
+        counts = np.sort(keep.sum(1)[keep.any(1)])
+        assert rows.shape[1] == max(2, counts[counts.size // 2])
+
+    def test_pruning_computes_few_rows(self, monkeypatch):
+        """perfbench times the public operator only: this pins that the
+        search still prunes, at under a tenth of the rows of every row (the
+        seeds alone are 25 of 724)."""
+        computed = []
+        real = isaacs._outer_table
+
+        def count_rows(D, QD, q, c, m, owner, rows, out):
+            computed.append(rows.size * (out.shape[0] if owner is None else 1))
+            return real(D, QD, q, c, m, owner, rows, out)
+
+        monkeypatch.setattr(isaacs, "_outer_table", count_rows)
+        params = MarketParams(mu=np.zeros(2), sigma=np.ones(2), r=0.1, T=1.0)
+        dirs = DirectionSet.for_dimension(2)
+        xi, p, M = operators_batch(19801, 40, 2)
+        for m in (1.0, 10.0, 100.0, 1000.0):
+            for side in self.SIDES:
+                computed.clear()
+                hm_values_batch(xi, p, M, m, params, dirs, side)
+                assert 0 < sum(computed) <= 0.1 * 40 * 724, (m, side)
+
+    @pytest.mark.parametrize("count", [2, 16, isaacs._FULL_BELOW - 1, isaacs._FULL_BELOW, 720])
+    def test_seed_rule(self, count):
+        """Small fans make every row a seed, so nothing is bounded or pruned;
+        larger ones seed every _SEED_STRIDE-th fan direction and +-p/|p|."""
+        seeds = isaacs._seeds(count, count + 2)
+        if count < isaacs._FULL_BELOW:
+            assert np.array_equal(seeds, np.arange(count + 2))
+        else:
+            assert np.array_equal(seeds[:-2], np.arange(0, count, isaacs._SEED_STRIDE))
+            assert np.array_equal(seeds[-2:], [count, count + 1])
 
 
 class TestBatchShapes:
