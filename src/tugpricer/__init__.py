@@ -17,7 +17,7 @@ from .game import (ConstantStrategy, DiscreteGameConfig, FeedbackStrategy,
                    GameValueTables, McEstimate, SimConfig, aligned_time_steps,
                    discounted_reward, dpp_solve, greedy_strategy_pair, mc_value,
                    null_strategy_pair, path_rng, simulate_discrete_game,
-                   simulate_sde_paths, write_value_table)
+                   simulate_sde_paths, tabulate_strategy, write_value_table)
 from .isaacs import DirectionSet
 from .market import (BasketPut, MarketParams, Payoff, PayoffCertificate,
                      RunningCost, TabulatedPayoff, certify_payoff,
@@ -43,6 +43,6 @@ __all__ = [
     "interior_derivatives", "interior_mask", "mc_value", "null_strategy_pair",
     "path_rng", "payoff_basket_put", "read_payoff_table", "read_surface_csv",
     "resolve_time_steps", "simulate_discrete_game", "simulate_sde_paths",
-    "solve_terminal_value", "tabulated_payoff_from_csv", "write_payoff_table",
-    "write_surface", "write_value_table",
+    "solve_terminal_value", "tabulate_strategy", "tabulated_payoff_from_csv",
+    "write_payoff_table", "write_surface", "write_value_table",
 ]

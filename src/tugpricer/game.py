@@ -18,18 +18,17 @@ Markov strategy.  That half is applied by subtraction, never stored.
 Standard errors treat each such pair as one sample (see ``_estimate``).
 
 Both simulators split a step into its coefficients, built from the controls
-alone, and the state update that applies them.  A pair whose players are
-each an exact constant strategy or a bare greedy view, the views on one
-grid and clock, builds them before any draw: once per run without a view,
-else once per slice of the surface that the clock reads.  Any other pair
-builds them every step.
+alone, and the state update that applies them.  Every player is an exact
+constant strategy or a per-slice policy, the policies on one grid and clock,
+so the coefficients are built before any draw: once per run without a
+policy, else once per slice that the clock reads.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -73,6 +72,21 @@ def _check_seed(seed: int, name: str = "seed") -> int:
     return int(seed)
 
 
+def _check_run(cfg, counts: tuple[str, ...]) -> None:
+    """Refuse a run whose ``counts`` fields are not integers >= 1 (a bool is not)
+    or whose seed is bad; store its start as a float vector and t0 as a float."""
+    start = _as_vector(cfg.start, "start")
+    for name in counts:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1")
+    _check_seed(cfg.seed)
+    object.__setattr__(cfg, "start", start)
+    object.__setattr__(cfg, "t0", float(cfg.t0))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Euler-Maruyama Monte Carlo run: start state, clock and path budget."""
@@ -84,14 +98,7 @@ class SimConfig:
     nt: int = 200
 
     def __post_init__(self) -> None:
-        start = _as_vector(self.start, "start")
-        if self.paths < 1:
-            raise ValidationError("paths must be >= 1")
-        if self.nt < 1:
-            raise ValidationError("nt must be >= 1")
-        _check_seed(self.seed)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "t0", float(self.t0))
+        _check_run(self, ("paths", "nt"))
 
 
 @dataclass(frozen=True)
@@ -105,14 +112,7 @@ class DiscreteGameConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        start = _as_vector(self.start, "start")
-        if self.N < 1:
-            raise ValidationError("N must be >= 1")
-        if self.paths < 1:
-            raise ValidationError("paths must be >= 1")
-        _check_seed(self.seed)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "t0", float(self.t0))
+        _check_run(self, ("N", "paths"))
 
 
 @dataclass(frozen=True)
@@ -127,15 +127,10 @@ class FeedbackStrategy:
     """Markov control rule for one player: (x, t) -> (theta, d), d <= m.
 
     Implementations provide :meth:`controls` acting on state batches of shape
-    (B, n).  A simulation reads a pair by one of two rules.  When each player
-    is an exact :class:`ConstantStrategy` (not a subclass) or a bare view of
-    :func:`greedy_strategy_pair`, and all views' surfaces share one grid and
-    time step, every control is read and checked once per run, before any
-    path is drawn: a constant at the start state, a view's surface once per
-    slice the clock reaches.  Any other pair has both players read and
-    checked on every step; a view read that way builds and checks its slice
-    on each read.  Violations raise :class:`StrategyContractError` naming the
-    offending state and time.
+    (B, n).  The simulators play only an exact :class:`ConstantStrategy` and
+    policies (:func:`greedy_strategy_pair`, :func:`tabulate_strategy`), all read
+    before any path is drawn; violations raise :class:`StrategyContractError`
+    naming the offending state and time.
     """
 
     m: float
@@ -145,9 +140,10 @@ class FeedbackStrategy:
 
 
 def checked_controls(strategy: FeedbackStrategy, x: Array, t: float) -> tuple[Array, Array]:
-    theta, d = strategy.controls(x, t)
-    theta = np.asarray(theta, dtype=float)
-    d = np.asarray(d, dtype=float)
+    theta, d = (np.asarray(a, dtype=float) for a in strategy.controls(x, t))
+    if theta.shape != x.shape or d.shape != x.shape[:1]:
+        raise StrategyContractError(f"strategy returned theta {theta.shape} and d {d.shape} "
+                                    f"for states {x.shape} at t={t}")
     _check_controls(theta, d, strategy.m, lambda i: f"x={x[i]}, t={t}")
     return theta, d
 
@@ -202,37 +198,23 @@ def null_strategy_pair(n: int) -> tuple[ConstantStrategy, ConstantStrategy]:
             ConstantStrategy(theta=-theta, d=0.0, m=0.0))
 
 
-class _GreedyCore:
-    """Greedy lattice controls of a solved surface: per time slice, one checked
-    (interior nodes, 2n + 2) table with the columns (theta+, d+, theta-, d-)."""
+class _Tables:
+    """Control tables on one grid and clock: ``table(k)`` builds and checks the
+    (interior nodes, columns) table of slice k, at t = k dt, on every call."""
 
-    def __init__(self, grid: pde.PriceGrid, params: MarketParams, m: float,
-                 dirs: DirectionSet, side: str):
-        _sign(side)  # refuses any side but 'plus' and 'minus'
-        if not dirs.n == params.n == grid.n:
-            raise ValidationError("directions, params and surface dimensions must agree")
-        self.grid = grid
-        self.params = params
-        self.m = _check_m(m)
-        self.dirs = dirs
-        self.side = side
-        self.h = grid.spec.h
+    def __init__(self, spec: pde.GridSpec, dt: float, m: float,
+                 build: Callable[[int, float], Array]):
+        self.spec, self.dt, self.m, self._build = spec, dt, m, build
         # per axis: (lo, h, interior nodes), as Python numbers for the per-step snap
         self._axes = [(float(lo), float(h), nx - 2)
-                      for lo, h, nx in zip(grid.spec.lo, self.h, grid.spec.nx)]
+                      for lo, h, nx in zip(spec.lo, spec.h, spec.nx)]
+
+    def table(self, k: int) -> Array:
+        return self._build(k, k * self.dt)
 
     def slice_index(self, t: float) -> int:
         """The slice whose controls a state at time t plays: the nearest one."""
-        return min(max(round(t / self.grid.dt), 0), self.grid.nt)
-
-    def table(self, k: int) -> Array:
-        """Slice k's table, built and checked on every call; nothing is kept."""
-        tp, dp, tm, dm = greedy_controls_batch(*pde._interior_inputs(self.grid.values[k], self.h),
-                                               self.m, self.params, self.dirs, self.side)
-        t = k * self.grid.dt
-        for theta, d in ((tp, dp), (tm, dm)):
-            _check_controls(theta, d, self.m, lambda i: f"interior node {i} of the slice t={t}")
-        return np.column_stack([tp, dp, tm, dm])
+        return min(max(round(t / self.dt), 0), self.spec.nt)
 
     def node(self, x: Array) -> Array:
         """Flat table row of the interior node nearest each row of x."""
@@ -252,38 +234,59 @@ class _GreedyCore:
         return flat
 
 
-@dataclass
-class _GreedyView(FeedbackStrategy):
-    core: _GreedyCore
-    player: str
-    m: float = field(init=False)
+class _Policy(FeedbackStrategy):
+    """One player's (theta, d) columns of a table set, from ``column`` on;
+    :meth:`controls` is its rule form."""
 
-    def __post_init__(self) -> None:
-        self.m = self.core.m
+    def __init__(self, tables: _Tables, column: int):
+        self.tables, self.column, self.m = tables, column, tables.m
 
     def columns(self, rows: Array) -> tuple[Array, Array]:
-        """This player's (theta, d) of core table rows."""
-        n = self.core.grid.n
-        j = 0 if self.player == "plus" else n + 1
+        """This player's (theta, d) of table rows."""
+        n, j = self.tables.spec.n, self.column
         return rows[:, j:j + n], rows[:, j + n]
 
     def controls(self, x: Array, t: float) -> tuple[Array, Array]:
-        core = self.core
-        return self.columns(core.table(core.slice_index(t)).take(core.node(x), axis=0))
+        tables = self.tables
+        return self.columns(tables.table(tables.slice_index(t)).take(tables.node(x), axis=0))
 
 
 def greedy_strategy_pair(grid: pde.PriceGrid, params: MarketParams, m: float,
                          dirs: DirectionSet | None = None,
                          side: str = "minus") -> tuple[FeedbackStrategy, FeedbackStrategy]:
-    """Feedback strategies that replay the lattice optimizers of a solved surface.
+    """Policies that replay the lattice optimizers of a solved surface.
 
     States snap to the nearest interior node of the nearest time slice, so the
-    controls are piecewise constant; both returned views share one core.
+    controls are piecewise constant; the two policies share one table per slice.
     """
     if dirs is None:
         dirs = DirectionSet.for_dimension(grid.n)
-    core = _GreedyCore(grid, params, m, dirs, side)
-    return _GreedyView(core=core, player="plus"), _GreedyView(core=core, player="minus")
+    _sign(side)  # refuses any side but 'plus' and 'minus'
+    if not dirs.n == params.n == grid.n:
+        raise ValidationError("directions, params and surface dimensions must agree")
+    m = _check_m(m)
+
+    def table(k: int, t: float) -> Array:
+        inputs = pde._interior_inputs(grid.values[k], grid.spec.h)
+        tp, dp, tm, dm = greedy_controls_batch(*inputs, m, params, dirs, side)
+        for theta, d in ((tp, dp), (tm, dm)):
+            _check_controls(theta, d, m, lambda i: f"interior node {i} of the slice t={t}")
+        return np.column_stack([tp, dp, tm, dm])
+
+    tables = _Tables(grid.spec, grid.dt, m, table)
+    return _Policy(tables, 0), _Policy(tables, grid.n + 1)
+
+
+def tabulate_strategy(rule: FeedbackStrategy, spec: pde.GridSpec, dt: float) -> FeedbackStrategy:
+    """``rule`` as a policy, piecewise constant on ``spec``'s interior nodes and
+    slices t = k dt, k <= spec.nt, as a greedy view is: a simulation reads it
+    through :func:`checked_controls` at every interior node once per slice its
+    clock reaches, before any path is drawn."""
+    if spec.nt is None or not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("a policy needs spec.nt set and a finite dt > 0")
+    nodes = spec.points().reshape(*spec.nx, -1)[(slice(1, -1),) * spec.n].reshape(-1, spec.n)
+    return _Policy(_Tables(spec, float(dt), rule.m,
+                           lambda k, t: np.column_stack(checked_controls(rule, nodes, t))), 0)
 
 
 def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
@@ -294,60 +297,54 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
 
     Each block of B paths draws its noise once, ``draw(gen, (B, steps, n + 1))``
     (the SDE returns only its min(B, ``_HALF``) drawn rows), advances
-    ``X = advance(X, coef, noise[:, k])`` with ``coef = prep(tp, dp, tm, dm)``,
-    two (rows, n) terms elementwise in the controls read at the pre-step
+    ``X = advance(X, coef, noise[:, k])`` by coefficients ``prep(tp, dp, tm,
+    dm)``, two (rows, n) terms elementwise in the controls at the pre-step
     state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds the
     discounted left-endpoint sums of the running cost `rc` (0 when None).
 
-    ``prep`` runs by one of two rules:
-
-    * each player an exact :class:`ConstantStrategy` or a bare ``_GreedyView``,
-      all views' cores on one ``grid.spec`` and ``grid.dt``: before any block
-      is drawn, each constant is read and checked once, at (cfg.start,
-      cfg.t0), each core's table once per slice the clock reads, in clock
-      order, and ``prep`` runs once per slice on the two players' columns (a
-      constant's one row broadcasts), giving an (interior nodes, 2n)
-      coefficient table from which each step gathers one row per path, bit
-      for bit ``prep`` of the gathered controls.  Without a view, ``prep``
-      runs once on the two rows, which broadcast against X, and a term that
-      is exactly zero is passed as None and left out (adding it could only
-      turn a -0.0 state into +0.0);
-    * any other pair: on every step, on both players' ``checked_controls``.
-
-    ``advance`` adds its terms to X in a fixed order, so both routes round alike.
+    Each player, of the market's dimension, is an exact :class:`ConstantStrategy`
+    or a policy, and all policies share one grid spec and ``dt``; anything else
+    is refused with ``ValidationError``.  Before any draw, each constant is read
+    once, at (cfg.start, cfg.t0), each table set once per slice the clock reads,
+    in clock order, and ``prep`` runs once per slice on the two players'
+    columns (a constant's one row broadcasts): each step gathers one row per
+    path, bit for bit ``prep`` of the gathered controls.  Without a policy,
+    ``prep`` runs once, and a term that is exactly zero is left out (adding it
+    could only turn a -0.0 state into +0.0).
     """
     n = params.n
-    times = [cfg.t0 + k * dt for k in range(steps)]
     players = (strat_plus, strat_minus)
-    views = [s for s in players if type(s) is _GreedyView]
-    if (all(type(s) in (ConstantStrategy, _GreedyView) for s in players)
-            and len({(v.core.grid.spec, v.core.grid.dt) for v in views}) <= 1):
-        fixed = [checked_controls(s, cfg.start[None, :], cfg.t0)
-                 if type(s) is ConstantStrategy else None for s in players]
-        if not views:
-            coef = tuple(c if c.any() else None for c in prep(*fixed[0], *fixed[1]))
+    sets = dict.fromkeys(s.tables for s in players if type(s) is _Policy)
+    for s in players:
+        if type(s) not in (ConstantStrategy, _Policy):
+            raise ValidationError(f"{type(s).__name__} plays only through tabulate_strategy")
+        width = np.size(s.theta) if type(s) is ConstantStrategy else s.tables.spec.n
+        if width != n:
+            raise ValidationError(f"a {width}-D player cannot play in a {n}-D market")
+    if len({(ts.spec, ts.dt) for ts in sets}) > 1:
+        raise ValidationError("policies on two grids or clocks; use tabulate_strategy")
+    times = [cfg.t0 + k * dt for k in range(steps)]
+    fixed = [checked_controls(s, cfg.start[None, :], cfg.t0)
+             if type(s) is ConstantStrategy else None for s in players]
+    if not sets:
+        coef = tuple(c if c.any() else None for c in prep(*fixed[0], *fixed[1]))
 
-            def coef_at(X, k):
-                return coef
-        else:
-            clock = views[0].core  # every view's core has its node layout and slices
-            slices = [clock.slice_index(t) for t in times]
-            cores = dict.fromkeys(v.core for v in views)
-            tables = {}
-            for s in dict.fromkeys(slices):  # in clock order
-                built = {core: core.table(s) for core in cores}
-                (tp, dp), (tm, dm) = (f if f is not None else p.columns(built[p.core])
-                                      for p, f in zip(players, fixed))
-                tables[s] = np.hstack(prep(tp, dp, tm, dm))
-            step_tables = [tables[s] for s in slices]
-
-            def coef_at(X, k):
-                rows = step_tables[k].take(clock.node(X), axis=0)
-                return rows[:, :n], rows[:, n:]
-    else:
         def coef_at(X, k):
-            return prep(*checked_controls(strat_plus, X, times[k]),
-                        *checked_controls(strat_minus, X, times[k]))
+            return coef
+    else:
+        clock = next(iter(sets))  # every table set has its node layout and slices
+        slices = [clock.slice_index(t) for t in times]
+        tables = {}
+        for s in dict.fromkeys(slices):  # in clock order
+            built = {ts: ts.table(s) for ts in sets}
+            (tp, dp), (tm, dm) = (f if f is not None else p.columns(built[p.tables])
+                                  for p, f in zip(players, fixed))
+            tables[s] = np.hstack(prep(tp, dp, tm, dm))
+        step_tables = [tables[s] for s in slices]
+
+        def coef_at(X, k):
+            rows = step_tables[k].take(clock.node(X), axis=0)
+            return rows[:, :n], rows[:, n:]
 
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)

@@ -4,9 +4,10 @@ Everything here is written directly from the mathematical definitions with
 naive loops and library quadrature/interpolation, deliberately sharing no
 code with the package internals.  The exceptions are the whole-batch
 formulas at the end: the explicit step as the solver took it before its
-prepared workspace, built on the public derivatives and operators, and the
+prepared workspace, built on the public derivatives and operators, the
 NumPy expressions the derivatives and operators evaluated before they
-worked column by column, kept to pin their floats bit for bit.
+worked column by column, kept to pin their floats bit for bit, and the
+per-step play that the simulators' table route must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -294,3 +295,66 @@ def explicit_step_oracle(values_next, t_next, terminal, points, h, dt, params, o
     t = t_next - dt
     out[~interior] = np.exp(-params.r * (params.T - t)) * terminal[~interior]
     return out
+
+
+def _coin_step(cfg, params):
+    """The coin game's clock, draw and step, as ``simulate_discrete_game``
+    defines them: the step count, 1/N, the coins and (prep, advance)."""
+    from tugpricer import game
+
+    n = params.n
+    root_n = np.sqrt(cfg.N)
+    dt = 1.0 / cfg.N
+    drift = params.mu * dt
+    spread = (2.0 / root_n) * params.sigma
+
+    def prep(tp, dp, tm, dm):
+        scaled_p = tp * (np.minimum(dp / root_n, 1.0) / root_n)[:, None]
+        scaled_m = tm * (np.minimum(dm / root_n, 1.0) / root_n)[:, None]
+        return params.sigma * (scaled_p - scaled_m), params.sigma * (scaled_p + scaled_m)
+
+    def advance(X, coef, c):
+        lever, push = coef
+        X = X + drift
+        X += spread * c[:, :n]
+        X += lever * c[:, n][:, None]
+        X += push
+        return X
+
+    return game._game_steps(params.T, cfg.t0, cfg.N), dt, game._coins, prep, advance
+
+
+def stepwise_play(cfg, payoff, params, strat_plus, strat_minus):
+    """Every path played step by step, as the simulators did before their table
+    route: each block of ``_BLOCK`` paths draws its noise from ``path_rng``,
+    then every step reads both players through ``checked_controls`` at the
+    pre-step states and time, builds the step's coefficients from those
+    controls and applies them.  Returns the terminal states (paths, n) and the
+    estimate of the discounted payoff plus the running cost's left-endpoint
+    sum.  A ``SimConfig`` plays the SDE of ``game._sde``; any other config the
+    coin game."""
+    from tugpricer import game
+
+    if isinstance(cfg, game.SimConfig):
+        steps = cfg.nt
+        dt, draw, prep, advance = game._sde(cfg, params)
+    else:
+        steps, dt, draw, prep, advance = _coin_step(cfg, params)
+    n, rc = params.n, params.running_cost
+    terminals = np.empty((cfg.paths, n))
+    rewards = np.empty(cfg.paths)
+    for lo in range(0, cfg.paths, game._BLOCK):
+        hi = min(cfg.paths, lo + game._BLOCK)
+        noise = draw(game.path_rng(cfg.seed, lo // game._BLOCK), (hi - lo, steps, n + 1))
+        X = np.tile(cfg.start, (hi - lo, 1))
+        acc = np.zeros(hi - lo)
+        for k in range(steps):
+            t = cfg.t0 + k * dt
+            coef = prep(*game.checked_controls(strat_plus, X, t),
+                        *game.checked_controls(strat_minus, X, t))
+            if rc is not None:
+                acc += np.exp(-params.r * (params.T - t)) * rc(X, t) * dt
+            X = advance(X, coef, noise[:, k])
+        terminals[lo:hi] = X
+        rewards[lo:hi] = game.discounted_reward(X, cfg.t0, params, payoff) + acc
+    return terminals, game._estimate(rewards, cfg.paths, cfg.seed)

@@ -21,7 +21,8 @@ SRC = Path(tugpricer.__file__).resolve().parent
 # batched operators (hm_values_batch, greedy_controls_batch, limit_values_batch);
 # the CSV-named writers, replaced by write_surface / write_value_table, whose
 # format follows the path; pde._batched_operator, replaced by pde._operator,
-# which builds the mode's operator kernel once per solve
+# which builds the mode's operator kernel once per solve; the greedy core and
+# view, folded into the one table set and policy view that every rule plays on
 REMOVED = {
     "tugpricer": ["OperatorInput", "ControlPoint", "phi", "hm_plus", "hm_minus",
                   "greedy_controls", "f_limit", "f_envelopes", "f_mean_eigenvalue",
@@ -33,7 +34,8 @@ REMOVED = {
                "SYMMETRY_TOL"],
     "pde": ["discrete_derivatives", "apply_operator", "step_backward", "_limit_values",
             "write_surface_csv", "_batched_operator"],
-    "game": ["dpp_step", "ControlPoint", "write_value_table_csv"],
+    "game": ["dpp_step", "ControlPoint", "write_value_table_csv", "_GreedyCore",
+             "_GreedyView"],
 }
 MODULES = {"tugpricer": tugpricer, "isaacs": isaacs, "pde": pde, "game": game}
 

@@ -18,12 +18,12 @@ from tugpricer import (BasketPut, ConstantStrategy, DirectionSet,
                        greedy_strategy_pair, mc_value,
                        null_strategy_pair, path_rng, simulate_discrete_game,
                        simulate_sde_paths, solve_terminal_value,
-                       write_value_table)
+                       tabulate_strategy, write_value_table)
 from tugpricer import game
 from tugpricer._interp import multilinear
 from tugpricer.game import _BLOCK, _HALF
 
-from oracles import binomial_walk_mean, brute_dpp_value, put_value_oracle
+from oracles import binomial_walk_mean, brute_dpp_value, put_value_oracle, stepwise_play
 
 K = 100.0
 LOG_K = math.log(K)
@@ -187,6 +187,33 @@ class TestConfigs:
         with pytest.raises(ValidationError):
             DiscreteGameConfig(start=np.array([0.0]), t0=0.0, N=10, paths=0, seed=1)
 
+    @staticmethod
+    def _config(kind, **counts):
+        if kind is SimConfig:
+            return SimConfig(**{"start": np.array([0.0]), "t0": 0.0, "paths": 3, "seed": 1,
+                                "nt": 2, **counts})
+        return DiscreteGameConfig(**{"start": np.array([0.0]), "t0": 0.0, "N": 2, "paths": 3,
+                                     "seed": 1, **counts})
+
+    @pytest.mark.parametrize("kind, field", [(SimConfig, "paths"), (SimConfig, "nt"),
+                                             (DiscreteGameConfig, "N"),
+                                             (DiscreteGameConfig, "paths")])
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "3", None, np.float64(3.0)])
+    def test_count_that_is_not_an_integer_is_refused(self, kind, field, value):
+        # a bool or a float would reach the block layout and end in a raw TypeError
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+            self._config(kind, **{field: value})
+
+    @pytest.mark.parametrize("kind, field", [(SimConfig, "paths"), (SimConfig, "nt"),
+                                             (DiscreteGameConfig, "N"),
+                                             (DiscreteGameConfig, "paths")])
+    def test_count_below_one_keeps_its_message(self, kind, field):
+        for value in (0, -3, np.int64(0)):
+            with pytest.raises(ValidationError) as err:
+                self._config(kind, **{field: value})
+            assert str(err.value) == f"{field} must be >= 1"
+        assert getattr(self._config(kind, **{field: np.int64(4)}), field) == 4
+
     def test_start_time_must_precede_horizon(self):
         cfg = SimConfig(start=np.array([0.0]), t0=1.0, paths=1, seed=1)
         sp, sm = null_strategy_pair(1)
@@ -209,7 +236,22 @@ class TestStrategies:
         assert np.array_equal(sm.theta, [-1.0, 0.0])
         assert sp.d == sm.d == 0.0 and sp.m == 0.0
 
-    def test_contract_violation_names_the_state(self):
+    @staticmethod
+    def _refused_then_tabulated(monkeypatch, rule, cfg):
+        """``rule`` is refused as given; tabulated on the interior nodes 0.25, 0.5
+        and 0.75 of [0, 1], its contract error comes before any draw."""
+        draws = []
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a))
+        sp, _ = null_strategy_pair(1)
+        with pytest.raises(ValidationError, match="plays only through tabulate_strategy"):
+            simulate_sde_paths(cfg, params_1d(), sp, rule)
+        spec = GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(5,), nt=3)
+        with pytest.raises(StrategyContractError) as err:
+            simulate_sde_paths(cfg, params_1d(), sp, tabulate_strategy(rule, spec, 1.0 / 3))
+        assert draws == []
+        return str(err.value)
+
+    def test_contract_violation_names_the_state(self, monkeypatch):
         class Broken(FeedbackStrategy):
             m = 1.0
 
@@ -217,12 +259,10 @@ class TestStrategies:
                 return np.full((x.shape[0], 1), 0.5), np.zeros(x.shape[0])
 
         cfg = SimConfig(start=np.array([0.25]), t0=0.0, paths=2, seed=0, nt=3)
-        sp, _ = null_strategy_pair(1)
-        with pytest.raises(StrategyContractError) as err:
-            simulate_sde_paths(cfg, params_1d(), sp, Broken())
-        assert "x=[0.25]" in str(err.value) and "t=0.0" in str(err.value)
+        err = self._refused_then_tabulated(monkeypatch, Broken(), cfg)
+        assert "x=[0.25]" in err and "t=0.0" in err
 
-    def test_intensity_above_declared_bound_rejected(self):
+    def test_intensity_above_declared_bound_rejected(self, monkeypatch):
         class Greedy(FeedbackStrategy):
             m = 1.0
 
@@ -230,10 +270,8 @@ class TestStrategies:
                 return np.tile([1.0], (x.shape[0], 1)), np.full(x.shape[0], 2.0)
 
         cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=1, seed=0, nt=1)
-        sp, _ = null_strategy_pair(1)
-        with pytest.raises(StrategyContractError) as err:
-            simulate_sde_paths(cfg, params_1d(), sp, Greedy())
-        assert "outside [0, m=1.0]" in str(err.value)
+        err = self._refused_then_tabulated(monkeypatch, Greedy(), cfg)
+        assert "outside [0, m=1.0] at x=[0.25], t=0.0" in err
 
 
 class TestSdeSimulation:
@@ -839,13 +877,13 @@ class TestGreedyStrategies:
         params, grid = self._solved()
         gp, gm = greedy_strategy_pair(grid, params, 2.0)
         cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=_BLOCK + 808, seed=5, nt=30)
-        checked = mc_value(PUT, params, _Delegate(gp), _Delegate(gm), cfg, threads=threads)
+        _, checked = stepwise_play(cfg, PUT, params, gp, gm)
         calls = []
         real = game.checked_controls
         monkeypatch.setattr(game, "checked_controls",
                             lambda *a: calls.append(a[2]) or real(*a))
         shared = mc_value(PUT, params, gp, gm, cfg, threads=threads)
-        assert calls == []  # the bare views read their slice tables, not checked_controls
+        assert calls == []  # the policies read their slice tables, not checked_controls
         assert shared.mean == checked.mean and shared.stderr == checked.stderr
 
     @pytest.mark.parametrize("mixed", [False, True])
@@ -881,7 +919,8 @@ class TestGreedyStrategies:
 
 
 class _Delegate(FeedbackStrategy):
-    """Forwards to another strategy; not a ConstantStrategy, so it is read every step."""
+    """Forwards to another strategy; neither a constant nor a policy, so the
+    simulators refuse it as given."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -892,6 +931,9 @@ class _Delegate(FeedbackStrategy):
 
 
 class TestConstantReads:
+    """Constants are read once per run; ``stepwise_play`` reads every player on
+    every step and is the reference each route must match exactly."""
+
     PARAMS = params_1d(mu=0.02, sigma=0.2, r=0.05)
 
     @staticmethod
@@ -899,12 +941,20 @@ class TestConstantReads:
         return (ConstantStrategy(theta=np.array([1.0]), d=0.7, m=1.0),
                 ConstantStrategy(theta=np.array([-1.0]), d=0.4, m=1.0))
 
-    def _run(self, sim, sp, sm, threads=1, paths=_BLOCK + 808, params=PARAMS):
+    @staticmethod
+    def _cfg(sim, paths=_BLOCK + 808):
         if sim == "sde":
-            cfg = SimConfig(start=np.array([LOG_K]), t0=0.1, paths=paths, seed=5, nt=30)
+            return SimConfig(start=np.array([LOG_K]), t0=0.1, paths=paths, seed=5, nt=30)
+        return DiscreteGameConfig(start=np.array([LOG_K]), t0=0.1, N=30, paths=paths, seed=5)
+
+    def _run(self, sim, sp, sm, threads=1, paths=_BLOCK + 808, params=PARAMS):
+        cfg = self._cfg(sim, paths)
+        if sim == "sde":
             return mc_value(PUT, params, sp, sm, cfg, threads=threads)
-        cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=0.1, N=30, paths=paths, seed=5)
         return simulate_discrete_game(cfg, PUT, params, sp, sm, threads=threads)
+
+    def _stepwise(self, sim, sp, sm, params=PARAMS):
+        return stepwise_play(self._cfg(sim), PUT, params, sp, sm)[1]
 
     def _count_reads(self, monkeypatch):
         calls = []
@@ -922,7 +972,7 @@ class TestConstantReads:
     @pytest.mark.parametrize("null", [False, True])
     def test_read_once_matches_the_checked_path(self, sim, threads, null):
         sp, sm = null_strategy_pair(1) if null else self._pair()
-        checked = self._run(sim, _Delegate(sp), _Delegate(sm), threads)
+        checked = self._stepwise(sim, sp, sm)
         once = self._run(sim, sp, sm, threads)
         assert once.mean == checked.mean and once.stderr == checked.stderr
 
@@ -934,7 +984,7 @@ class TestConstantReads:
         rc = RunningCost(h=lambda x, t: -1.0 - (x[:, 0] - LOG_K) ** 2 - t, alpha=1.0)
         params = replace(self.PARAMS, running_cost=rc)
         sp, sm = self._pair()
-        checked = self._run(sim, _Delegate(sp), _Delegate(sm), threads, params=params)
+        checked = self._stepwise(sim, sp, sm, params=params)
         once = self._run(sim, sp, sm, threads, params=params)
         assert once.mean == checked.mean and once.stderr == checked.stderr
         assert once.mean != self._run(sim, sp, sm, threads).mean
@@ -953,7 +1003,7 @@ class TestConstantReads:
                                     SolverConfig(mode="bounded_minus", m=2.0), spec)
         gp, _ = greedy_strategy_pair(grid, self.PARAMS, 2.0)
         cm = ConstantStrategy(theta=np.array([-1.0]), d=1.0)
-        checked = self._run("sde", _Delegate(gp), _Delegate(cm), threads)
+        checked = self._stepwise("sde", gp, cm)
         calls = self._count_reads(monkeypatch)
         mixed = self._run("sde", gp, cm, threads)
         assert mixed.mean == checked.mean and mixed.stderr == checked.stderr
@@ -961,7 +1011,7 @@ class TestConstantReads:
         assert sum(s is cm for s, _, _ in calls) == 1
         assert sum(s is gp for s, _, _ in calls) == 0
 
-    def test_subclass_that_reads_the_state_stays_per_step(self, monkeypatch):
+    def test_subclass_that_reads_the_state_plays_tabulated(self, monkeypatch):
         class Contrarian(ConstantStrategy):
             def controls(self, x, t):
                 sign = np.where(x[:, :1] > LOG_K, -1.0, 1.0)
@@ -969,11 +1019,21 @@ class TestConstantReads:
 
         sp = Contrarian(theta=np.array([1.0]), d=1.0)
         _, sm = null_strategy_pair(1)
-        checked = self._run("discrete", _Delegate(sp), _Delegate(sm))
+        draws = []
+        real_rng = game.path_rng
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a) or real_rng(*a))
+        with pytest.raises(ValidationError, match="Contrarian .* tabulate_strategy"):
+            self._run("discrete", sp, sm)
+        assert draws == []
+        spec = GridSpec(lo=np.array([LOG_K - 2]), hi=np.array([LOG_K + 2]), nx=(101,), nt=30)
+        tp = tabulate_strategy(sp, spec, 1.0 / 30)
+        checked = self._stepwise("discrete", tp, sm)
         calls = self._count_reads(monkeypatch)
-        est = self._run("discrete", sp, sm)
+        est = self._run("discrete", tp, sm)
         assert est.mean == checked.mean and est.stderr == checked.stderr
-        assert sum(s is sp for s, _, _ in calls) == 2 * 27  # 27 steps from t0 = 0.1
+        # the game's 27 steps from t0 = 0.1 fall on slices 3..29, one read each
+        assert [(n, t) for s, n, t in calls if s is sp] == [(99, k * (1.0 / 30))
+                                                            for k in range(3, 30)]
         assert est.mean != self._run("discrete", ConstantStrategy(theta=np.array([1.0]), d=1.0),
                                      sm).mean
 
@@ -1024,9 +1084,9 @@ def _constant(n, sign):
 
 
 class TestGreedyCoefficients:
-    """A pair of exact constants and bare greedy views on one grid builds its step
-    coefficients once per slice; the same players behind _Delegate are read and
-    prepared on every step."""
+    """A pair of exact constants and policies on one grid builds its step
+    coefficients once per slice; ``stepwise_play`` reads and prepares the same
+    players on every step."""
 
     @staticmethod
     def _pair(n, kind="shared"):
@@ -1058,15 +1118,14 @@ class TestGreedyCoefficients:
         nearest = [np.argmin(np.abs(x[:, a, None] - spec.axes[a][None, 1:-1]), axis=1)
                    for a in range(n)]
         want = np.ravel_multi_index(nearest, tuple(k - 2 for k in spec.nx))
-        assert np.array_equal(gp.core.node(x), want)
+        assert np.array_equal(gp.tables.node(x), want)
 
     def _check_routes(self, kind, n, paths, threads):
         payoff, params, _, (gp, gm) = self._pair(n, kind)
         cfg = self._cfg(n, paths)
-        checked = simulate_sde_paths(cfg, params, _Delegate(gp), _Delegate(gm), threads)
+        terminals, checked = stepwise_play(cfg, payoff, params, gp, gm)
         sliced = simulate_sde_paths(cfg, params, gp, gm, threads)
-        assert np.array_equal(sliced, checked)
-        checked = mc_value(payoff, params, _Delegate(gp), _Delegate(gm), cfg, threads)
+        assert np.array_equal(sliced, terminals)
         sliced = mc_value(payoff, params, gp, gm, cfg, threads)
         assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
 
@@ -1088,21 +1147,46 @@ class TestGreedyCoefficients:
         payoff, params, _, (gp, gm) = self._pair(1, kind)
         cfg = DiscreteGameConfig(start=np.array([LOG_K + 0.1]), t0=0.1, N=30,
                                  paths=_BLOCK + 808, seed=5)
-        checked = simulate_discrete_game(cfg, payoff, params, _Delegate(gp), _Delegate(gm), 2)
+        _, checked = stepwise_play(cfg, payoff, params, gp, gm)
         sliced = simulate_discrete_game(cfg, payoff, params, gp, gm, 2)
         assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
 
-    def test_views_on_two_grids_are_read_every_step(self, monkeypatch):
-        payoff, params, _, (gp, gm) = self._pair(1, "two_grids")
+    def test_views_on_two_grids_are_refused_and_play_tabulated(self, monkeypatch):
+        payoff, params, grid, (gp, gm) = self._pair(1, "two_grids")
         cfg = self._cfg(1, _BLOCK + 808)
-        checked = mc_value(payoff, params, _Delegate(gp), _Delegate(gm), cfg, 2)
+        draws = []
+        real_rng = game.path_rng
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a) or real_rng(*a))
+        with pytest.raises(ValidationError, match="two grids .* tabulate_strategy"):
+            mc_value(payoff, params, gp, gm, cfg, 2)
+        assert draws == []
+        tm = tabulate_strategy(gm, grid.spec, grid.dt)
+        _, checked = stepwise_play(cfg, payoff, params, gp, tm)
         reads = []
         real = game.checked_controls
         monkeypatch.setattr(game, "checked_controls",
                             lambda s, x, t: reads.append(s) or real(s, x, t))
-        stepped = mc_value(payoff, params, gp, gm, cfg, 2)
-        assert stepped.mean == checked.mean and stepped.stderr == checked.stderr
-        assert len(reads) == 2 * 2 * cfg.nt  # both players, each step of 2 blocks
+        played = mc_value(payoff, params, gp, tm, cfg, 2)
+        assert played.mean == checked.mean and played.stderr == checked.stderr
+        # the other grid's view is read once per slice the clock reads, not per step
+        dt = (params.T - cfg.t0) / cfg.nt
+        slices = {min(max(round((cfg.t0 + k * dt) / grid.dt), 0), grid.nt)
+                  for k in range(cfg.nt)}
+        assert reads == [gm] * len(slices)
+
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    def test_wrapped_view_is_refused_before_any_draw(self, monkeypatch, sim):
+        payoff, params, _, (gp, gm) = self._pair(1)
+        draws = []
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a))
+        with pytest.raises(ValidationError,
+                           match="^_Delegate plays only through tabulate_strategy$"):
+            if sim == "sde":
+                mc_value(payoff, params, gp, _Delegate(gm), self._cfg(1, 10))
+            else:
+                cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=0.1, N=30, paths=10, seed=5)
+                simulate_discrete_game(cfg, payoff, params, _Delegate(gp), gm)
+        assert draws == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_slice_coefficients_match_with_running_cost(self, threads):
@@ -1110,7 +1194,7 @@ class TestGreedyCoefficients:
         rc = RunningCost(h=lambda x, t: -1.0 - (x[:, 0] - LOG_K) ** 2 - t, alpha=1.0)
         with_cost = replace(params, running_cost=rc)
         cfg = self._cfg(1, _BLOCK + 808)
-        checked = mc_value(payoff, with_cost, _Delegate(gp), _Delegate(gm), cfg, threads)
+        _, checked = stepwise_play(cfg, payoff, with_cost, gp, gm)
         sliced = mc_value(payoff, with_cost, gp, gm, cfg, threads)
         assert sliced.mean == checked.mean and sliced.stderr == checked.stderr
         assert sliced.mean != mc_value(payoff, params, gp, gm, cfg, threads).mean
@@ -1140,3 +1224,105 @@ class TestGreedyCoefficients:
     def test_view_against_a_constant_builds_its_slices_before_any_draw(self, monkeypatch, n):
         # no worker thread builds a slice, so none is built twice
         self._check_slices_before_draws(monkeypatch, "view_plus", n, 4)
+
+
+class _Tilt(FeedbackStrategy):
+    """A state- and time-reading rule: theta leans by the first coordinate's
+    side of LOG_K, d grows with t."""
+
+    m = 2.0
+
+    def controls(self, x, t):
+        n = x.shape[1]
+        theta = np.where(x[:, :1] > LOG_K, -1.0, 1.0) * np.full(n, 1.0 / math.sqrt(n))
+        return theta, np.full(x.shape[0], min(2.0, 0.5 + t))
+
+
+class TestTabulateStrategy:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rule_is_read_once_per_slice_before_any_draw(self, monkeypatch, n):
+        payoff, params, grid, _, _ = _solved_for_greedy(n)
+        rule, cm = _Tilt(), _constant(n, -1.0)
+        policy = tabulate_strategy(rule, grid.spec, grid.dt)
+        events = []
+        real_read, real_rng = game.checked_controls, game.path_rng
+        monkeypatch.setattr(game, "checked_controls",
+                            lambda s, x, t: events.append((s, x.shape, t)) or real_read(s, x, t))
+        monkeypatch.setattr(game, "path_rng", lambda *a: events.append("draw") or real_rng(*a))
+        # 60 steps from t0 = 0.1 are shorter than the surface's slices, so some
+        # slices serve several steps
+        cfg = TestGreedyCoefficients._cfg(n, 2 * _BLOCK + 1, nt=60)
+        mc_value(payoff, params, policy, cm, cfg, threads=2)
+        dt = (params.T - cfg.t0) / cfg.nt
+        slices = sorted({min(max(round((cfg.t0 + k * dt) / grid.dt), 0), grid.nt)
+                         for k in range(cfg.nt)})
+        assert len(slices) < cfg.nt
+        interior = (math.prod(k - 2 for k in grid.spec.nx), n)
+        assert events == ([(cm, (1, n), cfg.t0)]
+                          + [(rule, interior, k * grid.dt) for k in slices] + ["draw"] * 3)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tabulated_rule_matches_the_stepwise_play(self, n, threads):
+        payoff, params, grid, _, _ = _solved_for_greedy(n)
+        policy = tabulate_strategy(_Tilt(), grid.spec, grid.dt)
+        cfg = TestGreedyCoefficients._cfg(n, _BLOCK + 808)
+        terminals, checked = stepwise_play(cfg, payoff, params, policy, _constant(n, -1.0))
+        assert np.array_equal(simulate_sde_paths(cfg, params, policy, _constant(n, -1.0),
+                                                 threads), terminals)
+        played = mc_value(payoff, params, policy, _constant(n, -1.0), cfg, threads)
+        assert played.mean == checked.mean and played.stderr == checked.stderr
+
+    @pytest.mark.parametrize("nt, dt", [(None, 0.1), (10, 0.0), (10, -0.1),
+                                        (10, float("nan")), (10, float("inf"))])
+    def test_grid_without_a_clock_is_refused(self, nt, dt):
+        spec = GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(5,), nt=nt)
+        with pytest.raises(ValidationError, match="spec.nt set and a finite dt > 0"):
+            tabulate_strategy(_Tilt(), spec, dt)
+
+
+class TestPlayerDimension:
+    """A player of another dimension than the market's is refused before any
+    draw, where a constant would broadcast and a view snap by axis 0 only."""
+
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    @pytest.mark.parametrize("player", ["constant", "view"])
+    def test_one_dimensional_player_in_a_two_dimensional_market(self, monkeypatch, sim,
+                                                                player):
+        if player == "constant":
+            _, low = null_strategy_pair(1)
+        else:
+            _, params, grid, dirs, side = _solved_for_greedy(1)
+            _, low = greedy_strategy_pair(grid, params, 2.0, dirs, side)
+        draws = []
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a))
+        payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+        start = np.full(2, LOG_K)
+        with pytest.raises(ValidationError, match="a 1-D player cannot play in a 2-D market"):
+            if sim == "sde":
+                cfg = SimConfig(start=start, t0=0.0, paths=10, seed=1, nt=5)
+                mc_value(payoff, params_2d(), _constant(2, 1.0), low, cfg)
+            else:
+                cfg = DiscreteGameConfig(start=start, t0=0.0, N=10, paths=10, seed=1)
+                simulate_discrete_game(cfg, payoff, params_2d(), low, _constant(2, -1.0))
+        assert draws == []
+
+    def test_two_dimensional_view_in_a_one_dimensional_market(self):
+        _, params, grid, dirs, side = _solved_for_greedy(2)
+        gp, _ = greedy_strategy_pair(grid, params, 2.0, dirs, side)
+        cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=10, seed=1, nt=5)
+        with pytest.raises(ValidationError, match="a 2-D player cannot play in a 1-D market"):
+            simulate_sde_paths(cfg, params_1d(), gp, _constant(1, -1.0))
+
+    def test_tabulated_rule_of_another_dimension_breaks_its_contract(self, monkeypatch):
+        # a 1-D rule read at the 9 x 11 interior nodes of a 2-D grid returns one
+        # theta column per state
+        payoff, params, grid, _, _ = _solved_for_greedy(2)
+        draws = []
+        monkeypatch.setattr(game, "path_rng", lambda *a: draws.append(a))
+        policy = tabulate_strategy(_constant(1, 1.0), grid.spec, grid.dt)
+        cfg = SimConfig(start=np.full(2, LOG_K), t0=0.0, paths=10, seed=1, nt=5)
+        with pytest.raises(StrategyContractError, match=r"theta \(99, 1\) and d \(99,\) "
+                                                        r"for states \(99, 2\) at t=0\.0$"):
+            mc_value(payoff, params, policy, _constant(2, -1.0), cfg)
+        assert draws == []
