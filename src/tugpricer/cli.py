@@ -422,10 +422,8 @@ def cmd_price(cfg: RunConfig, out: Path, threads: int) -> dict:
 
 def _solve_tables(cfg: RunConfig) -> game.GameValueTables:
     dirs = isaacs.DirectionSet.for_dimension(cfg.params.n, cfg.game["n_dirs"])
-    sides = ("minus", "plus") if cfg.game["side"] == "both" else (cfg.game["side"],)
-    solved = [game.dpp_solve(cfg.payoff, cfg.params, cfg.game["m"], cfg.grid, side, dirs=dirs)
-              for side in sides]
-    return functools.reduce(game.GameValueTables.merged, solved)
+    return game.dpp_solve(cfg.payoff, cfg.params, cfg.game["m"], cfg.grid, cfg.game["side"],
+                          dirs=dirs)
 
 
 def _report_dpp(report: dict, tables: game.GameValueTables, pts: np.ndarray, key: str) -> None:

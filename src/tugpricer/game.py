@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,15 +39,15 @@ from . import pde
 from ._interp import multilinear_apply, multilinear_plan
 from .errors import PreconditionError, StrategyContractError, ValidationError
 from .isaacs import UNIT_TOL, DirectionSet, _check_m, _sign, greedy_controls_batch
-from .market import MarketParams, Payoff, _as_vector
+from .market import MarketParams, Payoff, _as_vector, _count
 
 Array = np.ndarray
 
 _BLOCK = 8192  # paths per work block and per RNG stream; fixed so threads never change results
 _HALF = _BLOCK // 2  # SDE rows drawn per block; row j >= _HALF replays row j - _HALF negated
-# cap on the interpolation query coordinates of one DPP sweep; tracemalloc puts a
-# sweep's peak at 42 (11^2, K=8) to 45 (21^2, K=16) bytes per coordinate, so this
-# bounds it near 0.75 GB
+# cap on the interpolation query coordinates of one DPP sweep, nodes x 3K^2 actions
+# x 2^(n+1) coins x n; tracemalloc puts a solve's peak at 42 (11^2, K=8) to 45
+# (21^2, K=16) bytes per coordinate, so this bounds it near 0.75 GB
 _DPP_QUERY_BUDGET = 1 << 24
 
 
@@ -77,11 +78,7 @@ def _check_run(cfg, counts: tuple[str, ...]) -> None:
     or whose seed is bad; store its start as a float vector and t0 as a float."""
     start = _as_vector(cfg.start, "start")
     for name in counts:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1")
+        _count(getattr(cfg, name), name, 1)
     _check_seed(cfg.seed)
     object.__setattr__(cfg, "start", start)
     object.__setattr__(cfg, "t0", float(cfg.t0))
@@ -300,7 +297,8 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
     ``X = advance(X, coef, noise[:, k])`` by coefficients ``prep(tp, dp, tm,
     dm)``, two (rows, n) terms elementwise in the controls at the pre-step
     state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds the
-    discounted left-endpoint sums of the running cost `rc` (0 when None).
+    left-endpoint sums of the running cost `rc` (0 when None), the cost paid
+    at t_k discounted by exp(-r (t_k - t0)).
 
     Each player, of the market's dimension, is an exact :class:`ConstantStrategy`
     or a policy, and all policies share one grid spec and ``dt``; anything else
@@ -354,7 +352,7 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
         for k, t_k in enumerate(times):
             coef = coef_at(X, k)
             if rc is not None:
-                acc += np.exp(-params.r * (params.T - t_k)) * rc(X, t_k) * dt
+                acc += np.exp(-params.r * (t_k - cfg.t0)) * rc(X, t_k) * dt
             X = advance(X, coef, noise[:, k])
         store(lo, hi, X, acc)
 
@@ -374,19 +372,27 @@ def _check_start(cfg: SimConfig | DiscreteGameConfig, params: MarketParams) -> N
         raise ValidationError("t0 must lie in [0, T)")
 
 
+def _euler(params: MarketParams, dt: float) -> tuple[Array, Callable]:
+    """The controlled Euler step of length dt: the noise scale sigma sqrt(dt) and
+    ``prep(tp, dp, tm, dm)``, the step's drift shift and the lever of its
+    direction-difference coin, two (rows, n) terms elementwise in the controls."""
+    sqdt = np.sqrt(dt)
+    sigma = params.sigma
+
+    def prep(tp, dp, tm, dm):
+        drift = params.mu + sigma * (dp + dm)[:, None] * (tp + tm)
+        return drift * dt, sigma * (tp - tm) * sqdt
+
+    return sigma * sqdt, prep
+
+
 def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callable, Callable]:
     """The Euler-Maruyama clock of a run, its normal draw and its step split
     into ``prep`` and ``advance``, for ``_play``."""
     _check_start(cfg, params)
     n = params.n
     dt = (params.T - cfg.t0) / cfg.nt
-    sqdt = np.sqrt(dt)
-    sigma = params.sigma
-    spread = sigma * sqdt
-
-    def prep(tp, dp, tm, dm):
-        drift = params.mu + sigma * (dp + dm)[:, None] * (tp + tm)
-        return drift * dt, sigma * (tp - tm) * sqdt
+    spread, prep = _euler(params, dt)
 
     def advance(X, coef, z):
         # z holds the h drawn rows; rows h.. of X replay rows ..B - h negated,
@@ -572,15 +578,6 @@ class GameValueTables:
                     f"lower table exceeds upper table by {worst:g} (> 1e-9)"
                 )
 
-    def merged(self, other: "GameValueTables") -> "GameValueTables":
-        if other.spec != self.spec or other.dt != self.dt or other.m != self.m:
-            raise ValidationError("tables to merge must share grid, dt and m")
-        return GameValueTables(
-            spec=self.spec, dt=self.dt, m=self.m,
-            u_plus=self.u_plus if self.u_plus is not None else other.u_plus,
-            u_minus=self.u_minus if self.u_minus is not None else other.u_minus,
-        )
-
 
 def aligned_time_steps(spec: pde.GridSpec, params: MarketParams) -> int:
     """Step count whose coin displacement sigma*sqrt(dt) spans about one grid cell.
@@ -606,7 +603,7 @@ def _margin_check(spec: pde.GridSpec, params: MarketParams, m: float, dt: float)
 def _query_check(spec: pde.GridSpec, dirs: DirectionSet) -> None:
     """Refuse a DPP sweep whose query array would exceed the memory budget."""
     nodes = int(np.prod(spec.nx))
-    coords = nodes * (2 * dirs.count) ** 2 * (1 << (spec.n + 1)) * spec.n
+    coords = nodes * 3 * dirs.count ** 2 * (1 << (spec.n + 1)) * spec.n
     if coords > _DPP_QUERY_BUDGET:
         raise PreconditionError(
             f"backward induction needs {coords:.3g} query coordinates per step "
@@ -623,13 +620,14 @@ def _coin_matrix(n: int) -> Array:
 
 
 class _Sweep:
-    """A DPP sweep's node-independent geometry, built once per solve: the queries'
-    ``lo <= q <= hi`` split, the interpolation plan of those inside and the payoff
-    at those outside. Calling it on a next slice gathers, discounts and optimizes."""
+    """A DPP sweep's node-independent geometry, built once per solve for both
+    sides: the moves of the 3K^2 distinct actions, the queries' ``lo <= q <= hi``
+    split, the interpolation plan of those inside and the payoff at those
+    outside.  Calling it on a next slice and a side gathers, discounts,
+    optimizes and adds the running cost."""
 
     def __init__(self, spec: pde.GridSpec, dt: float, m: float, payoff: Payoff,
-                 params: MarketParams, dirs: DirectionSet, side: str):
-        _sign(side)  # refuses any side but 'plus' and 'minus'
+                 params: MarketParams, dirs: DirectionSet):
         self.m = m = _check_m(m)
         if not dirs.n == params.n == spec.n:
             raise ValidationError("directions, params and grid dimensions must agree")
@@ -637,23 +635,18 @@ class _Sweep:
         _margin_check(spec, params, m, dt)
         D = dirs.dirs
         K = D.shape[0]
-        dvals = np.array([0.0, m])
-        sqdt = np.sqrt(dt)
-        sigma = params.sigma
-
-        tsum = D[:, None, :] + D[None, :, :]          # (K, K, n): theta+ + theta-
-        tdiff = D[:, None, :] - D[None, :, :]
-        dsum = dvals[:, None] + dvals[None, :]        # (2, 2): d+ + d-
+        # a move sees d+ and d- only through lam = d+ + d- in {0, m, 2m}: the
+        # actions are (k_plus, k_minus, lam), and each coin row c moves by
+        # shift + scale c[:n] + lever c[n]
+        kp, km, lam = np.indices((K, K, 3)).reshape(3, -1)
+        scale, prep = _euler(params, dt)
+        shift, lever = prep(D[kp], np.array([0.0, m, m + m])[lam], D[km], np.zeros(lam.size))
         coins = _coin_matrix(n)                       # (C, n+1)
-        C = coins.shape[0]
-
-        drift = (params.mu[None, None, None, None, :]
-                 + sigma * dsum[None, :, None, :, None] * tsum[:, None, :, None, :]) * dt
-        move = (drift[:, :, :, :, None, :]
-                + sigma * coins[None, None, None, None, :, :n] * sqdt
-                + sigma * tdiff[:, None, :, None, None, :] * coins[None, None, None, None, :, n:] * sqdt)
-        # move axes: (k_plus, j_plus, k_minus, j_minus, coin, i)
-        move = move.reshape(-1, C, n)
+        move = shift[:, None, :] + scale * coins[:, :n] + lever[:, None, :] * coins[:, n:]
+        # entry (k_plus, j_plus, k_minus, j_minus) of a node's table is action
+        # (k_plus, k_minus, j_plus + j_minus)
+        kp, jp, km, jm = np.indices((K, 2, K, 2))
+        self.pick = (kp * K + km) * 3 + jp + jm
 
         pts = spec.points()
         queries = (pts[:, None, None, :] + move[None, :, :, :]).reshape(-1, n)
@@ -661,33 +654,43 @@ class _Sweep:
         self.outside = None if np.all(inside) else payoff.values(queries[~inside])
         queries = queries[inside]
         self.plan = multilinear_plan(spec.axes, queries) if queries.size else None
-        self.shape = (pts.shape[0], move.shape[0], C)
-        self.nx, self.K, self.side = spec.nx, K, side
+        self.shape = (pts.shape[0], move.shape[0], move.shape[1])
+        self.nx, self.points, self.cost = spec.nx, pts, params.running_cost
         self.r, self.T, self.dt = params.r, params.T, dt
 
-    def __call__(self, values_next: Array, t_next: float) -> Array:
+    def __call__(self, values_next: Array, t_next: float, side: str) -> Array:
         vals = np.empty(self.inside.size)
         if self.plan is not None:
             vals[self.inside] = multilinear_apply(self.plan, values_next)
         if self.outside is not None:
             vals[~self.inside] = np.exp(-self.r * (self.T - t_next)) * self.outside
         table = np.exp(-self.r * self.dt) * vals.reshape(self.shape).mean(axis=2)
-        table = table.reshape(self.shape[0], self.K, 2, self.K, 2)
-        if self.side == "minus":
+        table = table.take(self.pick, axis=1)      # (nodes, K, 2, K, 2)
+        if side == "minus":
             # plus player commits, minus player answers
-            return np.max(np.min(table, axis=(3, 4)), axis=(1, 2)).reshape(self.nx)
-        return np.min(np.max(table, axis=(1, 2)), axis=(1, 2)).reshape(self.nx)
+            out = np.max(np.min(table, axis=(3, 4)), axis=(1, 2))
+        else:
+            out = np.min(np.max(table, axis=(1, 2)), axis=(1, 2))
+        if self.cost is not None:
+            # the cost of the step from the node's own time t_next - dt
+            out += self.cost(self.points, t_next - self.dt) * self.dt
+        return out.reshape(self.nx)
 
 
 def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec,
               side: str, dirs: DirectionSet | None = None,
               nt: int | None = None) -> GameValueTables:
-    """Backward induction from the payoff at T; returns one side's table.
+    """Backward induction from the payoff at T; returns one side's table, or
+    both for ``side="both"``, marched on one sweep.
 
     Every node takes the discounted average of the interpolated next-slice
     value over all coin scenarios, optimized over both players' lattice
-    actions; queries leaving the box fall back to the discounted payoff.
+    actions, plus the running cost h(x, t) dt at its own time t; queries
+    leaving the box fall back to the discounted payoff.
     """
+    sides = {"minus": ("minus",), "plus": ("plus",), "both": ("minus", "plus")}.get(side)
+    if sides is None:
+        raise ValidationError(f"side must be 'plus', 'minus' or 'both', got {side!r}")
     if dirs is None:
         dirs = DirectionSet.for_dimension(spec.n)
     _query_check(spec, dirs)  # before any node-sized allocation
@@ -696,9 +699,10 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
         nt = spec.nt if spec.nt is not None else aligned_time_steps(spec, params)
     spec = replace(spec, nt=nt)  # refuses nt < 1
     dt = params.T / spec.nt
-    sweep = _Sweep(spec, dt, m, payoff, params, dirs, side)
-    values = pde._march(terminal, spec.nt, dt, sweep)
-    return GameValueTables(spec=spec, dt=dt, m=sweep.m, **{f"u_{side}": values})
+    sweep = _Sweep(spec, dt, m, payoff, params, dirs)
+    values = {f"u_{s}": pde._march(terminal, spec.nt, dt, partial(sweep, side=s))
+              for s in sides}
+    return GameValueTables(spec=spec, dt=dt, m=sweep.m, **values)
 
 
 def mc_value(payoff: Payoff, params: MarketParams, strat_plus: FeedbackStrategy,

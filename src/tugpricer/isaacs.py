@@ -415,9 +415,11 @@ def _check_m(m: float) -> float:
     return float(m)
 
 
-def _check_batch(p: Array, M: Array, params, dirs: DirectionSet | None = None) -> None:
-    """Refuse a batch unless p is (B, n) and M (B, n, n), with n the market's
-    (and the directions') dimension; reads shapes only, copies nothing."""
+def _check_batch(p: Array, M: Array, params, dirs: DirectionSet | None = None,
+                 xi: Array | None = None) -> None:
+    """Refuse a batch unless p is (B, n), M (B, n, n) and xi, when given, (B,),
+    with n the market's (and the directions') dimension; reads shapes only,
+    copies nothing."""
     n = params.n
     if (np.ndim(p) != 2 or np.shape(p)[1] != n or np.shape(M) != (np.shape(p)[0], n, n)
             or (dirs is not None and dirs.n != n)):
@@ -426,6 +428,9 @@ def _check_batch(p: Array, M: Array, params, dirs: DirectionSet | None = None) -
             f"operator batch shapes p {np.shape(p)} and M {np.shape(M)}{where} do not "
             f"match a market of dimension {n}: want p (B, {n}) and M (B, {n}, {n})"
         )
+    if xi is not None and np.shape(xi) != np.shape(p)[:1]:
+        raise ValidationError(f"operator batch xi {np.shape(xi)} does not match p "
+                              f"{np.shape(p)}: want xi ({np.shape(p)[0]},)")
 
 
 def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
@@ -435,7 +440,7 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
     sign = _sign(side)
     p = np.asarray(p, dtype=float)
     M = np.asarray(M, dtype=float)
-    _check_batch(p, M, params, dirs)
+    _check_batch(p, M, params, dirs, xi)
     out = np.empty(p.shape[0])
     for rows, _, table, _ in _chunks(p, M, params, dirs, sign, m):
         out[rows] = sign * np.max(table, axis=(1, 2))
@@ -525,7 +530,7 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     sign = _sign(side)
     p = np.asarray(p, dtype=float)
     M = np.asarray(M, dtype=float)
-    _check_batch(p, M, params, dirs)
+    _check_batch(p, M, params, dirs, xi)
     B = p.shape[0]
     theta_p = np.empty((B, dirs.n))
     theta_m = np.empty((B, dirs.n))
@@ -598,5 +603,5 @@ def limit_values_batch(xi: Array, p: Array, M: Array, params, eps_grad: float) -
     kernel = _Limit(params, eps_grad)
     p = np.asarray(p, dtype=float)
     M = np.asarray(M, dtype=float)
-    kernel.check(p, M)
+    _check_batch(p, M, params, xi=xi)
     return kernel(np.asarray(xi, dtype=float), p, M)

@@ -36,6 +36,15 @@ def _as_vector(value, name: str, length: int | None = None) -> Array:
     return v
 
 
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int, refused unless it is an integer (a bool is not) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunningCost:
     """Running penalty h(x, t) certified to stay at or below ``-alpha < 0``.

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import isaacs
 from .errors import PreconditionError, ValidationError
-from .market import MarketParams, Payoff, _as_vector
+from .market import MarketParams, Payoff, _as_vector, _count
 
 Array = np.ndarray
 
@@ -54,19 +54,15 @@ class GridSpec:
     def __post_init__(self) -> None:
         lo = _as_vector(self.lo, "lo")
         hi = _as_vector(self.hi, "hi", lo.size)
-        nx = tuple(int(k) for k in np.atleast_1d(self.nx))
+        nx = tuple(_count(k, "nx", 3) for k in (self.nx if np.ndim(self.nx) else (self.nx,)))
         if len(nx) != lo.size:
             raise ValidationError(f"nx must have {lo.size} entries")
-        if any(k < 3 for k in nx):
-            raise ValidationError("nx must be >= 3 per axis")
         if np.any(hi <= lo):
             raise ValidationError("lo must be < hi per axis")
-        if self.nt is not None and int(self.nt) < 1:
-            raise ValidationError("nt must be >= 1")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "nt", None if self.nt is None else int(self.nt))
+        object.__setattr__(self, "nt", None if self.nt is None else _count(self.nt, "nt", 1))
 
     def __eq__(self, other: object) -> bool:
         """By value: the same box, node counts and step count."""

@@ -353,7 +353,7 @@ def stepwise_play(cfg, payoff, params, strat_plus, strat_minus):
             coef = prep(*game.checked_controls(strat_plus, X, t),
                         *game.checked_controls(strat_minus, X, t))
             if rc is not None:
-                acc += np.exp(-params.r * (params.T - t)) * rc(X, t) * dt
+                acc += np.exp(-params.r * (t - cfg.t0)) * rc(X, t) * dt
             X = advance(X, coef, noise[:, k])
         terminals[lo:hi] = X
         rewards[lo:hi] = game.discounted_reward(X, cfg.t0, params, payoff) + acc

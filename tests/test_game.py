@@ -388,8 +388,7 @@ class TestDiscreteGame:
         N = 20
         cfg = DiscreteGameConfig(start=np.array([LOG_K]), t0=0.0, N=N, paths=40, seed=2)
         est = simulate_discrete_game(cfg, constant_payoff(5.0, 1), params, sp, sm)
-        want = 5.0 * math.exp(-0.1) - sum(math.exp(-0.1 * (1.0 - k / N)) / N
-                                          for k in range(N))
+        want = 5.0 * math.exp(-0.1) - sum(math.exp(-0.1 * k / N) / N for k in range(N))
         assert est.mean == pytest.approx(want, rel=1e-12)
         assert est.stderr == 0.0
 
@@ -416,7 +415,7 @@ class TestDiscreteGame:
         est = simulate_discrete_game(cfg, constant_payoff(5.0, 1), params,
                                      *null_strategy_pair(1))
         want = 5.0 * math.exp(-0.1 * (T - t0)) - sum(
-            math.exp(-0.1 * (T - t0 - k / N)) / N for k in range(steps))
+            math.exp(-0.1 * k / N) / N for k in range(steps))
         assert est.mean == pytest.approx(want, rel=1e-12)
 
     def test_thread_count_does_not_change_results(self):
@@ -510,6 +509,11 @@ class TestDppStep:
                       DirectionSet.for_dimension(2, 4), "minus")
 
 
+def bits(a):
+    """The IEEE bits of a float array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 def per_sweep_reference(values_next, t_next, spec, dt, m, payoff, params, dirs, side):
     """One DPP sweep that builds its queries and interpolates them from scratch."""
     n = spec.n
@@ -553,23 +557,70 @@ class TestDppSolve:
                params_2d(), BasketPut(weights=np.array([0.5, 0.5]), strike=K), 1.0, 4, 3),
     }
 
-    @pytest.mark.parametrize("side", ["minus", "plus"])
+    @pytest.mark.parametrize("side", ["minus", "plus", "both"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_solve_equals_the_per_sweep_reference(self, case, side):
         spec, params, payoff, m, n_dirs, nt = self.CASES[case]
         dirs = DirectionSet.for_dimension(spec.n, n_dirs)
         solved = dpp_solve(payoff, params, m, spec, side, dirs=dirs, nt=nt)
-        got = solved.u_minus if side == "minus" else solved.u_plus
         dt = params.T / nt
         # both the interpolated and the out-of-box payoff branches are exercised
-        split = game._Sweep(spec, dt, m, payoff, params, dirs, side).inside
+        split = game._Sweep(spec, dt, m, payoff, params, dirs).inside
         assert split.any() and not split.all()
-        want = np.empty_like(got)
-        want[nt] = payoff.values(spec.points()).reshape(spec.nx)
-        for k in range(nt, 0, -1):
-            want[k - 1] = per_sweep_reference(want[k], k * dt, spec, dt, m, payoff, params,
-                                              dirs, side)
-        assert np.array_equal(got, want)
+        sides = ("minus", "plus") if side == "both" else (side,)
+        assert [s for s in ("minus", "plus") if getattr(solved, f"u_{s}") is not None] == \
+            sorted(sides)
+        for s in sides:
+            got = getattr(solved, f"u_{s}")
+            want = np.empty_like(got)
+            want[nt] = payoff.values(spec.points()).reshape(spec.nx)
+            for k in range(nt, 0, -1):
+                want[k - 1] = per_sweep_reference(want[k], k * dt, spec, dt, m, payoff, params,
+                                                  dirs, s)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_both_sides_equal_two_one_side_solves(self, case):
+        spec, params, payoff, m, n_dirs, nt = self.CASES[case]
+        params = replace(params, running_cost=RunningCost(
+            h=lambda x, t: -1.0 - 0.1 * np.abs(x).sum(axis=1) - t, alpha=1.0))
+        dirs = DirectionSet.for_dimension(spec.n, n_dirs)
+        both = dpp_solve(payoff, params, m, spec, "both", dirs=dirs, nt=nt)
+        for side in ("minus", "plus"):
+            one = dpp_solve(payoff, params, m, spec, side, dirs=dirs, nt=nt)
+            assert np.array_equal(bits(getattr(both, f"u_{side}")), bits(getattr(one, f"u_{side}")))
+
+    def test_query_budget_counts_the_distinct_moves(self):
+        # nodes x 3 K^2 distinct actions x 2^(n+1) coins x n coordinates, refused
+        # before the sweep allocates anything node-sized
+        spec = GridSpec(lo=np.array([LOG_K - 2.0] * 2), hi=np.array([LOG_K + 2.0] * 2),
+                        nx=(101, 101))
+        dirs = DirectionSet.for_dimension(2, 8)
+        coords = 101 * 101 * 3 * 8 ** 2 * 2 ** 3 * 2
+        assert coords > game._DPP_QUERY_BUDGET
+        payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+        with pytest.raises(PreconditionError) as err:
+            dpp_solve(payoff, params_2d(), 1.0, spec, "both", dirs=dirs, nt=1)
+        assert f"needs {coords:.3g} query coordinates per step (10201 nodes, 8 directions)" \
+            in str(err.value)
+        # 65^2 at K = 8 fits: 4225 x 3072 = 1.3e7 coordinates (all 4 K^2 actions: 1.73e7)
+        game._query_check(replace(spec, nx=(65, 65)), dirs)
+
+    def test_running_cost_at_the_node_time(self):
+        # constant payoff 5 and cost -1: u0 = 5 e^{-rT} - sum_{k < nt} e^{-r k dt} dt
+        # wherever no move over the nt steps, nor the cell it interpolates in,
+        # reaches the box edge, whose outside queries take the payoff alone
+        spec = GridSpec(lo=np.array([-4.0]), hi=np.array([4.0]), nx=(161,))
+        params = params_1d(sigma=0.2, r=0.1, running_cost=constant_running_cost(-1.0))
+        m, nt = 1.0, 8
+        dt = params.T / nt
+        tables = dpp_solve(constant_payoff(5.0, 1), params, m, spec, "both", nt=nt)
+        reach = nt * (4 * m * 0.2 * dt + 3 * 0.2 * math.sqrt(dt) + spec.h[0])
+        clean = np.abs(spec.axes[0]) < 4.0 - reach
+        assert clean.sum() >= 20
+        want = 5.0 * math.exp(-0.1) - sum(math.exp(-0.1 * k * dt) * dt for k in range(nt))
+        for u in (tables.u_minus, tables.u_plus):
+            assert np.allclose(u[0][clean], want, rtol=1e-12, atol=0.0)
 
     def test_constant_payoff_discounts_exactly(self):
         spec = GridSpec(lo=np.array([-4.0]), hi=np.array([4.0]), nx=(17,))
@@ -583,9 +634,7 @@ class TestDppSolve:
     def test_sides_are_ordered(self):
         spec = GridSpec(lo=np.array([LOG_K - 2]), hi=np.array([LOG_K + 2]), nx=(41,))
         params = params_1d(sigma=0.2)
-        lower = dpp_solve(PUT, params, 2.0, spec, side="minus", nt=16)
-        upper = dpp_solve(PUT, params, 2.0, spec, side="plus", nt=16)
-        both = lower.merged(upper)
+        both = dpp_solve(PUT, params, 2.0, spec, side="both", nt=16)
         assert np.all(both.u_minus <= both.u_plus + 1e-9)
 
     def test_terminal_slice_is_the_payoff(self):
@@ -623,10 +672,7 @@ class TestDppSolve:
             GameValueTables(spec=spec, dt=1.0, m=1.0, u_plus=np.zeros((3, 5)))
         with pytest.raises(ValidationError):
             GameValueTables(spec=spec, dt=1.0, m=1.0, u_plus=flat, u_minus=flat + 1.0)
-        tables = GameValueTables(spec=spec, dt=1.0, m=1.0, u_plus=flat + 1.0,
-                                 u_minus=flat)
-        with pytest.raises(ValidationError):
-            tables.merged(GameValueTables(spec=spec, dt=1.0, m=2.0, u_plus=flat))
+        GameValueTables(spec=spec, dt=1.0, m=1.0, u_plus=flat + 1.0, u_minus=flat)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_tables_need_a_spec_with_nt(self, side):
@@ -750,6 +796,39 @@ class TestMcValue:
         assert abs(est.mean - want) <= 1.0 * params.r * dt * params.T
         assert est.stderr == 0.0
 
+    @pytest.mark.parametrize("t0", [0.0, 0.25])
+    def test_running_cost_discounted_from_the_start(self, t0):
+        # the cost paid at t_k is discounted by e^{-r (t_k - t0)}, as the PDE and the
+        # DPP discount it; h = -1 - 4t and r = 0.1, left endpoints of nt = 200 steps
+        params = params_1d(r=0.1, running_cost=RunningCost(
+            h=lambda x, t: np.full(len(x), -1.0 - 4.0 * t), alpha=1.0))
+        cfg = SimConfig(start=np.array([LOG_K]), t0=t0, paths=16, seed=3, nt=200)
+        est = mc_value(constant_payoff(5.0, 1), params, *null_strategy_pair(1), cfg)
+        term = est.mean - 5.0 * math.exp(-0.1 * (1.0 - t0))
+        dt = (1.0 - t0) / cfg.nt
+        want = sum(math.exp(-0.1 * k * dt) * (-1.0 - 4.0 * (t0 + k * dt)) * dt
+                   for k in range(cfg.nt))
+        assert term == pytest.approx(want, abs=1e-12)
+        if t0 == 0.0:
+            # the integral of e^{-rs} h(s) over [0, 1]; the left sum is within
+            # max |d/ds e^{-rs} h(s)| T dt / 2 = 3.9 dt / 2 of it
+            exact = -(1 - math.exp(-0.1)) / 0.1 - 4 * (1 - 1.1 * math.exp(-0.1)) / 0.01
+            assert exact == pytest.approx(-2.8232, abs=1e-4)
+            assert abs(term - exact) <= 0.5 * 3.9 * dt
+
+    def test_state_free_cost_term_equals_the_dpp(self):
+        # a cost that does not read the state adds the same discounted sum in both
+        # legs; x = 0 lies farther from the box edge than 20 steps of moves reach
+        params = params_1d(r=0.1, running_cost=RunningCost(
+            h=lambda x, t: np.full(len(x), -1.0 - 4.0 * t), alpha=1.0))
+        spec = GridSpec(lo=np.array([-6.0]), hi=np.array([6.0]), nx=(241,))
+        tables = dpp_solve(constant_payoff(5.0, 1), params, 1.0, spec, "both", nt=20)
+        cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=16, seed=3, nt=20)
+        est = mc_value(constant_payoff(5.0, 1), params, *null_strategy_pair(1), cfg)
+        assert spec.axes[0][120] == 0.0
+        for u in (tables.u_minus, tables.u_plus):
+            assert est.mean == pytest.approx(u[0][120], rel=1e-12)
+
     def test_stderr_covers_the_null_walk(self):
         # the null SDE walk is exactly Gaussian with variance 5 sigma^2 T at any nt;
         # 20k paths span two antithetic blocks and a short unpaired one
@@ -782,7 +861,7 @@ class TestMcValue:
         acc = np.zeros(cfg.paths)
         for k in range(cfg.nt):
             t_k = cfg.t0 + k * dt
-            acc += np.exp(-params.r * (params.T - t_k)) * rc(term, t_k) * dt
+            acc += np.exp(-params.r * (t_k - cfg.t0)) * rc(term, t_k) * dt
         want = game._estimate(discounted_reward(term, cfg.t0, params, PUT) + acc,
                               cfg.paths, cfg.seed)
         assert est.mean == want.mean and est.stderr == want.stderr

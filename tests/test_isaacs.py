@@ -940,6 +940,25 @@ class TestBatchShapes:
         with pytest.raises(ValidationError, match="dimension 2"):
             limit_values_batch(np.zeros(1), np.ones(2), np.eye(2)[None], self.PARAMS_2D, EPS)
 
+    # xi of a B = 3 batch that must be refused: one row (it used to broadcast),
+    # a (3, 3) block (it used to give a (3, 3) result), five rows (it used to
+    # raise a raw NumPy error) and a scalar
+    BAD_XI = [np.zeros(1), np.zeros((3, 3)), np.zeros(5), 0.0]
+
+    @pytest.mark.parametrize("xi", BAD_XI, ids=["1", "3x3", "5", "scalar"])
+    @pytest.mark.parametrize("operator", ["hm", "greedy", "limit"])
+    def test_xi_must_have_one_entry_per_row(self, operator, xi):
+        p, M = np.ones((3, 2)), np.tile(np.eye(2), (3, 1, 1))
+        dirs = DirectionSet.for_dimension(2, 8)
+        call = {"hm": lambda x: hm_values_batch(x, p, M, 2.0, self.PARAMS_2D, dirs, "plus"),
+                "greedy": lambda x: greedy_controls_batch(x, p, M, 2.0, self.PARAMS_2D, dirs,
+                                                          "minus"),
+                "limit": lambda x: limit_values_batch(x, p, M, self.PARAMS_2D, EPS)}[operator]
+        with pytest.raises(ValidationError, match=r"xi \(.*\) does not match p \(3, 2\)"):
+            call(xi)
+        out = call(np.zeros(3))
+        assert len(out[0] if operator == "greedy" else out) == 3
+
 
 def same_floats(got, want) -> bool:
     """Equal shapes and floats, NaN where NaN, and equal sign bits (so -0.0 != 0.0)."""

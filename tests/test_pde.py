@@ -78,6 +78,24 @@ class TestGridSpec:
         with pytest.raises(ValidationError):
             GridSpec(lo=np.array([0.0]), hi=np.array([1.0]), nx=(5,), nt=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("nx", (10.9,)), ("nx", (True,)), ("nx", (np.float64(11.0),)), ("nx", np.array([11.0])),
+        ("nx", 10.9), ("nx", (11, True)),
+        ("nt", 2.7), ("nt", True), ("nt", 4.0), ("nt", "4")])
+    def test_counts_must_be_integers(self, field, value):
+        # these used to be truncated: nx (10.9,) to 10, nt 2.7 to 2 and True to 1
+        n = np.size(value) if field == "nx" else 1
+        kwargs = {"nx": (11,) * n, "nt": 4, field: value}
+        with pytest.raises(ValidationError, match=rf"^{field} must be an integer, got"):
+            GridSpec(lo=np.zeros(n), hi=np.ones(n), **kwargs)
+
+    def test_counts_keep_their_integers(self):
+        spec = GridSpec(lo=np.zeros(2), hi=np.ones(2), nx=np.array([5, 7]), nt=np.int64(3))
+        assert spec.nx == (5, 7) and spec.nt == 3
+        assert all(type(k) is int for k in spec.nx) and type(spec.nt) is int
+        with pytest.raises(ValidationError, match=r"^nx must be >= 3$"):
+            GridSpec(lo=np.zeros(2), hi=np.ones(2), nx=(5, 2))
+
 
 class TestSolverConfig:
     def test_bounded_mode_requires_intensity_bound(self):
