@@ -15,9 +15,9 @@ canonical resolved config, and reruns with identical config, seed and any
 ``--threads`` value are byte-identical.
 
 Exit codes: 0 ok, 1 internal error, 2 configuration or contract error or
-unwritable output, 3 numerical precondition (the CFL bound, the DPP
-displacement margin, the DPP query budget, a non-finite solve, or a solution
-leaving [0, sup g]), 4 payoff certification failure.
+unwritable output, 3 numerical precondition (the CFL bound, the PDE stack
+budget, the DPP displacement margin, the DPP query budget, a non-finite solve,
+or a solution leaving [0, sup g]), 4 payoff certification failure.
 """
 
 from __future__ import annotations

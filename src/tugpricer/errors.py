@@ -2,9 +2,10 @@
 
 The command line front end maps these onto exit codes: validation and
 strategy-contract problems exit with 2; numerical preconditions exit with 3
-(the CFL bound, the DPP displacement margin, the DPP query budget, a
-non-finite solve, and a solution leaving [0, sup g]); certification failures
-exit with 4; any other exception is an internal error and exits with 1.
+(the CFL bound, the PDE stack budget, the DPP displacement margin, the DPP
+query budget, a non-finite solve, and a solution leaving [0, sup g]);
+certification failures exit with 4; any other exception is an internal error
+and exits with 1.
 """
 
 
@@ -17,7 +18,8 @@ class ValidationError(PricingError):
 
 
 class PreconditionError(PricingError):
-    """A numerical precondition failed (CFL bound, step margin, query budget, blow-up, range)."""
+    """A numerical precondition failed (CFL bound, stack or query budget, step margin,
+    blow-up, range)."""
 
 
 class CertificationError(PricingError):

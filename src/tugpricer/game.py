@@ -45,9 +45,10 @@ Array = np.ndarray
 
 _BLOCK = 8192  # paths per work block and per RNG stream; fixed so threads never change results
 _HALF = _BLOCK // 2  # SDE rows drawn per block; row j >= _HALF replays row j - _HALF negated
-# cap on the interpolation query coordinates of one DPP sweep, nodes x 3K^2 actions
-# x 2^(n+1) coins x n; tracemalloc puts a solve's peak at 42 (11^2, K=8) to 45
-# (21^2, K=16) bytes per coordinate, so this bounds it near 0.75 GB
+# cap on the interpolation query coordinates of one DPP sweep: nodes x the size of
+# the sweep's move array (3K^2 actions x 2^(n+1) coins x n); tracemalloc puts a
+# solve's peak at 42 (11^2, K=8) to 45 (21^2, K=16) bytes per coordinate, so this
+# bounds it near 0.75 GB
 _DPP_QUERY_BUDGET = 1 << 24
 
 
@@ -589,29 +590,6 @@ def aligned_time_steps(spec: pde.GridSpec, params: MarketParams) -> int:
     return max(1, int(round(params.T / target)))
 
 
-def _margin_check(spec: pde.GridSpec, params: MarketParams, m: float, dt: float) -> None:
-    disp = (np.abs(params.mu) + 2.0 * m * params.sigma) * dt + 2.0 * params.sigma * np.sqrt(dt)
-    margin = (spec.hi - spec.lo) / 4.0
-    if np.any(disp > margin):
-        a = int(np.argmax(disp - margin))
-        raise PreconditionError(
-            f"one-step displacement {disp[a]:g} exceeds the grid margin {margin[a]:g} "
-            f"on axis {a}; shrink dt or m, or widen the box"
-        )
-
-
-def _query_check(spec: pde.GridSpec, dirs: DirectionSet) -> None:
-    """Refuse a DPP sweep whose query array would exceed the memory budget."""
-    nodes = int(np.prod(spec.nx))
-    coords = nodes * 3 * dirs.count ** 2 * (1 << (spec.n + 1)) * spec.n
-    if coords > _DPP_QUERY_BUDGET:
-        raise PreconditionError(
-            f"backward induction needs {coords:.3g} query coordinates per step "
-            f"({nodes} nodes, {dirs.count} directions), over the budget of "
-            f"{_DPP_QUERY_BUDGET:.3g}; lower game.n_dirs or grid.nx"
-        )
-
-
 def _coin_matrix(n: int) -> Array:
     """All 2^(n+1) sign vectors, one row per scenario."""
     count = 1 << (n + 1)
@@ -632,29 +610,42 @@ class _Sweep:
         if not dirs.n == params.n == spec.n:
             raise ValidationError("directions, params and grid dimensions must agree")
         n = spec.n
-        _margin_check(spec, params, m, dt)
         D = dirs.dirs
         K = D.shape[0]
+        coins = _coin_matrix(n)                       # (C, n+1)
         # a move sees d+ and d- only through lam = d+ + d- in {0, m, 2m}: the
         # actions are (k_plus, k_minus, lam), and each coin row c moves by
         # shift + scale c[:n] + lever c[n]
-        kp, km, lam = np.indices((K, K, 3)).reshape(3, -1)
+        actions = (K, K, 3)
+        nodes = math.prod(spec.nx)
+        # every node queries every action's coin moves: refuse their count before
+        # building them, which at the default 3-D fan (K = 2048) takes 4.8 GB
+        coords = nodes * math.prod(actions) * coins[:, :n].size
+        if coords > _DPP_QUERY_BUDGET:
+            raise PreconditionError(
+                f"backward induction needs {coords:.3g} query coordinates per step "
+                f"({nodes} nodes, {K} directions), over the budget of "
+                f"{_DPP_QUERY_BUDGET:.3g}; lower game.n_dirs or grid.nx"
+            )
+        kp, km, lam = np.indices(actions).reshape(3, -1)
         scale, prep = _euler(params, dt)
         shift, lever = prep(D[kp], np.array([0.0, m, m + m])[lam], D[km], np.zeros(lam.size))
-        coins = _coin_matrix(n)                       # (C, n+1)
         move = shift[:, None, :] + scale * coins[:, :n] + lever[:, None, :] * coins[:, n:]
-        # entry (k_plus, j_plus, k_minus, j_minus) of a node's table is action
-        # (k_plus, k_minus, j_plus + j_minus)
-        kp, jp, km, jm = np.indices((K, 2, K, 2))
-        self.pick = (kp * K + km) * 3 + jp + jm
-
+        disp = np.max(np.abs(move), axis=(0, 1))   # the largest move on each axis
+        margin = (spec.hi - spec.lo) / 4.0
+        if np.any(disp > margin):
+            a = int(np.argmax(disp - margin))
+            raise PreconditionError(
+                f"one-step displacement {disp[a]:g} exceeds the grid margin {margin[a]:g} "
+                f"on axis {a}; shrink dt or m, or widen the box"
+            )
         pts = spec.points()
         queries = (pts[:, None, None, :] + move[None, :, :, :]).reshape(-1, n)
         self.inside = inside = np.all((queries >= spec.lo) & (queries <= spec.hi), axis=1)
         self.outside = None if np.all(inside) else payoff.values(queries[~inside])
         queries = queries[inside]
         self.plan = multilinear_plan(spec.axes, queries) if queries.size else None
-        self.shape = (pts.shape[0], move.shape[0], move.shape[1])
+        self.shape = (pts.shape[0], *actions, coins.shape[0])
         self.nx, self.points, self.cost = spec.nx, pts, params.running_cost
         self.r, self.T, self.dt = params.r, params.T, dt
 
@@ -664,13 +655,15 @@ class _Sweep:
             vals[self.inside] = multilinear_apply(self.plan, values_next)
         if self.outside is not None:
             vals[~self.inside] = np.exp(-self.r * (self.T - t_next)) * self.outside
-        table = np.exp(-self.r * self.dt) * vals.reshape(self.shape).mean(axis=2)
-        table = table.take(self.pick, axis=1)      # (nodes, K, 2, K, 2)
+        # (nodes, K+, K-, lam): each action's expectation over the coins
+        E = np.exp(-self.r * self.dt) * vals.reshape(self.shape).mean(axis=-1)
+        # each player's intensity j in {0, 1} adds j m to lam: the pair (j, j')
+        # plays lam index j + j', so E[..., :2] and E[..., 1:] fold one side's j
         if side == "minus":
-            # plus player commits, minus player answers
-            out = np.max(np.min(table, axis=(3, 4)), axis=(1, 2))
+            # plus player commits (k+, j+), minus player answers (k-, j-)
+            out = np.minimum(E[..., :2], E[..., 1:]).min(axis=2).max(axis=(1, 2))
         else:
-            out = np.min(np.max(table, axis=(1, 2)), axis=(1, 2))
+            out = np.maximum(E[..., :2], E[..., 1:]).max(axis=1).min(axis=(1, 2))
         if self.cost is not None:
             # the cost of the step from the node's own time t_next - dt
             out += self.cost(self.points, t_next - self.dt) * self.dt
@@ -693,13 +686,12 @@ def dpp_solve(payoff: Payoff, params: MarketParams, m: float, spec: pde.GridSpec
         raise ValidationError(f"side must be 'plus', 'minus' or 'both', got {side!r}")
     if dirs is None:
         dirs = DirectionSet.for_dimension(spec.n)
-    _query_check(spec, dirs)  # before any node-sized allocation
-    terminal = pde._lattice(payoff, params, spec)
     if nt is None:
         nt = spec.nt if spec.nt is not None else aligned_time_steps(spec, params)
     spec = replace(spec, nt=nt)  # refuses nt < 1
     dt = params.T / spec.nt
-    sweep = _Sweep(spec, dt, m, payoff, params, dirs)
+    sweep = _Sweep(spec, dt, m, payoff, params, dirs)  # checks before any node-sized allocation
+    terminal = pde._lattice(payoff, params, spec)
     values = {f"u_{s}": pde._march(terminal, spec.nt, dt, partial(sweep, side=s))
               for s in sides}
     return GameValueTables(spec=spec, dt=dt, m=sweep.m, **values)

@@ -25,6 +25,7 @@ floats either way, for every n <= 4 and mode.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,11 @@ from .market import MarketParams, Payoff, _as_vector, _count
 Array = np.ndarray
 
 MODES = ("limit_F", "bounded_plus", "bounded_minus")
+# cap on the doubles a solve holds before it marches: the (nt + 1) value slices
+# and the n coordinates of spec.points(), each prod(nx) nodes.  The default 3-D
+# grid (nx 101, nt 188) needs 1.98e8 (1.6 GB) and runs; the default 4-D one needs
+# 2.65e10 (212 GB) and is refused before its first node-sized allocation
+_STACK_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -373,6 +379,14 @@ def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverCon
                          spec: GridSpec) -> PriceGrid:
     """March the configured operator backwards from the payoff at T."""
     nt = resolve_time_steps(spec, params, config)
+    nodes = math.prod(spec.nx)
+    doubles = (nt + 1 + spec.n) * nodes
+    if doubles > _STACK_BUDGET:
+        raise PreconditionError(
+            f"the PDE needs {doubles:.3g} doubles ({nt + 1} value slices and {spec.n} "
+            f"coordinates of {nodes} nodes), over the budget of {_STACK_BUDGET:.3g}; "
+            f"lower grid.nx"
+        )
     spec = replace(spec, nt=nt)
     dt = params.T / nt
     ws = _Workspace(payoff, params, config, spec, dt)

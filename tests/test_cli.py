@@ -678,12 +678,25 @@ class TestGameValueCommand:
         assert "u_plus" not in report["points"][0]
 
 
+    @staticmethod
+    def _two_dimensional(nt):
+        # default box: centre +- 4 per axis, so a margin of 2; default m 10
+        return {"market": {"sigma": [0.2, 0.2], "T": 1.0},
+                "payoff": {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K},
+                "grid": {"nx": 15, "nt": nt}, "game": {"n_dirs": 8}}
+
+    def test_two_dimensional_margin_reads_the_real_moves(self, run_cli, tmp_path, capsys):
+        # at nt 4 the largest move over every action and coin is 2.1 per axis
+        assert run_cli("game-value", self._two_dimensional(4), tmp_path / "gv4") == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: one-step displacement 2.1 exceeds the grid margin 2 on axis 0; "
+            "shrink dt or m, or widen the box"]
+
     def test_two_dimensional_both_sides(self, run_cli, tmp_path):
         out = tmp_path / "gv2"
-        cfg = {"market": {"sigma": [0.2, 0.2], "T": 1.0},
-               "payoff": {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K},
-               "grid": {"nx": 15, "nt": 4}, "game": {"n_dirs": 8}}
-        assert run_cli("game-value", cfg, out) == 0
+        # at nt 5 the largest move is 1.69 per axis
+        assert run_cli("game-value", self._two_dimensional(5), out) == 0
         report = read_json(out / "report.json")
         assert report["max_lower_minus_upper"] <= 1e-9
         pt = report["points"][0]
@@ -750,6 +763,39 @@ class TestCompareCommand:
         assert report["mc"]["paths"] == 300 and report["mc"]["seed"] == 3
 
 
+class TestTwoDimensionalReruns:
+    """Reruns and thread counts give byte-identical ``--out`` files in 2-D too."""
+
+    BASKET = {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K}
+    CONFIGS = {
+        "price": {"market": {"sigma": [0.2, 0.2], "T": 1.0}, "payoff": BASKET,
+                  "grid": {"nx": 21}, "solver": {"mode": "limit_F"}},
+        "game-value": TestGameValueCommand._two_dimensional(5),
+        # tests/test_game.py::_solved_for_greedy(2)'s game, over two RNG blocks
+        "simulate": {"market": {"mu": [0.01, -0.02], "sigma": [0.2, 0.3], "r": 0.01,
+                                "T": 1.0},
+                     "payoff": BASKET,
+                     "grid": {"lo": [LOG_K - 1.5] * 2, "hi": [LOG_K + 1.5] * 2,
+                              "nx": [11, 13]},
+                     "solver": {"n_dirs": 8},
+                     "game": {"m": 2.0, "paths": 9000, "seed": 5,
+                              "strategies": {"kind": "greedy", "mode": "bounded_plus"}}},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_reruns_and_threads_are_byte_identical(self, command, run_cli, tmp_path):
+        runs = {"t1a": (), "t1b": (), "t2": ("--threads", "2")}
+        for name, extra in runs.items():
+            assert run_cli(command, self.CONFIGS[command], tmp_path / name, *extra) == 0
+        files = sorted(p.name for p in (tmp_path / "t1a").iterdir())
+        assert len(files) >= 3
+        for name in ("t1b", "t2"):
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == files
+            match, mismatch, errors = filecmp.cmpfiles(tmp_path / "t1a", tmp_path / name,
+                                                       files, shallow=False)
+            assert (mismatch, errors) == ([], [])
+
+
 class TestSubprocess:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sub"
@@ -765,6 +811,34 @@ class TestSubprocess:
         assert (out / "report.json").exists()
         assert (out / "surface.npz").exists()
         assert (out / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("command, n, key", [("price", 4, "grid.nx"),
+                                                 ("game-value", 3, "game.n_dirs")])
+    def test_default_grid_is_refused_before_it_allocates(self, command, n, key, tmp_path):
+        # the default 4-D price asks for a 212 GB value stack, and the default 3-D
+        # DPP's moves alone (K = 2048) take 4.8 GB; a wrapper process measures
+        # the CLI's peak RSS, so no other child of the suite counts
+        src = str(Path(cli.__file__).resolve().parents[1])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "market": {"sigma": [0.2] * n, "T": 1.0},
+            "payoff": {"kind": "basket_put", "weights": [1.0 / n] * n, "strike": K}}))
+        code = ("import resource, subprocess, sys, time; t = time.perf_counter(); "
+                f"p = subprocess.run([sys.executable, '-m', 'tugpricer', {command!r}, '--config', "
+                f"{str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}], "
+                "capture_output=True, text=True); "
+                "print(p.returncode, time.perf_counter() - t, "
+                "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); "
+                "sys.stdout.write(p.stderr)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        head, *err = proc.stdout.splitlines()
+        rc, seconds, peak_kib = head.split()
+        assert int(rc) == 3
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert float(seconds) < 2.0
+        assert int(peak_kib) < 300 * 1024
 
     def test_import_loads_no_scipy(self):
         # scipy is needed only for n >= 4 direction fans; importing the CLI

@@ -590,9 +590,10 @@ class TestDppSolve:
             one = dpp_solve(payoff, params, m, spec, side, dirs=dirs, nt=nt)
             assert np.array_equal(bits(getattr(both, f"u_{side}")), bits(getattr(one, f"u_{side}")))
 
-    def test_query_budget_counts_the_distinct_moves(self):
+    def test_query_budget_counts_the_distinct_moves(self, monkeypatch):
         # nodes x 3 K^2 distinct actions x 2^(n+1) coins x n coordinates, refused
-        # before the sweep allocates anything node-sized
+        # before the sweep allocates anything node-sized; nt = 1 also breaks the
+        # margin, so the budget is checked first
         spec = GridSpec(lo=np.array([LOG_K - 2.0] * 2), hi=np.array([LOG_K + 2.0] * 2),
                         nx=(101, 101))
         dirs = DirectionSet.for_dimension(2, 8)
@@ -603,8 +604,19 @@ class TestDppSolve:
             dpp_solve(payoff, params_2d(), 1.0, spec, "both", dirs=dirs, nt=1)
         assert f"needs {coords:.3g} query coordinates per step (10201 nodes, 8 directions)" \
             in str(err.value)
-        # 65^2 at K = 8 fits: 4225 x 3072 = 1.3e7 coordinates (all 4 K^2 actions: 1.73e7)
-        game._query_check(replace(spec, nx=(65, 65)), dirs)
+        # 65^2 at K = 8 fits: 4225 x 3072 = 1.3e7 coordinates (all 4 K^2 actions:
+        # 1.73e7), and nt = 2 fits the margin, so the sweep reaches its first
+        # node-sized allocation
+        class Reached(Exception):
+            pass
+
+        def reached(self):
+            raise Reached
+
+        monkeypatch.setattr(GridSpec, "points", reached)
+        with pytest.raises(Reached):
+            dpp_solve(payoff, params_2d(), 1.0, replace(spec, nx=(65, 65)), "both",
+                      dirs=dirs, nt=2)
 
     def test_running_cost_at_the_node_time(self):
         # constant payoff 5 and cost -1: u0 = 5 e^{-rT} - sum_{k < nt} e^{-r k dt} dt

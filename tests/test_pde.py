@@ -454,6 +454,30 @@ class TestSolveTerminalValue:
                                   SolverConfig(mode="bounded_minus", m=2.0), spec)
         assert np.all(up.values >= um.values - 1e-9)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stack_budget_is_checked_before_the_workspace(self, n, monkeypatch):
+        # default grid (nx 101 per axis): 192 x 101^3 doubles pass the budget
+        # and reach the workspace, 255 x 101^4 are refused before it
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(pde, "_Workspace", reached)
+        params = MarketParams(mu=np.zeros(n), sigma=np.full(n, 0.2), r=0.05, T=1.0)
+        payoff = BasketPut(weights=np.full(n, 1.0 / n), strike=K)
+        lo, hi = default_domain(params, payoff.center())
+        spec = GridSpec(lo=lo, hi=hi, nx=(101,) * n)
+        nt = resolve_time_steps(spec, params, SolverConfig())
+        assert ((nt + 1 + n) * 101 ** n > pde._STACK_BUDGET) == (n == 4)
+        if n == 3:
+            with pytest.raises(Reached):
+                solve_terminal_value(payoff, params, SolverConfig(), spec)
+        else:
+            with pytest.raises(PreconditionError, match="lower grid.nx"):
+                solve_terminal_value(payoff, params, SolverConfig(), spec)
+
     @pytest.mark.parametrize("case", ["limit_F", "bounded_plus", "bounded_minus",
                                       "limit_F_2d", "bounded_plus_2d", "bounded_minus_2d",
                                       "running_cost"])
