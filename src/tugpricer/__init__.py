@@ -21,8 +21,7 @@ from .game import (ConstantStrategy, DiscreteGameConfig, FeedbackStrategy,
 from .isaacs import DirectionSet
 from .market import (BasketPut, MarketParams, Payoff, PayoffCertificate,
                      RunningCost, TabulatedPayoff, certify_payoff,
-                     constant_payoff, constant_running_cost, payoff_basket_put,
-                     read_payoff_table, tabulated_payoff_from_csv,
+                     constant_payoff, constant_running_cost, read_payoff_table,
                      write_payoff_table)
 from .pde import (BarrierParams, GridSpec, PriceGrid, SolverConfig, a_design,
                   barrier_pair, cfl_max_dt, default_domain, interior_derivatives,
@@ -41,8 +40,8 @@ __all__ = [
     "cfl_max_dt", "constant_payoff", "constant_running_cost", "default_domain",
     "discounted_reward", "dpp_solve", "greedy_strategy_pair",
     "interior_derivatives", "interior_mask", "mc_value", "null_strategy_pair",
-    "path_rng", "payoff_basket_put", "read_payoff_table", "read_surface_csv",
+    "path_rng", "read_payoff_table", "read_surface_csv",
     "resolve_time_steps", "simulate_discrete_game", "simulate_sde_paths",
-    "solve_terminal_value", "tabulate_strategy", "tabulated_payoff_from_csv",
+    "solve_terminal_value", "tabulate_strategy",
     "write_payoff_table", "write_surface", "write_value_table",
 ]

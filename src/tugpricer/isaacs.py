@@ -38,7 +38,8 @@ finite inputs.  The choice rests on the direction set alone: any other 1-D
 set (reversed, or with duplicates) and every n >= 2 search the lattice.
 
 Both public operators read only the best outer action: ``hm_values_batch``
-the max of the outer table, ``greedy_controls_batch`` its first argmax.  So
+the max of the outer table, ``greedy_controls_batch`` its first argmax and
+the inner reply that the search recorded beside it.  So
 the lattice search is pruned, alpha-beta style (Knuth and Moore, Artif.
 Intell. 6, 1975), in three batched passes over each chunk of inputs
 (``_search``):
@@ -65,7 +66,7 @@ so values and greedy controls equal the full lattice's bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -234,10 +235,10 @@ def _seeds(count: int, K: int) -> Array:
 
 
 def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float, m: float):
-    """Yield (rows, D, table, reply) over consecutive row slices of the batch:
+    """Yield (rows, D, table, inner) over consecutive row slices of the batch:
     the rows' direction table D (B,K,n), their outer table (``_search``) and
-    ``reply(ko, jo)``, the inner player's best (direction index, intensity
-    index) against outer direction ko at intensity jo*m.  Each slice has as
+    beside it the inner player's reply 2 l + i to each entry, direction l at
+    intensity i*m (``_outer_table``).  Each slice has as
     many rows as fit the K x S blocks of their S seed rows in _CHUNK_ELEMS
     (at least one row; the passes split a larger block).  The exact 1-D pair
     [-1, +1] takes the closed form ``_pair_table`` instead of the search."""
@@ -252,27 +253,29 @@ def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float, m: floa
             yield (rows, *_pair_table(p[rows, 0], M[rows, 0, 0], params.sigma[0], sign, m))
         else:
             pieces = _phi_pieces(p[rows], M[rows], params, dirs.dirs, sign)
-            yield rows, pieces[0], _search(*pieces, m, seeds), partial(_reply, *pieces, m=m)
+            yield rows, pieces[0], *_search(*pieces, m, seeds)
 
 
-def _search(D: Array, QD: Array, q: Array, c: Array, m: float, seeds: Array) -> Array:
+def _search(D: Array, QD: Array, q: Array, c: Array, m: float, seeds: Array):
     """The outer table (B, K, 2) of ``_outer_table``'s entries, with -inf in
-    each row that cannot hold the best entry (module docstring): the seed
-    rows, then the rows whose ``_row_bounds`` is not below the best seed
-    entry (every row where that comparison is not True, as with NaN)."""
+    each row that cannot hold the best entry (module docstring), and the
+    inner replies beside it (0 in the pruned rows): the seed rows, then the
+    rows whose ``_row_bounds`` is not below the best seed entry (every row
+    where that comparison is not True, as with NaN)."""
     B, K = q.shape
     S = seeds.size
     table = np.full((B, K, 2), -np.inf)
-    _outer_table(D, QD, q, c, m, None, seeds, table)
+    inner = np.zeros((B, K, 2), dtype=np.intp)
+    _outer_table(D, QD, q, c, m, None, seeds, table, inner)
     if S == K:
-        return table
+        return table, inner
     alpha = np.max(table[:, seeds], axis=(1, 2))
     keep = ~(_row_bounds(D, QD, q, c, m, seeds) < alpha[:, None])
     keep[:, seeds] = False
     b, k = np.nonzero(keep)
     if b.size:
-        _outer_table(D, QD, q, c, m, *_row_sets(b, k, B), table)
-    return table
+        _outer_table(D, QD, q, c, m, *_row_sets(b, k, B), table, inner)
+    return table, inner
 
 
 def _row_sets(b: Array, k: Array, B: int):
@@ -331,10 +334,11 @@ def _row_bounds(D: Array, QD: Array, q: Array, c: Array, m: float, seeds: Array)
 
 
 def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array | None,
-                 rows: Array, out: Array) -> None:
+                 rows: Array, out: Array, inner: Array) -> None:
     """Write into out[owner[i], rows[i]] (out is (B, K, 2)) what the outer
     (maximizing) player secures with the lattice actions of the outer
-    directions rows[i] (G, r) of input owner[i] (G,).
+    directions rows[i] (G, r) of input owner[i] (G,), and into inner the
+    inner player's reply that attains it.
 
     Entry [b, k, j] is the min over the inner player's actions (direction
     l, intensity d) of phi - const against outer direction k at intensity
@@ -349,7 +353,11 @@ def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array
     is exactly 0 for l = k at lam = 0 and the same for every lam when
     c_l + c_k = 0, so such actions tie exactly, as in the scan of the direct
     formula.  The intensity search is exact: for fixed directions phi is
-    affine in each d, so only d in {0, m} can attain the optimum.
+    affine in each d, so only d in {0, m} can attain the optimum.  The reply
+    inner[b, k, j] = 2 l + i is the direction l found at lam = (j + i) m,
+    with i = 1 where that value is below the one at i = 0, or equal to it
+    with an earlier l: the first of the two found replies in the inner
+    player's (direction, intensity) scan that attains the entry's value.
 
     np.matmul rounds a one-row block (gemv) differently from a block of
     several rows, and, in the BLAS this was measured with, a block of over
@@ -407,6 +415,9 @@ def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array
             val = (np.einsum("bki,btki->btk", Dk, QDt.take(at, axis=0))
                    + hq.take(at) + hq[sel][:, None] - lam * (c.take(at) + c[sel][:, None]))
             out[sel] = np.minimum(val[:, :2], val[:, 1:]).transpose(0, 2, 1)
+            lo, hi = reply[:, :2], reply[:, 1:]
+            i = (val[:, 1:] < val[:, :2]) | ((val[:, 1:] == val[:, :2]) & (hi < lo))
+            inner[sel] = (2 * np.where(i, hi, lo) + i).transpose(0, 2, 1)
 
 
 def _check_m(m: float) -> float:
@@ -449,21 +460,8 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
     return out + const + params.r * np.asarray(xi, dtype=float)
 
 
-def _reply(D: Array, QD: Array, q: Array, c: Array, k: Array, j: Array, m: float):
-    """The inner player's best (direction index, intensity index) against
-    outer direction k at intensity j*m: the first minimum, in the flattened
-    (direction, intensity) scan, of phi - const rebuilt for that row as
-    ``_outer_table`` recomputes its values."""
-    rows = np.arange(k.size)
-    d = m * j
-    a = np.einsum("bi,bil->bl", D[rows, k], QD) - 0.5 * q - 0.5 * q[rows, k][:, None]
-    s = c + c[rows, k][:, None]
-    inner = np.stack([a - d[:, None] * s, a - (d[:, None] + m) * s], axis=2)
-    return np.divmod(np.argmin(inner.reshape(k.size, -1), axis=1), 2)
-
-
 def _pair_table(p: Array, M: Array, sigma: float, sign: float, m: float):
-    """``_chunks``' (D, table, reply) for the 1-D pair D = [-1, +1], from the
+    """``_chunks``' (D, table, inner) for the 1-D pair D = [-1, +1], from the
     (B,) vectors p = p_0 and M = M_00, without the lattice search.
 
     With q = sign sigma^2 M and c = sign p, a same-direction pair at
@@ -502,29 +500,26 @@ def _pair_table(p: Array, M: Array, sigma: float, sign: float, m: float):
     # no entry is -0.0 for finite inputs, so the max is the lattice's in any order
     out = np.empty((2, 2, B))
     np.minimum(val[:2], val[1:], out=out.transpose(1, 0, 2))
-    return (np.broadcast_to(_PAIR, (B, 2, 1)), out.transpose(2, 0, 1),
-            partial(_pair_reply, same, opposed))
-
-
-def _pair_reply(same: Array, opposed: Array, k: Array, j: Array):
-    """``_reply`` for ``_pair_table``: the inner player's first minimum over
-    (direction l, intensity i) of the same-direction value at lam = (j + i) m
-    where l = k, and the opposed value where l != k."""
-    B = k.size
-    i = np.arange(2)
-    own = same[j[:, None] + i, k[:, None], np.arange(B)[:, None]]       # (B, i)
-    inner = np.where((k[:, None] == i)[:, :, None], own[:, None, :], opposed[:, None, None])
-    return np.divmod(np.argmin(inner.reshape(B, 4), axis=1), 2)
+    # the reply 2 l + i as the lattice's, the pick at lam = (j + i) m, where
+    # l = 0 is first; bitwise, as np.where on booleans is slow
+    f0, f1 = first[:2], first[1:]
+    i = (val[1:] < val[:2]) | ((val[1:] == val[:2]) & (f1 > f0))
+    inner = 2 * ~(f0 ^ (i & (f0 ^ f1))) + i                               # (j, k, B)
+    return np.broadcast_to(_PAIR, (B, 2, 1)), out.transpose(2, 0, 1), inner.transpose(2, 1, 0)
 
 
 def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
                           dirs: DirectionSet, side: str):
     """Optimal lattice actions for a batch of inputs.
 
-    Returns (theta_plus, d_plus, theta_minus, d_minus) arrays.  Ties resolve to
-    the earliest direction in the set ordering with d = 0 preferred, matching
-    the scan order of the value search, so evaluating phi at the returned pair
-    reproduces the corresponding hm value exactly.
+    Returns (theta_plus, d_plus, theta_minus, d_minus) arrays: the outer
+    player's first best entry of the value search's table, and the inner
+    reply that search recorded for it.  Ties resolve as the search ranks
+    them: the outer action to the earliest direction in the set ordering
+    with d = 0 preferred; the inner reply to the direction ranked first at
+    each intensity, and between the two intensities, on equal values, to
+    the earlier direction, then to d = 0.  So phi at the returned pair, in
+    the search's arithmetic, is the hm value bit for bit.
     """
     m = _check_m(m)
     sign = _sign(side)
@@ -540,10 +535,10 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     # replies (inner); side 'minus' swaps the roles
     (th_out, d_out), (th_in, d_in) = (((theta_m, d_m), (theta_p, d_p)) if side == "plus"
                                       else ((theta_p, d_p), (theta_m, d_m)))
-    for rows, D, table, reply in _chunks(p, M, params, dirs, sign, m):
+    for rows, D, table, inner in _chunks(p, M, params, dirs, sign, m):
         ko, jo = np.divmod(np.argmax(table.reshape(D.shape[0], -1), axis=1), 2)
-        ki, ji = reply(ko, jo)
         idx = np.arange(D.shape[0])
+        ki, ji = np.divmod(inner[idx, ko, jo], 2)
         th_out[rows] = D[idx, ko]
         th_in[rows] = D[idx, ki]
         d_out[rows] = m * jo

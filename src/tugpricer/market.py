@@ -151,21 +151,6 @@ class Payoff:
             raise ValidationError("lipschitz_bound must be finite and >= 0")
 
 
-def payoff_basket_put(x, weights, strike: float):
-    """Put on a weighted basket of exponentials: max(strike - sum w*exp(x), 0)."""
-    w = np.asarray(weights, dtype=float)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 1
-    if scalar:
-        arr = arr[None, :]
-    if arr.shape[-1] != w.size:
-        raise ValidationError(
-            f"basket put expects {w.size} coordinates per point, got {arr.shape[-1]}"
-        )
-    vals = np.maximum(strike - np.exp(arr) @ w, 0.0)
-    return float(vals[0]) if scalar else vals
-
-
 @dataclass(frozen=True)
 class BasketPut(Payoff):
     """``max(K - sum_i w_i exp(x_i), 0)`` with weights on the unit simplex."""
@@ -309,13 +294,6 @@ def write_payoff_table(path, axes: Sequence[Array], table: Array) -> None:
         writer.writerow([f"x_{i + 1}" for i in range(n)] + ["g"])
         for k in range(flat.size):
             writer.writerow([f"{g.reshape(-1)[k]:.17g}" for g in grids] + [f"{flat[k]:.17g}"])
-
-
-def tabulated_payoff_from_csv(path, lipschitz_bound: float | None = None,
-                              sup_bound: float | None = None) -> TabulatedPayoff:
-    axes, table = read_payoff_table(path)
-    return TabulatedPayoff(axes=axes, table=table, lipschitz_bound=lipschitz_bound,
-                           sup_bound=sup_bound)
 
 
 def _halton(d: int, count: int) -> Array:

@@ -38,8 +38,9 @@ Array = np.ndarray
 
 MODES = ("limit_F", "bounded_plus", "bounded_minus")
 # cap on the doubles a solve holds before it marches: the (nt + 1) value slices
-# and the n coordinates of spec.points(), each prod(nx) nodes.  The default 3-D
-# grid (nx 101, nt 188) needs 1.98e8 (1.6 GB) and runs; the default 4-D one needs
+# and the n coordinates of spec.points(), each prod(nx) nodes, and the stencil's
+# gradient and Hessian buffers, n + n^2 per interior node.  The default 3-D grid
+# (nx 101, nt 188) needs 2.09e8 (1.7 GB) and runs; the default 4-D one needs
 # 2.65e10 (212 GB) and is refused before its first node-sized allocation
 _STACK_BUDGET = 1 << 28
 
@@ -182,9 +183,6 @@ class PriceGrid:
     def axes(self) -> tuple[Array, ...]:
         return self.spec.axes
 
-    def times(self) -> Array:
-        return self.dt * np.arange(self.nt + 1)
-
     def node_index(self, x) -> tuple[int, ...]:
         """Index of the node nearest to x."""
         x = _as_vector(x, "x", self.n)
@@ -243,14 +241,17 @@ class _Stencil:
 
     Built once: the interior's neighbour slices, the divisors 2 h_i, h_i^2
     and 4 h_i h_j, the gradient buffer p (*interior, n), the Hessian buffer
-    M (*interior, n, n) and the views of their entries.  :meth:`fill` writes
+    M (*interior, n, n), their (B, n) and (B, n, n) row views ``rows`` (the
+    operator's inputs) and the views of their entries.  :meth:`fill` writes
     each entry term by term in the order of
 
         p_i  = (u[+i] - u[-i]) / (2 h_i)
         M_ii = (u[+i] - 2 u + u[-i]) / h_i^2
         M_ij = M_ji = (u[+i+j] - u[+i-j] - u[-i+j] + u[-i-j]) / (4 h_i h_j)
 
-    so M is symmetric by construction and both are exact on quadratics.
+    so M is symmetric by construction and both are exact on quadratics, and
+    returns the operator inputs (xi, p, M) of the interior nodes in node (C)
+    order: the row views, which the next fill overwrites.
     """
 
     def __init__(self, h: Array, interior: tuple[int, ...]):
@@ -258,6 +259,7 @@ class _Stencil:
         self.core = tuple(slice(1, -1) for _ in range(n))
         self.p = np.empty(interior + (n,))
         self.M = np.empty(interior + (n, n))
+        self.rows = self.p.reshape(-1, n), self.M.reshape(-1, n, n)
         self.axes = [(_shift(n, i, +1), _shift(n, i, -1), 2.0 * h[i], h[i] ** 2,
                       self.p[..., i], self.M[..., i, i]) for i in range(n)]
         self.cross = [(_shift(n, i, +1, j, +1), _shift(n, i, +1, j, -1),
@@ -265,7 +267,7 @@ class _Stencil:
                        self.M[..., i, j], self.M[..., j, i])
                       for i in range(n) for j in range(i + 1, n)]
 
-    def fill(self, u: Array) -> None:
+    def fill(self, u: Array) -> tuple[Array, Array, Array]:
         core = u[self.core]
         for up, dn, two_h, h_sq, p_i, m_ii in self.axes:
             u_up, u_dn = u[up], u[dn]
@@ -281,6 +283,7 @@ class _Stencil:
             np.add(m_ij, u[mm], out=m_ij)
             np.divide(m_ij, four_hh, out=m_ij)
             m_ji[...] = m_ij
+        return (core.reshape(-1), *self.rows)
 
 
 def interior_derivatives(u: Array, h: Array) -> tuple[Array, Array]:
@@ -297,14 +300,6 @@ def interior_derivatives(u: Array, h: Array) -> tuple[Array, Array]:
     stencil = _Stencil(h, tuple(k - 2 for k in u.shape))
     stencil.fill(u)
     return stencil.p, stencil.M
-
-
-def _interior_inputs(u: Array, h: Array) -> tuple[Array, Array, Array]:
-    """Operator inputs (xi, p, M) of the interior nodes of slice u, flat in node (C) order."""
-    n = u.ndim
-    p, M = interior_derivatives(u, h)
-    xi = u[tuple(slice(1, -1) for _ in range(n))].reshape(-1)
-    return xi, p.reshape(-1, n), M.reshape(-1, n, n)
 
 
 def _operator(config: SolverConfig, params: MarketParams, p: Array, M: Array):
@@ -342,8 +337,7 @@ def _march(terminal: Array, nt: int, dt: float, step) -> Array:
 
 class _Workspace:
     """The explicit step, prepared once per solve (see the module docstring);
-    ``ws(values_next, t_next)`` steps back dt and returns a new slice.  The
-    buffers' (B, n) and (B, n, n) row views are the operator's inputs."""
+    ``ws(values_next, t_next)`` steps back dt and returns a new slice."""
 
     def __init__(self, payoff: Payoff, params: MarketParams, config: SolverConfig,
                  spec: GridSpec, dt: float):
@@ -355,23 +349,21 @@ class _Workspace:
         self.interior = tuple(k - 2 for k in spec.nx)
         self.stencil = _Stencil(spec.h, self.interior)
         self.core = self.stencil.core
-        self.rows = self.stencil.p.reshape(-1, n), self.stencil.M.reshape(-1, n, n)   # views
-        self.operator = _operator(config, params, *self.rows)
+        self.operator = _operator(config, params, *self.stencil.rows)
         self.cost_points = None
         if params.running_cost is not None:
             self.cost_points = spec.points().reshape(*spec.nx, n)[self.core].reshape(-1, n)
 
     def __call__(self, values_next: Array, t_next: float) -> Array:
-        self.stencil.fill(values_next)
-        core = values_next[self.core]
-        rhs = self.operator(core.reshape(-1), *self.rows)
+        xi, p, M = self.stencil.fill(values_next)
+        rhs = self.operator(xi, p, M)
         if self.cost_points is not None:
             rhs = rhs + self.params.running_cost(self.cost_points, t_next)
         t = t_next - self.dt
         disc = np.exp(-self.params.r * (self.params.T - t))
         out = np.multiply(self.terminal, disc)      # the boundary; the core is overwritten
         rhs *= self.dt
-        np.add(core, rhs.reshape(self.interior), out=out[self.core])
+        np.add(xi.reshape(self.interior), rhs.reshape(self.interior), out=out[self.core])
         return out
 
 
@@ -379,13 +371,15 @@ def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverCon
                          spec: GridSpec) -> PriceGrid:
     """March the configured operator backwards from the payoff at T."""
     nt = resolve_time_steps(spec, params, config)
+    n = spec.n
     nodes = math.prod(spec.nx)
-    doubles = (nt + 1 + spec.n) * nodes
+    inner = math.prod(k - 2 for k in spec.nx)
+    doubles = (nt + 1 + n) * nodes + (n + n * n) * inner
     if doubles > _STACK_BUDGET:
         raise PreconditionError(
-            f"the PDE needs {doubles:.3g} doubles ({nt + 1} value slices and {spec.n} "
-            f"coordinates of {nodes} nodes), over the budget of {_STACK_BUDGET:.3g}; "
-            f"lower grid.nx"
+            f"the PDE needs {doubles:.3g} doubles ({nt + 1} value slices and {n} "
+            f"coordinates of {nodes} nodes, and {n + n * n} stencil entries for each of "
+            f"{inner} interior nodes), over the budget of {_STACK_BUDGET:.3g}; lower grid.nx"
         )
     spec = replace(spec, nt=nt)
     dt = params.T / nt

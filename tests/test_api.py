@@ -28,7 +28,8 @@ REMOVED = {
                   "greedy_controls", "f_limit", "f_envelopes", "f_mean_eigenvalue",
                   "discrete_derivatives", "apply_operator", "step_backward", "dpp_step",
                   "OutOfDomainError", "GradientDegenerateError",
-                  "write_surface_csv", "write_value_table_csv"],
+                  "write_surface_csv", "write_value_table_csv", "payoff_basket_put",
+                  "tabulated_payoff_from_csv"],
     "isaacs": ["OperatorInput", "ControlPoint", "phi", "hm_plus", "hm_minus", "_hm_single",
                "greedy_controls", "f_limit", "f_envelopes", "f_mean_eigenvalue",
                "SYMMETRY_TOL"],

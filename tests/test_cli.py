@@ -217,6 +217,21 @@ class TestExitCodes:
         cfg["payoff"] = {"kind": "constant", "value": 5.0}
         assert run_cli("price", cfg, tmp_path / "cfl") == 3
 
+    def test_stencil_counts_against_the_stack_budget(self, run_cli, tmp_path, capsys,
+                                                     monkeypatch):
+        # a budget above the value slices and coordinates alone, but below
+        # them plus the stencil's 2 + 4 doubles per interior node, refuses
+        nt, nx = 40, 11
+        budget = (nt + 1 + 2) * nx**2 + 3 * (nx - 2) ** 2
+        monkeypatch.setattr(pde, "_STACK_BUDGET", budget)
+        cfg = base_config(grid={"lo": [LOG_K - 2.0] * 2, "hi": [LOG_K + 2.0] * 2,
+                                "nx": [nx, nx], "nt": nt})
+        cfg["market"]["sigma"] = [0.2, 0.2]
+        cfg["payoff"] = {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K}
+        assert run_cli("price", cfg, tmp_path / "stencil") == 3
+        err = capsys.readouterr().err
+        assert "stencil" in err and "grid.nx" in err
+
     def test_displacement_margin_returns_3(self, run_cli, tmp_path):
         cfg = base_config(grid={"lo": [-2.0], "hi": [2.0], "nx": 11, "nt": 2},
                           game={"m": 50.0})

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -950,6 +952,26 @@ class TestGreedyStrategies:
         cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=4000, seed=17, nt=100)
         est = mc_value(PUT, params, gp, gm, cfg)
         assert abs(est.mean - u0) <= 3.0 * est.stderr + 0.02 * u0
+
+    def test_slice_tables_are_thread_safe(self):
+        # the pair's slice tables share one stencil's buffers; tables built
+        # from more threads than cores, switching often, equal serial ones
+        params = MarketParams(mu=np.zeros(2), sigma=np.full(2, 0.3), r=0.0, T=0.25)
+        spec = GridSpec(lo=np.full(2, LOG_K - 1.5), hi=np.full(2, LOG_K + 1.5), nx=(15, 15))
+        grid = solve_terminal_value(BasketPut(weights=np.full(2, 0.5), strike=K), params,
+                                    SolverConfig(), spec)
+        dirs = DirectionSet.for_dimension(2, 16)
+        tables = greedy_strategy_pair(grid, params, 2.0, dirs)[0].tables
+        slices = list(range(grid.nt + 1)) * 4
+        want = {k: tables.table(k) for k in set(slices)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                got = list(pool.map(tables.table, slices, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, want[k]) for g, k in zip(got, slices))
 
     @pytest.mark.parametrize("bad", [{"m": -1.0}, {"m": float("nan")}, {"side": "both"},
                                      {"dirs": DirectionSet.for_dimension(2, 8)}])

@@ -466,6 +466,43 @@ class TestGreedyControls:
             val = phi_at(greedy(inp, 3.0, params, dirs, side), inp, params) + params.r * inp[0]
             assert val == pytest.approx(hm(inp, 3.0, params, dirs, side), abs=1e-12)
 
+    @staticmethod
+    def degenerate_2d():
+        """xi = 0 and rows whose inner replies tie to within rounding: p = 0
+        and rounded p against small symmetric M, M = 0.3 [[1, 1], [1, 1]] and
+        M = I among them."""
+        entries = (0.0, 0.25, -0.5, 0.3, 1.0)
+        Ms = [np.array([[a, b], [b, d]]) for a in entries for b in entries for d in entries]
+        ps = [np.array([a, b]) for a in (0.0, 0.25, -1.0) for b in (0.0, 0.5, -1.0)]
+        p = np.repeat(np.array(ps), len(Ms), axis=0)
+        M = np.tile(np.array(Ms), (len(ps), 1, 1))
+        return np.zeros(p.shape[0]), p, M
+
+    @pytest.mark.parametrize("count", [8, 16])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_pair_reproduces_hm_on_ties(self, side, count):
+        # the inner reply is the one the value search recorded, so phi at the
+        # greedy pair, rebuilt in the search's arithmetic from the rows k
+        # (outer) and l (inner) of its directions, is hm bit for bit
+        params = MarketParams(mu=np.array([0.02, -0.01]), sigma=np.ones(2), r=0.0, T=1.0)
+        dirs = DirectionSet.for_dimension(2, count)
+        xi, p, M = self.degenerate_2d()
+        sign = 1.0 if side == "plus" else -1.0
+        D, QD, q, c = isaacs._phi_pieces(p, M, params, dirs.dirs, sign)
+        const = -0.5 * (0.0 + isaacs._trace_s2m(M, params.sigma**2)) - p @ params.mu
+        b = np.arange(p.shape[0])
+        for m in (0.25, 1.0, 3.7):
+            tp, dp, tm, dm = greedy_controls_batch(xi, p, M, m, params, dirs, side)
+            (t_out, d_out), (t_in, d_in) = (((tm, dm), (tp, dp)) if side == "plus"
+                                            else ((tp, dp), (tm, dm)))
+            k = np.argmax(np.all(D == t_out[:, None], axis=2), axis=1)
+            l = np.argmax(np.all(D == t_in[:, None], axis=2), axis=1)
+            assert np.array_equal(D[b, k], t_out) and np.array_equal(D[b, l], t_in)
+            entry = ((np.einsum("bi,bi->b", D[b, k], QD[b, :, l]) + (-0.5 * q[b, l]))
+                     + (-0.5 * q[b, k]) - (d_out + d_in) * (c[b, l] + c[b, k]))
+            want = hm_values_batch(xi, p, M, m, params, dirs, side)
+            assert np.array_equal(bits(sign * entry + const + params.r * xi), bits(want)), m
+
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_matches_enumeration(self, side, rng):
         # tie-breaking must agree with a literal first-occurrence scan
@@ -492,6 +529,22 @@ class TestGreedyControls:
                                               DIRS_1D.dirs, side)
                 assert np.array_equal(gtp, tp) and gdp == dp
                 assert np.array_equal(gtm, tm) and gdm == dm
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_one_dimensional_ties_follow_the_scan(self, side):
+        # dyadic inputs make same and opposed replies tie exactly, as at
+        # p = -1, M = 0.25, m = 0.25: the inner reply is the scan's first,
+        # the earlier direction before the lower intensity
+        params = params_1d()
+        for p in (0.0, 0.25, -0.5, 1.0, -1.0):
+            for M in (0.0, 0.25, -0.5, 1.0):
+                for m in (0.25, 0.5, 1.0):
+                    inp = inp_1d(p=p, M=M)
+                    gtp, gdp, gtm, gdm = greedy(inp, m, params, DIRS_1D, side)
+                    tp, dp, tm, dm = brute_greedy(*inp, m, params.mu, params.sigma,
+                                                  DIRS_1D.dirs, side)
+                    assert np.array_equal(gtp, tp) and gdp == dp, (p, M, m)
+                    assert np.array_equal(gtm, tm) and gdm == dm, (p, M, m)
 
     def test_batch_matches_singles(self, rng):
         # each row's controls are independent of the rows batched with it
@@ -626,7 +679,9 @@ class TestPairClosedForm:
         put = BasketPut(weights=np.array([1.0]), strike=100.0)
         grid = solve_terminal_value(put, params, SolverConfig(mode="bounded_minus", m=10.0),
                                     spec)
-        xi, p, M = (np.concatenate(a) for a in zip(*(pde._interior_inputs(u, spec.h)
+        # fill's views are overwritten by the next fill, so each slice is copied
+        stencil = pde._Stencil(spec.h, tuple(k - 2 for k in spec.nx))
+        xi, p, M = (np.concatenate(a) for a in zip(*([x.copy() for x in stencil.fill(u)]
                                                       for u in grid.values)))
         self.assert_same_bits(monkeypatch, xi, p, M, params, ms=(10.0,))
 
@@ -797,12 +852,14 @@ class TestPrunedSearch:
         pieces = isaacs._phi_pieces(*operators_batch(3, B, 2)[1:], params_nd(2),
                                     DirectionSet.for_dimension(2, 20).dirs, 1.0)
         out = np.empty((B, K, 2))
+        inner = np.empty((B, K, 2), dtype=np.intp)
         monkeypatch.setattr(np, "matmul", spy)
         for cap in (isaacs._CHUNK_ELEMS, 3 * K, 2 * K):
             monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", cap)
-            isaacs._outer_table(*pieces, 2.0, None, np.arange(K), out)
-            isaacs._outer_table(*pieces, 2.0, np.array([0, 2]), np.array([[5], [9]]), out)
-            isaacs._outer_table(*pieces, 2.0, np.array([1]), np.arange(7)[None], out)
+            isaacs._outer_table(*pieces, 2.0, None, np.arange(K), out, inner)
+            isaacs._outer_table(*pieces, 2.0, np.array([0, 2]), np.array([[5], [9]]), out,
+                                inner)
+            isaacs._outer_table(*pieces, 2.0, np.array([1]), np.arange(7)[None], out, inner)
         assert shapes and min(shape[-2] for shape in shapes) >= 2
 
     @pytest.mark.parametrize("values", [
@@ -834,7 +891,9 @@ class TestPrunedSearch:
                         nx=(9, 9))
         put = BasketPut(weights=np.array([0.5, 0.5]), strike=100.0)
         grid = solve_terminal_value(put, params, SolverConfig(mode="limit_F"), spec)
-        xi, p, M = (np.concatenate(a) for a in zip(*(pde._interior_inputs(u, spec.h)
+        # fill's views are overwritten by the next fill, so each slice is copied
+        stencil = pde._Stencil(spec.h, tuple(k - 2 for k in spec.nx))
+        xi, p, M = (np.concatenate(a) for a in zip(*([x.copy() for x in stencil.fill(u)]
                                                       for u in grid.values)))
         self.assert_same_bits(monkeypatch, xi, p, M, params, DirectionSet.for_dimension(2),
                               ms=(2.0,))
@@ -851,7 +910,8 @@ class TestPrunedSearch:
         pieces = isaacs._phi_pieces(p, M, params_nd(n), dirs.dirs, 1.0)
         K = count + 2
         want = np.empty((B, K, 2))
-        isaacs._outer_table(*pieces, 10.0, None, np.arange(K), want)
+        want_inner = np.empty((B, K, 2), dtype=np.intp)
+        isaacs._outer_table(*pieces, 10.0, None, np.arange(K), want, want_inner)
         keep = rng.random((B, K)) < 0.1
         keep[2] = True
         cases = [(np.array([0]), np.array([[K - 1]])),
@@ -862,11 +922,14 @@ class TestPrunedSearch:
             monkeypatch.setattr(isaacs, "_CHUNK_ELEMS", cap)
             for owner, rows in cases:
                 got = np.full((B, K, 2), -np.inf)
-                isaacs._outer_table(*pieces, 10.0, owner, rows, got)
+                got_inner = np.full((B, K, 2), -1, dtype=np.intp)
+                isaacs._outer_table(*pieces, 10.0, owner, rows, got, got_inner)
                 mask = np.zeros((B, K), bool)
                 mask[owner[:, None], rows] = True
                 assert np.array_equal(bits(got[mask]), bits(want[mask])), cap
+                assert np.array_equal(got_inner[mask], want_inner[mask]), cap
                 assert np.all(got[~mask] == -np.inf)
+                assert np.all(got_inner[~mask] == -1)
 
     def test_row_sets_cover_each_input_once(self, rng):
         # sets of the (upper) median count, padded by repeating the input's last row
@@ -885,9 +948,9 @@ class TestPrunedSearch:
         computed = []
         real = isaacs._outer_table
 
-        def count_rows(D, QD, q, c, m, owner, rows, out):
+        def count_rows(D, QD, q, c, m, owner, rows, out, inner):
             computed.append(rows.size * (out.shape[0] if owner is None else 1))
-            return real(D, QD, q, c, m, owner, rows, out)
+            return real(D, QD, q, c, m, owner, rows, out, inner)
 
         monkeypatch.setattr(isaacs, "_outer_table", count_rows)
         params = MarketParams(mu=np.zeros(2), sigma=np.ones(2), r=0.1, T=1.0)

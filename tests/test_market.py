@@ -9,40 +9,43 @@ from hypothesis import strategies as st
 
 from tugpricer import (BasketPut, CertificationError, MarketParams,
                        TabulatedPayoff, ValidationError, certify_payoff,
-                       constant_payoff, constant_running_cost,
-                       payoff_basket_put, read_payoff_table,
-                       tabulated_payoff_from_csv, write_payoff_table)
+                       constant_payoff, constant_running_cost, read_payoff_table,
+                       write_payoff_table)
 from tugpricer.market import _halton
 
 
 class TestBasketPutFunction:
+    """``BasketPut`` called on one point: max(strike - sum w exp(x), 0)."""
+
+    HALVES = BasketPut(weights=np.array([0.5, 0.5]), strike=100.0)
+
     def test_at_the_money_index(self):
         x = np.array([math.log(100.0), math.log(100.0)])
-        assert payoff_basket_put(x, np.array([0.5, 0.5]), 100.0) == 0.0
+        assert self.HALVES(x) == 0.0
 
     def test_in_the_money(self):
         x = np.array([math.log(20.0), math.log(60.0)])
-        assert payoff_basket_put(x, np.array([0.5, 0.5]), 100.0) == pytest.approx(60.0, abs=1e-12)
+        assert self.HALVES(x) == pytest.approx(60.0, abs=1e-12)
 
     def test_deep_in_the_money(self):
         x = np.array([-50.0, -50.0])
-        val = payoff_basket_put(x, np.array([0.5, 0.5]), 100.0)
+        val = self.HALVES(x)
         assert abs(val - 100.0) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            payoff_basket_put(np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.5]), 100.0)
+            self.HALVES(np.array([0.0, 0.0, 0.0]))
 
     @given(st.lists(st.floats(-5, 8), min_size=1, max_size=3),
            st.integers(0, 2), st.floats(1e-3, 2.0))
     def test_monotone_and_bounded(self, xs, axis, delta):
         x = np.array(xs)
-        w = np.full(x.size, 1.0 / x.size)
-        base = payoff_basket_put(x, w, 100.0)
+        put = BasketPut(weights=np.full(x.size, 1.0 / x.size), strike=100.0)
+        base = put(x)
         assert 0.0 <= base <= 100.0
         bumped = x.copy()
         bumped[axis % x.size] += delta
-        assert payoff_basket_put(bumped, w, 100.0) <= base + 1e-12
+        assert put(bumped) <= base + 1e-12
 
 
 class TestBasketPutPayoff:
@@ -178,7 +181,7 @@ class TestPayoffTableCsv:
         assert np.allclose(axes[0], xs)
         assert np.allclose(axes[1], ys)
         assert np.allclose(back, table)
-        pay = tabulated_payoff_from_csv(path, sup_bound=10.0, lipschitz_bound=10.0)
+        pay = TabulatedPayoff(*read_payoff_table(path), sup_bound=10.0, lipschitz_bound=10.0)
         assert pay(np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_bad_header_rejected(self, tmp_path):
