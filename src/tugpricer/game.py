@@ -27,7 +27,6 @@ policy, else once per slice that the clock reads.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -257,7 +256,7 @@ def greedy_strategy_pair(grid: pde.PriceGrid, params: MarketParams, m: float,
 
     States snap to the nearest interior node of the nearest time slice, so the
     controls are piecewise constant; the two policies share one table per slice,
-    built on the pair's one stencil, one slice at a time.
+    each built on a stencil of its own.
     """
     if dirs is None:
         dirs = DirectionSet.for_dimension(grid.n)
@@ -265,13 +264,12 @@ def greedy_strategy_pair(grid: pde.PriceGrid, params: MarketParams, m: float,
     if not dirs.n == params.n == grid.n:
         raise ValidationError("directions, params and surface dimensions must agree")
     m = _check_m(m)
-    stencil = pde._Stencil(grid.spec.h, tuple(k - 2 for k in grid.spec.nx))
-    lock = threading.Lock()  # a slice's fill and its read of the buffers, one thread at a time
+    interior = tuple(k - 2 for k in grid.spec.nx)
 
     def table(k: int, t: float) -> Array:
-        with lock:
-            tp, dp, tm, dm = greedy_controls_batch(*stencil.fill(grid.values[k]), m, params,
-                                                   dirs, side)
+        stencil = pde._Stencil(grid.spec.h, interior)
+        tp, dp, tm, dm = greedy_controls_batch(*stencil.fill(grid.values[k]), m, params,
+                                               dirs, side)
         for theta, d in ((tp, dp), (tm, dm)):
             _check_controls(theta, d, m, lambda i: f"interior node {i} of the slice t={t}")
         return np.column_stack([tp, dp, tm, dm])

@@ -31,18 +31,19 @@ In 1-D the default directions, ``DirectionSet.for_dimension(1)``, are
 exactly [-1, +1], each player's lattice is {-1, +1} x {0, m}, and each
 outer action meets one of two replies: the same direction, worth
 -lam (c_k + c_k), or the opposed one, worth -2 q at every lam.  For that
-set ``_pair_table`` builds the outer table and the inner reply in closed
-form from (B,) vectors, with the lattice's own floats, ranking and tie
-rules, so values and greedy controls are the lattice's bit for bit on
-finite inputs.  The choice rests on the direction set alone: any other 1-D
-set (reversed, or with duplicates) and every n >= 2 search the lattice.
+set ``_pair_table`` builds the outer table in closed form from (B,)
+vectors, and the inner reply only at the entries read, with the lattice's
+own floats, ranking and tie rules, so values and greedy controls are the
+lattice's bit for bit on finite inputs.  The choice rests on the direction
+set alone: any other 1-D set (reversed, or with duplicates) and every
+n >= 2 search the lattice.
 
 Both public operators read only the best outer action: ``hm_values_batch``
-the max of the outer table, ``greedy_controls_batch`` its first argmax and
-the inner reply that the search recorded beside it.  So
-the lattice search is pruned, alpha-beta style (Knuth and Moore, Artif.
-Intell. 6, 1975), in three batched passes over each chunk of inputs
-(``_search``):
+the max of the outer table, ``greedy_controls_batch`` its first argmax and,
+through a reply read, the inner reply to it, which the lattice search
+records beside each entry.  So the lattice search is pruned, alpha-beta
+style (Knuth and Moore, Artif. Intell. 6, 1975), in three batched passes
+over each chunk of inputs (``_search``):
 
 1. Seed rows: full rows (``_outer_table``) for every _SEED_STRIDE-th fan
    direction and for +-p/|p|.  Their best entry is the incumbent alpha.
@@ -235,13 +236,14 @@ def _seeds(count: int, K: int) -> Array:
 
 
 def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float, m: float):
-    """Yield (rows, D, table, inner) over consecutive row slices of the batch:
+    """Yield (rows, D, table, reply) over consecutive row slices of the batch:
     the rows' direction table D (B,K,n), their outer table (``_search``) and
-    beside it the inner player's reply 2 l + i to each entry, direction l at
-    intensity i*m (``_outer_table``).  Each slice has as
-    many rows as fit the K x S blocks of their S seed rows in _CHUNK_ELEMS
-    (at least one row; the passes split a larger block).  The exact 1-D pair
-    [-1, +1] takes the closed form ``_pair_table`` instead of the search."""
+    the reply read ``reply(b, k, j)``, the inner player's reply 2 l + i to
+    the entries [b, k, j] (index arrays), direction l at intensity i*m
+    (``_outer_table``).  Each slice has as many rows as fit the K x S blocks
+    of their S seed rows in _CHUNK_ELEMS (at least one row; the passes split
+    a larger block).  The exact 1-D pair [-1, +1] takes the closed form
+    ``_pair_table`` instead of the search."""
     B = p.shape[0]
     pair = _is_pair(dirs)
     K = dirs.count + (0 if dirs.n == 1 else 2)
@@ -259,23 +261,22 @@ def _chunks(p: Array, M: Array, params, dirs: DirectionSet, sign: float, m: floa
 def _search(D: Array, QD: Array, q: Array, c: Array, m: float, seeds: Array):
     """The outer table (B, K, 2) of ``_outer_table``'s entries, with -inf in
     each row that cannot hold the best entry (module docstring), and the
-    inner replies beside it (0 in the pruned rows): the seed rows, then the
-    rows whose ``_row_bounds`` is not below the best seed entry (every row
-    where that comparison is not True, as with NaN)."""
+    reply read of the inner replies recorded beside it (0 in the pruned
+    rows): the seed rows, then the rows whose ``_row_bounds`` is not below
+    the best seed entry (every row where that comparison is not True, as
+    with NaN)."""
     B, K = q.shape
-    S = seeds.size
     table = np.full((B, K, 2), -np.inf)
     inner = np.zeros((B, K, 2), dtype=np.intp)
     _outer_table(D, QD, q, c, m, None, seeds, table, inner)
-    if S == K:
-        return table, inner
-    alpha = np.max(table[:, seeds], axis=(1, 2))
-    keep = ~(_row_bounds(D, QD, q, c, m, seeds) < alpha[:, None])
-    keep[:, seeds] = False
-    b, k = np.nonzero(keep)
-    if b.size:
-        _outer_table(D, QD, q, c, m, *_row_sets(b, k, B), table, inner)
-    return table, inner
+    if seeds.size < K:
+        alpha = np.max(table[:, seeds], axis=(1, 2))
+        keep = ~(_row_bounds(D, QD, q, c, m, seeds) < alpha[:, None])
+        keep[:, seeds] = False
+        b, k = np.nonzero(keep)
+        if b.size:
+            _outer_table(D, QD, q, c, m, *_row_sets(b, k, B), table, inner)
+    return table, lambda b, k, j: inner[b, k, j]
 
 
 def _row_sets(b: Array, k: Array, B: int):
@@ -338,7 +339,8 @@ def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array
     """Write into out[owner[i], rows[i]] (out is (B, K, 2)) what the outer
     (maximizing) player secures with the lattice actions of the outer
     directions rows[i] (G, r) of input owner[i] (G,), and into inner the
-    inner player's reply that attains it.
+    inner player's reply that attains it.  owner None means every input
+    with the same rows (r,): owner np.arange(B), and rows as each one's set.
 
     Entry [b, k, j] is the min over the inner player's actions (direction
     l, intensity d) of phi - const against outer direction k at intensity
@@ -367,14 +369,13 @@ def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array
     every row then ranks, and so has, the same floats in any block.
     """
     B, K = q.shape
-    shared = owner is None
-    if shared:
-        rows = rows[None]
+    if owner is None:
+        owner, rows = np.arange(B), np.repeat(rows[None], B, axis=0)
     lam = np.array([[0.0], [m], [2.0 * m]])
     hq = -0.5 * q
     QDx = np.concatenate([QD, hq[:, None, :]], axis=1)          # [Q D_l; -q_l/2]
     QDt = QD.transpose(0, 2, 1).reshape(B * K, -1)             # row b*K + l: Q D_l
-    G, r = (B, rows.shape[1]) if shared else rows.shape
+    G, r = rows.shape
     step = max(2, _CHUNK_ELEMS // K)
     # no block has more than G * max(2, r) rows, nor more entries than the cap
     # (or two rows where one row of K is over the cap)
@@ -385,24 +386,13 @@ def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array
             ks = np.repeat(ks, 2, axis=1)
         group = max(1, _CHUNK_ELEMS // (ks.shape[1] * K))
         for start in range(0, G, group):
-            if shared:
-                # every input, the same (increasing) rows: a slice of inputs,
-                # and of rows where they are consecutive
-                bs = slice(start, start + group)
-                base = K * np.arange(B)[bs, None, None]
-                cols = ks[0]
-                if cols[-1] - cols[0] == cols.size - 1:
-                    cols = slice(cols[0], cols[-1] + 1)
-                sel = (bs, cols)
-            else:
-                bs = owner[start:start + group]
-                base = K * bs[:, None, None]
-                sel = (bs[:, None], ks[start:start + group])
+            bs = owner[start:start + group]
+            sel = (bs[:, None], ks[start:start + group])
             Dk = D[sel]
             g, rb = Dk.shape[:2]
             shifted = np.matmul(np.concatenate([Dk, np.ones((g, rb, 1))], axis=2),   # [D_k, 1]
-                                QDx[bs], out=scratch[:g * rb * K].reshape(g, rb, K))
-            mcb = m * c[bs][:, None, :]
+                                QDx.take(bs, axis=0), out=scratch[:g * rb * K].reshape(g, rb, K))
+            mcb = m * c.take(bs, axis=0)[:, None, :]
             reply = np.empty((g, 3, rb), dtype=np.intp)
             for t in range(3):
                 if t:
@@ -411,7 +401,7 @@ def _outer_table(D: Array, QD: Array, q: Array, c: Array, m: float, owner: Array
             # matmul rounding varies with the block's shape, so the shifted
             # block only ranks; the values are recomputed, the same way for
             # every shape
-            at = reply + base
+            at = reply + K * bs[:, None, None]
             val = (np.einsum("bki,btki->btk", Dk, QDt.take(at, axis=0))
                    + hq.take(at) + hq[sel][:, None] - lam * (c.take(at) + c[sel][:, None]))
             out[sel] = np.minimum(val[:, :2], val[:, 1:]).transpose(0, 2, 1)
@@ -461,7 +451,7 @@ def hm_values_batch(xi: Array, p: Array, M: Array, m: float, params,
 
 
 def _pair_table(p: Array, M: Array, sigma: float, sign: float, m: float):
-    """``_chunks``' (D, table, inner) for the 1-D pair D = [-1, +1], from the
+    """``_chunks``' (D, table, reply) for the 1-D pair D = [-1, +1], from the
     (B,) vectors p = p_0 and M = M_00, without the lattice search.
 
     With q = sign sigma^2 M and c = sign p, a same-direction pair at
@@ -473,7 +463,9 @@ def _pair_table(p: Array, M: Array, sigma: float, sign: float, m: float):
     in ``_outer_table``'s order.  The lattice's einsum sums each product onto
     +0.0, which turns -0.0 into +0.0; that changes no value except the
     opposed Gram entry, taken here as 0.0 - q (its sign of zero does not
-    change a rank).
+    change a rank).  The reply read works 2 l + i out at the entries asked
+    for only, from the picks and values kept for each (lam, k): a value call
+    never asks, and builds no reply.
     """
     B = p.size
     q = sign * (M * sigma * sigma)                       # q_k = D_k' Q D_k, both k
@@ -500,12 +492,17 @@ def _pair_table(p: Array, M: Array, sigma: float, sign: float, m: float):
     # no entry is -0.0 for finite inputs, so the max is the lattice's in any order
     out = np.empty((2, 2, B))
     np.minimum(val[:2], val[1:], out=out.transpose(1, 0, 2))
-    # the reply 2 l + i as the lattice's, the pick at lam = (j + i) m, where
-    # l = 0 is first; bitwise, as np.where on booleans is slow
-    f0, f1 = first[:2], first[1:]
-    i = (val[1:] < val[:2]) | ((val[1:] == val[:2]) & (f1 > f0))
-    inner = 2 * ~(f0 ^ (i & (f0 ^ f1))) + i                               # (j, k, B)
-    return np.broadcast_to(_PAIR, (B, 2, 1)), out.transpose(2, 0, 1), inner.transpose(2, 1, 0)
+
+    def reply(b, k, j):
+        # the lattice's 2 l + i: the pick at lam = (j + i) m, where l = 0 is
+        # first; at and at + 2 B are the flat indices of [j, k, b] and
+        # [j + 1, k, b] in the (lam, k, B) arrays
+        at = (2 * j + k) * B + b
+        v0, v1, f0, f1 = val.take(at), val.take(at + 2 * B), first.take(at), first.take(at + 2 * B)
+        i = (v1 < v0) | ((v1 == v0) & f1 & ~f0)
+        return 2 * ~first.take(at + 2 * B * i) + i
+
+    return np.broadcast_to(_PAIR, (B, 2, 1)), out.transpose(2, 0, 1), reply
 
 
 def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
@@ -535,10 +532,10 @@ def greedy_controls_batch(xi: Array, p: Array, M: Array, m: float, params,
     # replies (inner); side 'minus' swaps the roles
     (th_out, d_out), (th_in, d_in) = (((theta_m, d_m), (theta_p, d_p)) if side == "plus"
                                       else ((theta_p, d_p), (theta_m, d_m)))
-    for rows, D, table, inner in _chunks(p, M, params, dirs, sign, m):
+    for rows, D, table, reply in _chunks(p, M, params, dirs, sign, m):
         ko, jo = np.divmod(np.argmax(table.reshape(D.shape[0], -1), axis=1), 2)
         idx = np.arange(D.shape[0])
-        ki, ji = np.divmod(inner[idx, ko, jo], 2)
+        ki, ji = np.divmod(reply(idx, ko, jo), 2)
         th_out[rows] = D[idx, ko]
         th_in[rows] = D[idx, ki]
         d_out[rows] = m * jo

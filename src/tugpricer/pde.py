@@ -294,9 +294,10 @@ def interior_derivatives(u: Array, h: Array) -> tuple[Array, Array]:
     """
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
-    if u.ndim < 1 or min(u.shape) < 3 or h.shape != (u.ndim,):
-        raise ValidationError(f"u shape {u.shape} and h shape {h.shape} do not fit: want at "
-                              f"least 3 nodes per axis of u and one spacing per axis in h")
+    if (u.ndim < 1 or min(u.shape) < 3 or h.shape != (u.ndim,)
+            or not np.all(np.isfinite(h) & (h > 0))):
+        raise ValidationError(f"u shape {u.shape} and h {h} do not fit: want at least 3 nodes "
+                              f"per axis of u and one finite spacing h > 0 per axis")
     stencil = _Stencil(h, tuple(k - 2 for k in u.shape))
     stencil.fill(u)
     return stencil.p, stencil.M

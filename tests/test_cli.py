@@ -232,6 +232,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stencil" in err and "grid.nx" in err
 
+    def test_solution_out_of_range_returns_3(self, run_cli, tmp_path, capsys):
+        # the 2-D bounded_minus game whose solve leaves [0, sup g]
+        cfg = base_config(grid={"lo": [LOG_K - 1.5] * 2, "hi": [LOG_K + 1.5] * 2,
+                                "nx": [11, 13]},
+                          solver={"mode": "bounded_minus", "m": 2.0, "n_dirs": 8})
+        cfg["market"] = {"mu": [0.01, -0.02], "sigma": [0.2, 0.3], "r": 0.01, "T": 1.0}
+        cfg["payoff"] = {"kind": "basket_put", "weights": [0.5, 0.5], "strike": K}
+        assert run_cli("price", cfg, tmp_path / "range") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: solution left [0, sup g]")
+
     def test_displacement_margin_returns_3(self, run_cli, tmp_path):
         cfg = base_config(grid={"lo": [-2.0], "hi": [2.0], "nx": 11, "nt": 2},
                           game={"m": 50.0})

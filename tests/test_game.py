@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -221,6 +222,17 @@ class TestConfigs:
         sp, sm = null_strategy_pair(1)
         with pytest.raises(ValidationError):
             simulate_sde_paths(cfg, params_1d(), sp, sm)
+
+    @pytest.mark.parametrize("sim", ["sde", "coin"])
+    def test_start_of_another_size_is_refused(self, sim):
+        sp, sm = null_strategy_pair(1)
+        with pytest.raises(ValidationError, match="start must have 1 coordinates"):
+            if sim == "sde":
+                cfg = SimConfig(start=np.zeros(2), t0=0.0, paths=1, seed=1, nt=2)
+                mc_value(PUT, params_1d(), sp, sm, cfg)
+            else:
+                cfg = DiscreteGameConfig(start=np.zeros(2), t0=0.0, N=2, paths=1, seed=1)
+                simulate_discrete_game(cfg, PUT, params_1d(), sp, sm)
 
 
 class TestStrategies:
@@ -954,8 +966,8 @@ class TestGreedyStrategies:
         assert abs(est.mean - u0) <= 3.0 * est.stderr + 0.02 * u0
 
     def test_slice_tables_are_thread_safe(self):
-        # the pair's slice tables share one stencil's buffers; tables built
-        # from more threads than cores, switching often, equal serial ones
+        # tables built from more threads than cores, switching often, equal
+        # serial ones
         params = MarketParams(mu=np.zeros(2), sigma=np.full(2, 0.3), r=0.0, T=0.25)
         spec = GridSpec(lo=np.full(2, LOG_K - 1.5), hi=np.full(2, LOG_K + 1.5), nx=(15, 15))
         grid = solve_terminal_value(BasketPut(weights=np.full(2, 0.5), strike=K), params,
@@ -972,6 +984,41 @@ class TestGreedyStrategies:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, want[k]) for g, k in zip(got, slices))
+
+    def test_policy_controls_from_two_threads(self):
+        # each slice table fills a stencil of its own: two threads reading the
+        # pair's controls at once, of different slices and of one slice, get
+        # the controls read one after another
+        _, params, grid, dirs, side = _solved_for_greedy(2)
+        gp, gm = greedy_strategy_pair(grid, params, 2.0, dirs, side)
+        x = grid.spec.points()
+
+        def read(k):
+            return gp.controls(x, k * grid.dt) + gm.controls(x, k * grid.dt)
+
+        ks = range(grid.nt + 1)
+        want = {k: read(k) for k in ks}
+        # thread 0 reads the slices upward, thread 1 downward, then both upward
+        slices = list(zip(*[(k, grid.nt - k) for k in ks], *[(k, k) for k in ks]))
+        barrier = threading.Barrier(2)
+
+        def run(order):
+            got = []
+            for k in order:
+                barrier.wait(timeout=60)
+                got.append(read(k))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                runs = list(pool.map(run, slices, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for order, got in zip(slices, runs):
+            for k, controls in zip(order, got):
+                assert all(np.array_equal(a, b) for a, b in zip(controls, want[k])), k
 
     @pytest.mark.parametrize("bad", [{"m": -1.0}, {"m": float("nan")}, {"side": "both"},
                                      {"dirs": DirectionSet.for_dimension(2, 8)}])

@@ -126,11 +126,15 @@ class TestCertification:
         assert cert.observed_sup <= 100.0
         assert cert.observed_lipschitz <= 100.0
 
-    def test_understated_lipschitz_bound_fails(self):
+    @pytest.mark.parametrize("height, bound, match", [
+        (1.0, {"lipschitz_bound": 0.5}, "exceeds declared Lipschitz bound 0.5 "),
+        (5.0, {"sup_bound": 1.0}, r"observed \|g\| = 5 exceeds declared sup bound 1 ")],
+        ids=["lipschitz", "sup"])
+    def test_understated_bound_fails(self, height, bound, match):
         xs = np.linspace(-2.0, 2.0, 401)
-        table = np.maximum(1.0 - np.abs(xs), 0.0)
-        pay = TabulatedPayoff(axes=(xs,), table=table, lipschitz_bound=0.5)
-        with pytest.raises(CertificationError):
+        table = height * np.maximum(1.0 - np.abs(xs), 0.0)
+        pay = TabulatedPayoff(axes=(xs,), table=table, **bound)
+        with pytest.raises(CertificationError, match=match):
             certify_payoff(pay, (np.array([-2.0]), np.array([2.0])), 4096)
 
 

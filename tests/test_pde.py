@@ -220,8 +220,14 @@ class TestDerivatives:
     @pytest.mark.parametrize("u, h", [(np.zeros((2, 5)), [0.1, 0.1]),
                                       (np.zeros(5), [0.1, 0.1]),
                                       (np.zeros((5, 5)), [0.1]),
-                                      (np.float64(1.0), [])])
+                                      (np.float64(1.0), []),
+                                      (np.zeros((5, 5)), [-1.0, 1.0]),
+                                      (np.zeros((5, 5)), [0.1, 0.0]),
+                                      (np.zeros(5), [np.nan]),
+                                      (np.zeros(5), [np.inf])])
     def test_refuses_shapes_that_do_not_fit(self, u, h):
+        # a spacing that is not finite and > 0 fits no axis: h = [-1, 1]
+        # would flip the sign of the first gradient component
         with pytest.raises(ValidationError, match="do not fit"):
             interior_derivatives(u, h)
 
@@ -477,6 +483,26 @@ class TestSolveTerminalValue:
         else:
             with pytest.raises(PreconditionError, match="lower grid.nx"):
                 solve_terminal_value(payoff, params, SolverConfig(), spec)
+
+    @pytest.mark.parametrize("case", ["five_dimensions", "range"])
+    def test_refused_solves(self, case):
+        if case == "five_dimensions":
+            params = MarketParams(mu=np.zeros(5), sigma=np.full(5, 0.2), r=0.05, T=1.0)
+            payoff = BasketPut(weights=np.full(5, 0.2), strike=K)
+            spec = GridSpec(*default_domain(params, payoff.center()), nx=(3,) * 5)
+            config, error, match = SolverConfig(), ValidationError, "at most 4 spatial"
+        else:
+            # the non-monotone 2-D bounded_minus step leaves [0, sup g] on this
+            # grid (range [-0.0185, 77.69]), how README says a 2-D bounded run exits
+            params = MarketParams(mu=np.array([0.01, -0.02]), sigma=np.array([0.2, 0.3]),
+                                  r=0.01, T=1.0)
+            payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+            spec = GridSpec(lo=np.full(2, LOG_K - 1.5), hi=np.full(2, LOG_K + 1.5),
+                            nx=(11, 13))
+            config = SolverConfig(mode="bounded_minus", m=2.0, n_dirs=8)
+            error, match = PreconditionError, r"left \[0, sup g\] .* range \[-0.0185"
+        with pytest.raises(error, match=match):
+            solve_terminal_value(payoff, params, config, spec)
 
     @pytest.mark.parametrize("case", ["limit_F", "bounded_plus", "bounded_minus",
                                       "limit_F_2d", "bounded_plus_2d", "bounded_minus_2d",
