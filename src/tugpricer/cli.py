@@ -23,6 +23,7 @@ or a solution leaving [0, sup g]), 4 payoff certification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -66,23 +67,17 @@ def _items(value, key: str, each, what: str = "a non-empty list", gt=None) -> li
     return out
 
 
-def _vector(value, key: str, n: int | None = None) -> list[float]:
-    """A number (repeated ``n`` times) or a list of numbers, of length ``n`` when given."""
+def _vector(value, key: str, n: int | None = None, integer: bool = False) -> list:
+    """A number (repeated ``n`` times) or a list of numbers, of length ``n`` when
+    given; integers when ``integer``."""
+    each = functools.partial(_scalar, integer=integer)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        out = [_scalar(value, key)] * (n or 1)
+        out = [each(value, key)] * (n or 1)
     else:
-        out = _items(value, key, _scalar, "a number or a non-empty list")
+        out = _items(value, key, each, "a number or a non-empty list")
     if n is not None and len(out) != n:
         raise ValidationError(f"{key} must have {n} entries, got {len(out)}")
     return out
-
-
-def _counts(value, key: str, n: int) -> list[int]:
-    """Per-axis node counts: an integer for every axis or a list of integers;
-    ``GridSpec`` checks the length."""
-    if isinstance(value, list):
-        return [_scalar(v, f"{key}[{i}]", integer=True) for i, v in enumerate(value)]
-    return [_scalar(value, key, integer=True)] * n
 
 
 def _choice(value, key: str, options: tuple[str, ...]):
@@ -230,7 +225,7 @@ def _parse_grid(node: _Node, params: MarketParams, payoff: Payoff) -> pde.GridSp
     if lo is None:
         lo, hi = pde.default_domain(params, payoff.center())
         node.echo.update(lo=[float(v) for v in lo], hi=[float(v) for v in hi])
-    nx = node.read("nx", 101, _counts, n=n)
+    nx = node.read("nx", 101, _vector, n=n, integer=True)
     nt = node.integer("nt", None)
     node.close()
     return _build(node.path, pde.GridSpec, lo=np.array(lo), hi=np.array(hi), nx=tuple(nx), nt=nt)
@@ -239,7 +234,7 @@ def _parse_grid(node: _Node, params: MarketParams, payoff: Payoff) -> pde.GridSp
 def _parse_solver(node: _Node, params: MarketParams) -> pde.SolverConfig:
     fields = dict(mode=node.read("mode", "limit_F"), m=node.number("m", None),
                   eps_grad=node.number("eps_grad", None), n_dirs=node.integer("n_dirs", None),
-                  cfl=node.number("cfl", 0.5), boundary=node.read("boundary", "discounted_payoff"))
+                  cfl=node.number("cfl", 0.5))
     node.close()
     cfg = _build(node.path, pde.SolverConfig, **fields)
     node.echo.update(
@@ -380,8 +375,7 @@ def _build_strategies(cfg: RunConfig, surface: pde.PriceGrid | None = None):
     if cfg.strategies is not None:
         return cfg.strategies
     mode = cfg.game["strategies"]["mode"]
-    solver = pde.SolverConfig(mode=mode, m=cfg.game["m"], n_dirs=cfg.solver.n_dirs,
-                              cfl=cfg.solver.cfl, eps_grad=cfg.solver.eps_grad)
+    solver = dataclasses.replace(cfg.solver, mode=mode, m=cfg.game["m"])
     if surface is None or solver != cfg.solver:
         surface = pde.solve_terminal_value(cfg.payoff, cfg.params, solver, cfg.grid)
     side = "minus" if mode == "bounded_minus" else "plus"
@@ -499,9 +493,8 @@ def cmd_check_operators(cfg: RunConfig, out: Path, threads: int) -> dict:
         err_plus.append(np.abs(hp + f_vals))
         err_minus.append(np.abs(hm + f_vals))
     # rows input,m,err_plus,err_minus,norm_M, one block per rung of the ladder
-    norms = ["%.17g" % v for v in norm_M.tolist()]
-    blocks = [("".join([f"{i},{'%.17g' % m},%.17g,%.17g,{norms[i]}\n" for i in range(B)]),
-               np.column_stack([err_plus[k], err_minus[k]]))
+    blocks = [("%.17g,%.17g,%.17g,%.17g,%.17g\n" * B,
+               np.column_stack([np.arange(B), np.full(B, m), err_plus[k], err_minus[k], norm_M]))
               for k, m in enumerate(ops["m_ladder"])]
     columns = ["input", "m", "err_plus", "err_minus", "norm_M"]
     pde._write_csv(out / cfg.outputs["table_path"], columns, blocks, cfg.digest)

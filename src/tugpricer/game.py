@@ -409,13 +409,9 @@ def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callabl
         X[h:] -= term[:B - h]
         if lever is not None:
             zn = z[:, n:].copy()  # one contiguous copy of the strided column, read twice
-            if lever.shape[0] == 1:  # one broadcast row
-                term = lever * zn
-                X[:h] += term
-                X[h:] -= term[:B - h]
-            else:
-                X[:h] += lever[:h] * zn
-                X[h:] -= lever[h:] * zn[:B - h]
+            lever = np.broadcast_to(lever, X.shape)
+            X[:h] += lever[:h] * zn
+            X[h:] -= lever[h:] * zn[:B - h]
         return X
 
     def draw(gen: np.random.Generator, shape) -> Array:

@@ -64,11 +64,10 @@ class RunningCost:
     def __call__(self, x: Array, t: float) -> Array:
         vals = np.asarray(self.h(np.asarray(x, dtype=float), float(t)), dtype=float)
         if np.any(vals > -self.alpha + 1e-12):
-            bad = np.asarray(x, dtype=float).reshape(-1, 1) if np.ndim(x) == 1 else x
             idx = int(np.argmax(vals > -self.alpha + 1e-12))
             raise ValidationError(
                 f"running cost exceeded its declared bound -alpha={-self.alpha} "
-                f"at t={t}, x={np.asarray(bad)[idx]}"
+                f"at t={t}, x={np.asarray(x)[idx]}"
             )
         return vals
 
@@ -118,11 +117,10 @@ class MarketParams:
 class Payoff:
     """Terminal reward g(x) on log-prices with certified bounds.
 
-    Subclasses set ``kind``, ``n``, ``sup_bound`` and ``lipschitz_bound`` and
-    implement :meth:`values` for batches of shape (B, n).
+    Subclasses set ``n``, ``sup_bound`` and ``lipschitz_bound`` and implement
+    :meth:`values` for batches of shape (B, n).
     """
 
-    kind: str
     n: int
     sup_bound: float
     lipschitz_bound: float
@@ -159,8 +157,6 @@ class BasketPut(Payoff):
     strike: float
     lipschitz_bound: float = None  # type: ignore[assignment]
     sup_bound: float = None  # type: ignore[assignment]
-
-    kind = "basket_put"
 
     def __post_init__(self) -> None:
         w = _as_vector(self.weights, "weights")
@@ -200,8 +196,6 @@ class TabulatedPayoff(Payoff):
     table: Array
     lipschitz_bound: float = None  # type: ignore[assignment]
     sup_bound: float = None  # type: ignore[assignment]
-
-    kind = "tabulated"
 
     def __post_init__(self) -> None:
         axes = tuple(_as_vector(ax, f"axes[{i}]") for i, ax in enumerate(self.axes))

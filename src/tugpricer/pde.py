@@ -37,11 +37,13 @@ from .market import MarketParams, Payoff, _as_vector, _count
 Array = np.ndarray
 
 MODES = ("limit_F", "bounded_plus", "bounded_minus")
-# cap on the doubles a solve holds before it marches: the (nt + 1) value slices
-# and the n coordinates of spec.points(), each prod(nx) nodes, and the stencil's
-# gradient and Hessian buffers, n + n^2 per interior node.  The default 3-D grid
-# (nx 101, nt 188) needs 2.09e8 (1.7 GB) and runs; the default 4-D one needs
-# 2.65e10 (212 GB) and is refused before its first node-sized allocation
+# cap on the doubles a solve holds at its peak: the (nt + 1) value slices and
+# the n coordinates of spec.points(), each prod(nx) nodes, and per interior node
+# the stencil's gradient and Hessian buffers, n + n^2, and the step's
+# temporaries, which tracemalloc puts under n^2 + 2n + 8 for limit_F at every
+# n <= 4.  The default 3-D grid (nx 101, nt 188) needs 2.32e8 (1.9 GB) and
+# runs; the default 4-D one needs 3.15e10 (252 GB) and is refused before its
+# first node-sized allocation
 _STACK_BUDGET = 1 << 28
 
 
@@ -103,14 +105,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Mode and tuning knobs for :func:`solve_terminal_value`."""
+    """Mode and tuning knobs for :func:`solve_terminal_value`.
+
+    The lateral boundary is not among them: every solve holds the discounted
+    payoff there.
+    """
 
     mode: str = "limit_F"
     m: float | None = None
     eps_grad: float | None = None
     n_dirs: int | None = None
     cfl: float = 0.5
-    boundary: str = "discounted_payoff"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -122,8 +127,6 @@ class SolverConfig:
             raise ValidationError("eps_grad must be finite and > 0")
         if not (0.0 < self.cfl <= 1.0):
             raise ValidationError("cfl must lie in (0, 1]")
-        if self.boundary != "discounted_payoff":
-            raise ValidationError("boundary must be 'discounted_payoff'")
 
     def resolved_eps_grad(self, params: MarketParams) -> float:
         if self.eps_grad is not None:
@@ -375,26 +378,25 @@ def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverCon
     n = spec.n
     nodes = math.prod(spec.nx)
     inner = math.prod(k - 2 for k in spec.nx)
-    doubles = (nt + 1 + n) * nodes + (n + n * n) * inner
+    doubles = (nt + 1 + n) * nodes + (2 * n * n + 3 * n + 8) * inner
     if doubles > _STACK_BUDGET:
         raise PreconditionError(
             f"the PDE needs {doubles:.3g} doubles ({nt + 1} value slices and {n} "
-            f"coordinates of {nodes} nodes, and {n + n * n} stencil entries for each of "
-            f"{inner} interior nodes), over the budget of {_STACK_BUDGET:.3g}; lower grid.nx"
-        )
+            f"coordinates of {nodes} nodes, and {n + n * n} stencil entries and "
+            f"{n * n + 2 * n + 8} step temporaries for each of {inner} interior nodes), "
+            f"over the budget of {_STACK_BUDGET:.3g}; lower grid.nx")
     spec = replace(spec, nt=nt)
     dt = params.T / nt
     ws = _Workspace(payoff, params, config, spec, dt)
     values = _march(ws.terminal, nt, dt, ws)
-    if not np.all(np.isfinite(values)):
+    lo, hi = float(values.min()), float(values.max())  # NaN reaches both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise PreconditionError("solver produced non-finite values (unstable configuration)")
     if params.running_cost is None:
         slack = 1e-6 * (1.0 + payoff.sup_bound)
-        if float(values.min()) < -slack or float(values.max()) > payoff.sup_bound + slack:
+        if lo < -slack or hi > payoff.sup_bound + slack:
             raise PreconditionError(
-                f"solution left [0, sup g] by more than {slack:g}: "
-                f"range [{values.min():g}, {values.max():g}]"
-            )
+                f"solution left [0, sup g] by more than {slack:g}: range [{lo:g}, {hi:g}]")
     return PriceGrid(spec=spec, dt=dt, values=values)
 
 

@@ -54,7 +54,6 @@ class ShiftedPut(Payoff):
     """A vanilla put raised by a constant; bounds stay certified."""
 
     def __init__(self, base: BasketPut, shift: float):
-        self.kind = "shifted_put"
         self.n = base.n
         self.sup_bound = base.sup_bound + shift
         self.lipschitz_bound = base.lipschitz_bound

@@ -22,7 +22,7 @@ import pytest
 from tugpricer import cli, game, isaacs, pde
 from tugpricer._interp import multilinear
 from tugpricer.errors import ValidationError
-from tugpricer.market import BasketPut, MarketParams
+from tugpricer.market import BasketPut, MarketParams, write_payoff_table
 
 K = 100.0
 LOG_K = math.log(K)
@@ -72,7 +72,7 @@ class TestConfigParsing:
         assert r["solver"]["cfl"] == 0.5
         assert r["solver"]["n_dirs"] == 2  # exact two-point set in one dimension
         assert r["solver"]["eps_grad"] == pytest.approx(2e-9)
-        assert r["solver"]["boundary"] == "discounted_payoff"
+        assert "boundary" not in r["solver"]
         g = r["game"]
         assert (g["m"], g["N"], g["paths"], g["seed"]) == (10.0, 100, 10000, 0)
         assert g["start"] == [pytest.approx(LOG_K)]
@@ -331,6 +331,10 @@ class TestExitCodes:
         ("certify.samples", "certify", {"samples": 1}),
         ("outputs.points", "outputs", {"points": []}),
         ("market.r", "market", {"r": None}),  # null is absent only where the default is
+        ("game.m", "game", {"m": 0}),
+        ("market.T", "market", {"T": float("nan")}),  # Python's json reads NaN
+        ("outputs.report_path", "outputs", {"report_path": ""}),
+        ("game.strategies", "game", {"strategies": ["null"]}),
     ])
     def test_rejected_value_names_its_dotted_key(self, run_cli, tmp_path, capsys,
                                                  key, section, value):
@@ -342,6 +346,20 @@ class TestExitCodes:
         assert run_cli("simulate", cfg, tmp_path / "bad") == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
+
+    @pytest.mark.parametrize("config, message", [
+        ([], "config must be a JSON object"),
+        (base_config(solver={"boundary": "discounted_payoff"}),
+         "unknown config key solver.boundary"),
+        (base_config(payoff={"kind": "table", "path": "plane.csv"}),
+         "payoff.path table has 2 axes but market.sigma implies n=1")],
+        ids=["not_an_object", "solver_boundary", "table_of_another_dimension"])
+    def test_refused_config_names_its_key(self, run_cli, tmp_path, capsys, config, message):
+        (tmp_path / "bad").mkdir()
+        axis = np.array([0.0, 1.0])
+        write_payoff_table(tmp_path / "bad" / "plane.csv", (axis, axis), np.zeros((2, 2)))
+        assert run_cli("price", config, tmp_path / "bad") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("key, count", [("solver.n_dirs", 2**64),
                                             ("solver.n_dirs", isaacs.MAX_DIRS + 1),

@@ -160,7 +160,6 @@ class TestPathRng:
 class _Recorder(Payoff):
     """A zero payoff that appends every batch of states it is asked about to ``seen``."""
 
-    kind = "recorder"
     sup_bound = 0.0
     lipschitz_bound = 0.0
 
@@ -289,6 +288,26 @@ class TestStrategies:
 
 
 class TestSdeSimulation:
+    def test_running_cost_above_its_bound_names_the_time_and_row(self):
+        # the cost breaks its bound once axis 1 rises above the start, first
+        # after one step; the message names that step's time and first such row
+        seen = []
+
+        def h(x, t):
+            seen.append((x.copy(), t))
+            return np.where(x[:, 1] > LOG_K, 0.0, -1.0)
+
+        params = replace(params_2d(), running_cost=RunningCost(h=h, alpha=0.5))
+        payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+        cfg = SimConfig(start=np.full(2, LOG_K), t0=0.0, paths=64, seed=3, nt=10)
+        with pytest.raises(ValidationError) as err:
+            mc_value(payoff, params, *null_strategy_pair(2), cfg)
+        x, t = seen[-1]
+        row = x[np.argmax(x[:, 1] > LOG_K)]
+        assert (len(seen), t, row.shape) == (2, 0.1, (2,))
+        assert str(err.value) == ("running cost exceeded its declared bound -alpha=-0.5 "
+                                  f"at t=0.1, x={row}")
+
     def test_uncontrolled_terminal_mean(self):
         # idle controls leave the drift untouched; the terminal mean tracks mu*T
         params = params_1d(mu=0.05)

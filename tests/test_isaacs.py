@@ -119,6 +119,9 @@ class TestDirectionSet:
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             DirectionSet(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        for dirs in ([1.0, 0.0], [[1.0, 0.0]], [[1.0, 0.0], [np.nan, 1.0]]):
+            with pytest.raises(ValidationError, match="^dirs must be a finite"):
+                DirectionSet(np.array(dirs))
         with pytest.raises(ValidationError):
             DirectionSet.for_dimension(0)
         with pytest.raises(ValidationError):

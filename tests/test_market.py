@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ class TestBasketPutFunction:
         with pytest.raises(ValidationError):
             self.HALVES(np.array([0.0, 0.0, 0.0]))
 
+    def test_batch_call_is_values(self):
+        x = np.log([[20.0, 60.0], [100.0, 100.0], [1.0, 3.0]])
+        assert self.HALVES(x).tobytes() == self.HALVES.values(x).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2, 2, 2)])
+    def test_batch_of_another_shape_is_refused(self, shape):
+        with pytest.raises(ValidationError, match=r"^payoff expects points of shape \(B, 2\)$"):
+            self.HALVES(np.zeros(shape))
+
     @given(st.lists(st.floats(-5, 8), min_size=1, max_size=3),
            st.integers(0, 2), st.floats(1e-3, 2.0))
     def test_monotone_and_bounded(self, xs, axis, delta):
@@ -56,6 +66,17 @@ class TestBasketPutPayoff:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             BasketPut(weights=np.array([1.5, -0.5]), strike=100.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("strike", 0.0, "strike must be finite and > 0"),
+        ("strike", np.inf, "strike must be finite and > 0"),
+        ("lipschitz_bound", -1.0, "lipschitz_bound must be finite and >= 0"),
+        ("lipschitz_bound", np.nan, "lipschitz_bound must be finite and >= 0"),
+        ("sup_bound", np.inf, "sup_bound must be finite and >= 0")])
+    def test_refused_fields(self, field, value, message):
+        kwargs = {"weights": np.array([1.0]), "strike": 100.0, field: value}
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            BasketPut(**kwargs)
 
     def test_default_bounds_are_strike(self):
         put = BasketPut(weights=np.array([1.0]), strike=80.0)
@@ -86,6 +107,15 @@ class TestMarketParams:
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValidationError):
             MarketParams(mu=np.array([0.0]), sigma=np.array([0.2]), r=0.0, T=0.0)
+
+    @pytest.mark.parametrize("mu, sigma, message", [
+        ([[0.0]], [0.2], "mu must be a 1-D vector"),
+        ([0.0], [0.2, 0.2], "sigma must have length 1, got 2"),
+        ([np.nan], [0.2], "mu must be finite"),
+        ([0.0], [np.inf], "sigma must be finite")])
+    def test_refused_vectors(self, mu, sigma, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            MarketParams(mu=np.array(mu), sigma=np.array(sigma), r=0.0, T=1.0)
 
     def test_dimension_from_sigma(self):
         p = MarketParams(mu=np.zeros(3), sigma=np.ones(3), r=0.0, T=2.0)
@@ -137,6 +167,14 @@ class TestCertification:
         with pytest.raises(CertificationError, match=match):
             certify_payoff(pay, (np.array([-2.0]), np.array([2.0])), 4096)
 
+    @pytest.mark.parametrize("region, samples, message", [
+        (([1.0], [0.0]), 16, "certification region must satisfy lo < hi per axis"),
+        (([0.0], [0.0]), 16, "certification region must satisfy lo < hi per axis"),
+        (([0.0], [1.0]), 1, "samples must be >= 2")])
+    def test_refused_region_and_samples(self, region, samples, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            certify_payoff(constant_payoff(1.0, 1), tuple(map(np.array, region)), samples)
+
 
 class TestHalton:
     @pytest.mark.parametrize("d", range(1, 13))
@@ -160,6 +198,16 @@ class TestTabulatedPayoff:
         pay = TabulatedPayoff(axes=(xs,), table=xs + 1.0)
         assert pay(np.array([5.0])) == pytest.approx(2.0)
         assert pay(np.array([-5.0])) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("axes, table, message", [
+        ([[0.0]], [1.0], r"axes\[0\] must be 1-D with at least 2 points"),
+        ([[0.0, 1.0], [0.0, 0.5, 0.5]], np.zeros((2, 3)),
+         r"axes\[1\] must be strictly increasing"),
+        ([[0.0, 1.0]], [1.0, 2.0, 3.0], r"table shape \(3,\) does not match axes \(2,\)"),
+        ([[0.0, 1.0]], [1.0, np.nan], "table values must be finite")])
+    def test_refused_tables(self, axes, table, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TabulatedPayoff(axes=tuple(map(np.array, axes)), table=np.array(table))
 
     def test_constant_payoff_properties(self):
         pay = constant_payoff(3.0, 2)
@@ -192,6 +240,19 @@ class TestPayoffTableCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValidationError):
+            read_payoff_table(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty payoff table"),
+        ("x_1,g\n0,a\n", "non-numeric cell"),
+        ("x_1,g\n0,1,2\n1,2,3\n", "rows must have 2 columns"),
+        ("x_1,g\n", "rows must have 2 columns"),
+        ("x_1,x_2,g\n0,0,1\n0,1,1\n1,0,1\n", r"rows do not form a full \(2, 2\) grid")],
+        ids=["empty", "non_numeric", "wide_rows", "no_rows", "incomplete_grid"])
+    def test_malformed_file_is_refused(self, tmp_path, text, message):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}"):
             read_payoff_table(path)
 
     def test_wrong_row_order_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import zipfile
 from dataclasses import replace
 
@@ -484,13 +485,43 @@ class TestSolveTerminalValue:
             with pytest.raises(PreconditionError, match="lower grid.nx"):
                 solve_terminal_value(payoff, params, SolverConfig(), spec)
 
-    @pytest.mark.parametrize("case", ["five_dimensions", "range"])
+    @pytest.mark.parametrize("n, nx, T", [(1, 24001, 2e-7), (2, 141, 3e-3), (3, 31, 0.04),
+                                          (4, 13, 0.2)])
+    def test_solve_peak_stays_within_the_counted_bytes(self, n, nx, T):
+        # about a dozen steps each; the step's temporaries, n^2 + 2n + 8 doubles
+        # per interior node, come to 1.5-3.5 MiB on these grids
+        params = MarketParams(mu=np.zeros(n), sigma=np.full(n, 0.2), r=0.0, T=T)
+        payoff = BasketPut(weights=np.full(n, 1.0 / n), strike=1.0)
+        spec = GridSpec(lo=np.full(n, -1.0), hi=np.full(n, 1.0), nx=(nx,) * n)
+        nt = resolve_time_steps(spec, params, SolverConfig())
+        counted = (nt + 1 + n) * nx**n + (2 * n * n + 3 * n + 8) * (nx - 2) ** n
+        tracemalloc.start()
+        try:
+            solve_terminal_value(payoff, params, SolverConfig(), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * counted + 2**20
+
+    @pytest.mark.parametrize("case", ["five_dimensions", "range", "dimensions", "non_finite"])
     def test_refused_solves(self, case):
-        if case == "five_dimensions":
+        config, quiet = SolverConfig(), {}
+        if case == "dimensions":
+            params, spec = params_1d(sigma=0.2), spec_1d()
+            payoff = BasketPut(weights=np.array([0.5, 0.5]), strike=K)
+            error, match = ValidationError, "^payoff, params and grid dimensions must agree$"
+        elif case == "non_finite":
+            # the second differences of a 1e308 spike overflow, and inf - inf is NaN
+            params, spec = params_1d(sigma=0.2), spec_1d(lo=-1.0, hi=1.0, nx=11)
+            payoff = TabulatedPayoff(axes=(np.linspace(-1.0, 1.0, 3),),
+                                     table=np.array([0.0, 1e308, 0.0]), lipschitz_bound=1.0)
+            error, match = PreconditionError, "^solver produced non-finite values"
+            quiet = {"over": "ignore", "invalid": "ignore"}
+        elif case == "five_dimensions":
             params = MarketParams(mu=np.zeros(5), sigma=np.full(5, 0.2), r=0.05, T=1.0)
             payoff = BasketPut(weights=np.full(5, 0.2), strike=K)
             spec = GridSpec(*default_domain(params, payoff.center()), nx=(3,) * 5)
-            config, error, match = SolverConfig(), ValidationError, "at most 4 spatial"
+            error, match = ValidationError, "at most 4 spatial"
         else:
             # the non-monotone 2-D bounded_minus step leaves [0, sup g] on this
             # grid (range [-0.0185, 77.69]), how README says a 2-D bounded run exits
@@ -501,7 +532,7 @@ class TestSolveTerminalValue:
                             nx=(11, 13))
             config = SolverConfig(mode="bounded_minus", m=2.0, n_dirs=8)
             error, match = PreconditionError, r"left \[0, sup g\] .* range \[-0.0185"
-        with pytest.raises(error, match=match):
+        with pytest.raises(error, match=match), np.errstate(**quiet):
             solve_terminal_value(payoff, params, config, spec)
 
     @pytest.mark.parametrize("case", ["limit_F", "bounded_plus", "bounded_minus",
@@ -599,6 +630,8 @@ class TestBarriers:
             BarrierParams(y=np.array([0.0]), eps=0.0, A=1.0, L=1.0)
         with pytest.raises(ValidationError):
             BarrierParams(y=np.array([0.0]), eps=0.1, A=-1.0, L=1.0)
+        with pytest.raises(ValidationError, match="^barrier L must be finite and >= 0$"):
+            BarrierParams(y=np.array([0.0]), eps=0.1, A=1.0, L=-1.0)
         bp = BarrierParams(y=np.array([0.0]), eps=0.1, A=1.0, L=1.0)
         with pytest.raises(ValidationError):
             barrier_pair(np.array([0.0]), 1.5, bp, 0.0, 1.0)
