@@ -2,19 +2,21 @@
 
 Three independent routes to the same prices live here.  The discrete game
 replays the binomial manipulation game exactly as defined (steps of size 1/N,
-controls capped at 1/sqrt(N)).  The SDE simulator runs Euler-Maruyama on the
-controlled diffusion.  The DPP solver performs backward induction of the
-2^(n+1)-scenario expectation on a value lattice, giving upper/lower tables
-that bracket the PDE solutions.
+controls capped at 1/sqrt(N)).  The SDE simulator runs the two-point weak
+Euler scheme on the controlled diffusion: the Euler step driven by fair +-1
+coins, the Markov chain the DPP solves at equal dt.  The DPP solver performs
+backward induction of the 2^(n+1)-scenario expectation on a value lattice,
+giving upper/lower tables that bracket the PDE solutions.
 
 Randomness is reproducible by construction: each fixed block of 8192 paths
 draws from a counter-based stream keyed by (seed, block), so a path's draws
 depend only on (seed, path index, steps, n), never on threads.  The coin game
 draws every row of its block row-major in one call of 32-bit words and reads
 coin j as the top bit of byte j, the bit ``integers(0, 2, int8)`` would give.
-The SDE draws only the block's first 4096 rows of normals; row j >= 4096 is
-the negation of row j - 4096, an antithetic pair with the same law under any
-Markov strategy.  That half is applied by subtraction, never stored.
+The SDE draws its coins the same way, for only the block's first 4096 rows;
+row j >= 4096 is the negation of row j - 4096, still coins, an antithetic
+pair with the same law under any Markov strategy.  That half is applied by
+subtraction, never stored.
 Standard errors treat each such pair as one sample (see ``_estimate``).
 
 Both simulators split a step into its coefficients, built from the controls
@@ -56,12 +58,12 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-based Philox stream for one block of ``_BLOCK`` paths.
 
     Distinct (seed, block) keys give independent streams.  The block's paths
-    take consecutive row-major slices of one draw from it: all of them in the
-    coin game, the first min(B, ``_HALF``) in the SDE, whose later rows negate
-    the rows ``_HALF`` before them; the SDE draw holds only the drawn rows.
-    The coin game draws ceil(count / 4) ``uint32`` words and reads coin i as
-    2 (byte i >> 7) - 1 of their little-endian bytes, the same coins as
-    ``integers(0, 2, int8)``.
+    take consecutive row-major slices of one draw of coins from it (see
+    ``_coins``): all of them in the coin game, the first min(B, ``_HALF``)
+    in the SDE, whose later rows negate the rows ``_HALF`` before them; the
+    SDE draw holds only the drawn rows.  A draw of count coins reads
+    ceil(count / 4) ``uint32`` words and takes coin i as 2 (byte i >> 7) - 1
+    of their little-endian bytes, the same coins as ``integers(0, 2, int8)``.
     """
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -87,7 +89,8 @@ def _check_run(cfg, counts: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Euler-Maruyama Monte Carlo run: start state, clock and path budget."""
+    """Monte Carlo run of the two-point weak Euler scheme: start state, clock
+    and path budget."""
 
     start: Array
     t0: float
@@ -391,16 +394,18 @@ def _euler(params: MarketParams, dt: float) -> tuple[Array, Callable]:
 
 
 def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callable, Callable]:
-    """The Euler-Maruyama clock of a run, its normal draw and its step split
-    into ``prep`` and ``advance``, for ``_play``."""
+    """The clock of a run of the two-point weak Euler scheme, its coin draw and
+    its step split into ``prep`` and ``advance``, for ``_play``: the Euler step
+    of ``_euler`` with int8 +-1 coins in place of normals, which ``advance``
+    multiplies into the float terms directly (the promotion of +-1 is exact)."""
     _check_start(cfg, params)
     n = params.n
     dt = (params.T - cfg.t0) / cfg.nt
     spread, prep = _euler(params, dt)
 
     def advance(X, coef, z):
-        # z holds the h drawn rows; rows h.. of X replay rows ..B - h negated,
-        # applied by subtraction: a (-z) = -(a z) and x + (-y) = x - y exactly
+        # z holds the h drawn rows of coins; rows h.. of X replay rows ..B - h
+        # negated, applied by subtraction: a (-z) = -(a z) and x + (-y) = x - y exactly
         shift, lever = coef
         B, h = X.shape[0], z.shape[0]
         X = X + shift if shift is not None else X.copy()
@@ -416,7 +421,7 @@ def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callabl
 
     def draw(gen: np.random.Generator, shape) -> Array:
         # the antithetic block's drawn half only; advance applies the other
-        return gen.standard_normal((min(shape[0], _HALF), *shape[1:]))
+        return _coins(gen, (min(shape[0], _HALF), *shape[1:]))
 
     return dt, draw, prep, advance
 
@@ -439,9 +444,10 @@ def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketPa
 def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
                        strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy,
                        threads: int = 1) -> Array:
-    """Euler-Maruyama terminal states, shape (paths, n), of the controlled
-    log-price dynamics; controls are read at the pre-step state.  The value of
-    a run, running cost included, is :func:`mc_value`."""
+    """Terminal states, shape (paths, n), of the two-point weak Euler scheme on
+    the controlled log-price dynamics: each step draws n + 1 fair +-1 coins,
+    antithetic rows negate them, and controls are read at the pre-step state.
+    The value of a run, running cost included, is :func:`mc_value`."""
     dt, draw, prep, advance = _sde(cfg, params)
     terminals = np.empty((cfg.paths, params.n))
 
@@ -492,9 +498,9 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
 
 
 def _coins(gen: np.random.Generator, shape) -> Array:
-    """A coin-game block's +-1 coins as int8: coin i is the top bit t of byte i
-    of ceil(count / 4) raw words (see ``path_rng``), mapped to 2t - 1 by four
-    passes over the words in place, with no block-sized temporaries."""
+    """A block's +-1 coins as int8, for both simulators: coin i is the top bit t
+    of byte i of ceil(count / 4) raw words (see ``path_rng``), mapped to 2t - 1
+    by four passes over the words in place, with no block-sized temporaries."""
     count = math.prod(shape)
     words = gen.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
     words = words.astype("<u4", copy=False)

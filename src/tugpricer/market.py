@@ -261,6 +261,10 @@ def read_payoff_table(path) -> tuple[tuple[Array, ...], Array]:
     n = len(header) - 1
     if n < 1 or header != [f"x_{i + 1}" for i in range(n)] + ["g"]:
         raise ValidationError(f"{path}: header must be x_1,...,x_n,g, got {header}")
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != n + 1:
+            raise ValidationError(
+                f"{path}: rows must have {n + 1} columns; data row {i} has {len(row)}")
     try:
         data = np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
     except ValueError as exc:

@@ -12,6 +12,8 @@ per-step play that the simulators' table route must reproduce exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.stats import binom
@@ -220,6 +222,24 @@ def binomial_walk_mean(payoff_func, x0: float, sigma: float, N: int,
     xs = x0 + (2.0 * sigma / np.sqrt(N)) * (2.0 * j - steps)
     w = binom.pmf(j, steps, 0.5)
     return float(np.sum(w * np.array([payoff_func(np.array([v])) for v in xs])))
+
+
+def coin_sde_put_value(x0: float, strike: float, sigma: float, nt: int,
+                       r: float = 0.0, T: float = 1.0) -> float:
+    """Exact discounted E[max(K - e^X, 0)] after nt steps of the null-control
+    1-D SDE chain: each step moves sigma sqrt(T / nt) (c_0 + 2 c_1) for
+    independent fair +-1 coins, so by {+-1, +-3} sigma sqrt(dt), each with
+    probability 1/4.  The law of the step sum is the convolution of the two
+    coins' binomial walks, c_0's on the even offsets 2j - nt and 2 c_1's on
+    4k - 2 nt, over the lattice -3 nt .. 3 nt."""
+    walk = np.array([math.comb(nt, j) / 2**nt for j in range(nt + 1)])
+    noise = np.zeros(2 * nt + 1)
+    noise[::2] = walk
+    lever = np.zeros(4 * nt + 1)
+    lever[::4] = walk
+    pmf = np.convolve(noise, lever)
+    x = x0 + sigma * math.sqrt(T / nt) * np.arange(-3 * nt, 3 * nt + 1)
+    return math.exp(-r * T) * float(np.sum(pmf * np.maximum(strike - np.exp(x), 0.0)))
 
 
 def central_differences_formula(u, h):

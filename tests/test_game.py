@@ -26,7 +26,8 @@ from tugpricer import game
 from tugpricer._interp import multilinear
 from tugpricer.game import _BLOCK, _HALF
 
-from oracles import binomial_walk_mean, brute_dpp_value, put_value_oracle, stepwise_play
+from oracles import (binomial_walk_mean, brute_dpp_value, coin_sde_put_value, put_value_oracle,
+                     stepwise_play)
 
 K = 100.0
 LOG_K = math.log(K)
@@ -59,15 +60,15 @@ class TestPathRng:
     def test_block_rows_are_the_paths(self):
         # idle, opposed controls, mu = 0: each step moves sigma sqrt(dt) (z_0 + 2 z_1),
         # where path j of block b reads row j of block b's draw of min(B, _HALF)
-        # rows if j < _HALF, and that draw's row j - _HALF negated otherwise;
-        # the short blocks are one without pairs and one with
+        # rows of +-1 coins if j < _HALF, and that draw's row j - _HALF negated
+        # otherwise; the short blocks are one without pairs and one with
         sp, sm = null_strategy_pair(1)
         for short in (5, 5000):
             cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK + short, seed=4, nt=6)
             term = simulate_sde_paths(cfg, params_1d(), sp, sm)[:, 0]
             scale = 0.2 * math.sqrt(1.0 / cfg.nt)
             for block, rows in ((0, _BLOCK), (1, short)):
-                half = path_rng(cfg.seed, block).standard_normal((min(rows, _HALF), cfg.nt, 2))
+                half = game._coins(path_rng(cfg.seed, block), (min(rows, _HALF), cfg.nt, 2))
                 z = np.concatenate([half, -half[:rows - half.shape[0]]])
                 want = scale * (z[:, :, 0] + 2.0 * z[:, :, 1]).sum(axis=1)
                 np.testing.assert_allclose(term[block * _BLOCK:][:rows], want,
@@ -875,11 +876,12 @@ class TestMcValue:
             assert est.mean == pytest.approx(u[0][120], rel=1e-12)
 
     def test_stderr_covers_the_null_walk(self):
-        # the null SDE walk is exactly Gaussian with variance 5 sigma^2 T at any nt;
+        # the null SDE walk at nt = 4 takes steps {+-1, +-3} sigma sqrt(dt), each
+        # with probability 1/4, and the oracle is its exact value;
         # 20k paths span two antithetic blocks and a short unpaired one
         params = params_1d(sigma=0.2)
         sp, sm = null_strategy_pair(1)
-        oracle = put_value_oracle(LOG_K, K, 5.0 * params.sigma[0] ** 2 * params.T)
+        oracle = coin_sde_put_value(LOG_K, K, params.sigma[0], 4)
         means, errs = [], []
         for seed in range(2100, 2140):
             cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=20000, seed=seed, nt=4)
@@ -910,6 +912,52 @@ class TestMcValue:
         want = game._estimate(discounted_reward(term, cfg.t0, params, PUT) + acc,
                               cfg.paths, cfg.seed)
         assert est.mean == want.mean and est.stderr == want.stderr
+
+
+class TestSdeChain:
+    # the SDE leg is the two-point weak Euler chain: each step reads n + 1 fair
+    # +-1 coins, as the DPP's step does at equal dt
+
+    @pytest.mark.parametrize("nt", [50, 100])
+    def test_null_put_matches_the_exact_chain(self, nt):
+        cfg = SimConfig(start=np.array([LOG_K]), t0=0.0, paths=100_000, seed=7, nt=nt)
+        est = mc_value(PUT, params_1d(sigma=0.2), *null_strategy_pair(1), cfg)
+        assert abs(est.mean - coin_sde_put_value(LOG_K, K, 0.2, nt)) <= 3.0 * est.stderr
+
+    def test_exact_chain_has_weak_order_one(self):
+        # no sampling: against the Gaussian limit X ~ N(ln K, v), v = 5 sigma^2 T,
+        # whose ATM put is K (1/2 - e^{v/2} Phi(-sqrt v)), the error falls as 1/nt
+        v = 5.0 * 0.2 ** 2
+        gauss = K * (0.5 - math.exp(v / 2) * 0.5 * math.erfc(math.sqrt(v / 2)))
+        assert gauss == pytest.approx(13.82108, abs=5e-6)
+        err = [coin_sde_put_value(LOG_K, K, 0.2, nt) - gauss for nt in (100, 800)]
+        assert abs(math.log(err[0] / err[1]) / math.log(8) - 1.0) <= 0.1
+
+    @pytest.mark.parametrize("nt", [7, 8])
+    def test_terminals_lie_on_the_coin_lattice(self, nt):
+        # mu = 0 from 0 with the null pair: a terminal is sigma sqrt(dt) times a sum
+        # of nt steps in {+-1, +-3}, an integer of nt's parity, in both halves
+        cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK + 5000, seed=6, nt=nt)
+        term = simulate_sde_paths(cfg, params_1d(mu=0.0), *null_strategy_pair(1))[:, 0]
+        units = term / (0.2 * math.sqrt(1.0 / nt))
+        for lo, hi in ((0, _HALF), (_HALF, _BLOCK), (_BLOCK, _BLOCK + _HALF),
+                       (_BLOCK + _HALF, cfg.paths)):
+            whole = np.rint(units[lo:hi])
+            assert np.max(np.abs(units[lo:hi] - whole)) <= 1e-9
+            assert np.all(whole % 2 == nt % 2) and np.max(np.abs(whole)) <= 3 * nt
+
+    def test_block_stores_its_coins_small(self):
+        # the drawn half of a full block at nt 200 is 1.6 MB of int8 coins, an
+        # eighth of the 13 MB the same rows of float normals would take
+        sp, sm = null_strategy_pair(1)
+        cfg = SimConfig(start=np.array([0.0]), t0=0.0, paths=_BLOCK, seed=3, nt=200)
+        tracemalloc.start()
+        try:
+            simulate_sde_paths(cfg, params_1d(), sp, sm, threads=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * _HALF * cfg.nt * 2 * 8
 
 
 def stderr_by_hand(rewards) -> float:

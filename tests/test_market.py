@@ -246,9 +246,10 @@ class TestPayoffTableCsv:
         ("", "empty payoff table"),
         ("x_1,g\n0,a\n", "non-numeric cell"),
         ("x_1,g\n0,1,2\n1,2,3\n", "rows must have 2 columns"),
+        ("x_1,g\n0,1\n1\n", "rows must have 2 columns; data row 2 has 1$"),
         ("x_1,g\n", "rows must have 2 columns"),
         ("x_1,x_2,g\n0,0,1\n0,1,1\n1,0,1\n", r"rows do not form a full \(2, 2\) grid")],
-        ids=["empty", "non_numeric", "wide_rows", "no_rows", "incomplete_grid"])
+        ids=["empty", "non_numeric", "wide_rows", "ragged_rows", "no_rows", "incomplete_grid"])
     def test_malformed_file_is_refused(self, tmp_path, text, message):
         path = tmp_path / "table.csv"
         path.write_text(text)
