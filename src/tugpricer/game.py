@@ -10,20 +10,22 @@ giving upper/lower tables that bracket the PDE solutions.
 
 Randomness is reproducible by construction: each fixed block of 8192 paths
 draws from a counter-based stream keyed by (seed, block), so a path's draws
-depend only on (seed, path index, steps, n), never on threads.  The coin game
-draws every row of its block row-major in one call of 32-bit words and reads
-coin j as the top bit of byte j, the bit ``integers(0, 2, int8)`` would give.
-The SDE draws its coins the same way, for only the block's first 4096 rows;
-row j >= 4096 is the negation of row j - 4096, still coins, an antithetic
-pair with the same law under any Markov strategy.  That half is applied by
-subtraction, never stored.
+depend only on (seed, path index, steps, n), never on threads.  A block draws
+its rows of coins row-major in one call of 32-bit words and reads coin j as
+the top bit of byte j, the bit ``integers(0, 2, int8)`` would give.  The coin
+game draws every row, so its rows stay independent; the SDE draws only the
+block's first 4096 rows, and row j >= 4096 is the negation of row j - 4096,
+still coins, an antithetic pair with the same law under any Markov strategy.
+That half is applied by subtraction, never stored.
 Standard errors treat each such pair as one sample (see ``_estimate``).
 
-Both simulators split a step into its coefficients, built from the controls
-alone, and the state update that applies them.  Every player is an exact
-constant strategy or a per-slice policy, the policies on one grid and clock,
-so the coefficients are built before any draw: once per run without a
-policy, else once per slice that the clock reads.
+Both simulators play one chain: each step draws n + 1 fair +-1 coins c and
+moves X by shift + spread c[:n] + lever c[n].  They split a step into its
+coefficients (shift, lever), built from the controls alone, and the one
+state update ``_step`` that applies them.  Every player is an exact constant
+strategy or a per-slice policy, the policies on one grid and clock, so the
+coefficients are built before any draw: once per run without a policy, else
+once per slice that the clock reads.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     """Counter-based Philox stream for one block of ``_BLOCK`` paths.
 
     Distinct (seed, block) keys give independent streams.  The block's paths
-    take consecutive row-major slices of one draw of coins from it (see
-    ``_coins``): all of them in the coin game, the first min(B, ``_HALF``)
-    in the SDE, whose later rows negate the rows ``_HALF`` before them; the
-    SDE draw holds only the drawn rows.  A draw of count coins reads
+    take consecutive row-major slices of the one draw of coins from it that
+    ``_play`` makes (see ``_coins``): all B of them in the coin game, whose
+    rows stay independent, the first min(B, ``_HALF``) in the SDE, whose
+    later rows negate the rows ``_HALF`` before them in ``_step``; the draw
+    holds only the drawn rows.  A draw of count coins reads
     ceil(count / 4) ``uint32`` words and takes coin i as 2 (byte i >> 7) - 1
     of their little-endian bytes, the same coins as ``integers(0, 2, int8)``.
     """
@@ -295,17 +298,18 @@ def tabulate_strategy(rule: FeedbackStrategy, spec: pde.GridSpec, dt: float) -> 
 
 def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
           strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy, threads: int,
-          steps: int, dt: float, rc, draw: Callable, prep: Callable, advance: Callable,
+          steps: int, dt: float, rc, spread: Array, prep: Callable, half: int,
           store: Callable) -> None:
     """Play every path from (cfg.start, cfg.t0) for `steps` steps of length `dt`.
 
-    Each block of B paths draws its noise once, ``draw(gen, (B, steps, n + 1))``
-    (the SDE returns only its min(B, ``_HALF``) drawn rows), advances
-    ``X = advance(X, coef, noise[:, k])`` by coefficients ``prep(tp, dp, tm,
-    dm)``, two (rows, n) terms elementwise in the controls at the pre-step
-    state, then hands its rows to ``store(lo, hi, X, acc)``; acc holds the
+    Each block of B paths draws its coins once, the min(B, `half`) rows of
+    ``_coins`` from its ``path_rng`` stream, advances ``X = _step(X, coef,
+    coins[:, k], spread)`` by coefficients ``prep(tp, dp, tm, dm)``, the
+    (shift, lever) terms elementwise in the controls at the pre-step state,
+    then hands its rows to ``store(lo, hi, X, acc)``; acc holds the
     left-endpoint sums of the running cost `rc` (0 when None), the cost paid
-    at t_k discounted by exp(-r (t_k - t0)).
+    at t_k discounted by exp(-r (t_k - t0)).  The SDE passes ``_HALF``, for
+    antithetic rows, and the coin game ``_BLOCK``, for independent rows.
 
     Each player, of the market's dimension, is an exact :class:`ConstantStrategy`
     or a policy, and all policies share one grid spec and ``dt``; anything else
@@ -353,14 +357,14 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
 
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)
-        noise = draw(path_rng(cfg.seed, lo // _BLOCK), (hi - lo, steps, n + 1))
+        coins = _coins(path_rng(cfg.seed, lo // _BLOCK), (min(hi - lo, half), steps, n + 1))
         X = np.tile(cfg.start, (hi - lo, 1))
         acc = np.zeros(hi - lo)
         for k, t_k in enumerate(times):
             coef = coef_at(X, k)
             if rc is not None:
                 acc += np.exp(-params.r * (t_k - cfg.t0)) * rc(X, t_k) * dt
-            X = advance(X, coef, noise[:, k])
+            X = _step(X, coef, coins[:, k], spread)
         store(lo, hi, X, acc)
 
     starts = range(0, cfg.paths, _BLOCK)
@@ -393,43 +397,41 @@ def _euler(params: MarketParams, dt: float) -> tuple[Array, Callable]:
     return sigma * sqdt, prep
 
 
-def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Callable, Callable, Callable]:
-    """The clock of a run of the two-point weak Euler scheme, its coin draw and
-    its step split into ``prep`` and ``advance``, for ``_play``: the Euler step
-    of ``_euler`` with int8 +-1 coins in place of normals, which ``advance``
-    multiplies into the float terms directly (the promotion of +-1 is exact)."""
+def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Array, Callable, int]:
+    """The clock of a run of the two-point weak Euler scheme and its step, for
+    ``_play``: dt, the ``_euler`` step's spread and ``prep``, and ``_HALF``
+    drawn rows per block, each replayed negated by the row ``_HALF`` after it."""
     _check_start(cfg, params)
-    n = params.n
     dt = (params.T - cfg.t0) / cfg.nt
-    spread, prep = _euler(params, dt)
+    return (dt, *_euler(params, dt), _HALF)
 
-    def advance(X, coef, z):
-        # z holds the h drawn rows of coins; rows h.. of X replay rows ..B - h
-        # negated, applied by subtraction: a (-z) = -(a z) and x + (-y) = x - y exactly
-        shift, lever = coef
-        B, h = X.shape[0], z.shape[0]
-        X = X + shift if shift is not None else X.copy()
-        term = spread * z[:, :n]
-        X[:h] += term
+
+def _step(X: Array, coef, z: Array, spread: Array) -> Array:
+    """The one state update of both simulators, X + shift + spread z[:n] +
+    lever z[n] per row, on a block's h drawn rows z of int8 +-1 coins (the
+    promotion of +-1 is exact); ``coef = (shift, lever)``, either None when
+    exactly zero.  Rows h.. of X replay rows ..B - h negated, applied by
+    subtraction: a (-z) = -(a z) and x + (-y) = x - y exactly.  Each row
+    adds its terms in that order; rows are independent, so the drawn rows
+    are finished before the replayed ones start."""
+    shift, lever = coef
+    (B, n), h = X.shape, z.shape[0]
+    X = X + shift if shift is not None else X.copy()
+    term = spread * z[:, :n]
+    X[:h] += term
+    if lever is not None:
+        zn = z[:, n:].copy()  # one contiguous copy of the strided column, read twice
+        X[:h] += lever[:h] * zn
+    if h < B:  # the coin game draws every row and replays none
         X[h:] -= term[:B - h]
         if lever is not None:
-            zn = z[:, n:].copy()  # one contiguous copy of the strided column, read twice
-            lever = np.broadcast_to(lever, X.shape)
-            X[:h] += lever[:h] * zn
-            X[h:] -= lever[h:] * zn[:B - h]
-        return X
-
-    def draw(gen: np.random.Generator, shape) -> Array:
-        # the antithetic block's drawn half only; advance applies the other
-        return _coins(gen, (min(shape[0], _HALF), *shape[1:]))
-
-    return dt, draw, prep, advance
+            X[h:] -= np.broadcast_to(lever, X.shape)[h:] * zn[:B - h]
+    return X
 
 
 def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketParams,
            strat_plus: FeedbackStrategy, strat_minus: FeedbackStrategy, threads: int,
-           steps: int, dt: float, draw: Callable, prep: Callable,
-           advance: Callable) -> McEstimate:
+           steps: int, dt: float, spread: Array, prep: Callable, half: int) -> McEstimate:
     """Play every path (see ``_play``); estimate the discounted payoff plus running cost."""
     rewards = np.empty(cfg.paths)
 
@@ -437,7 +439,7 @@ def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketPa
         rewards[lo:hi] = discounted_reward(X, cfg.t0, params, payoff) + acc
 
     _play(cfg, params, strat_plus, strat_minus, threads, steps, dt, params.running_cost,
-          draw, prep, advance, store)
+          spread, prep, half, store)
     return _estimate(rewards, cfg.paths, cfg.seed)
 
 
@@ -448,13 +450,13 @@ def simulate_sde_paths(cfg: SimConfig, params: MarketParams,
     the controlled log-price dynamics: each step draws n + 1 fair +-1 coins,
     antithetic rows negate them, and controls are read at the pre-step state.
     The value of a run, running cost included, is :func:`mc_value`."""
-    dt, draw, prep, advance = _sde(cfg, params)
+    dt, spread, prep, half = _sde(cfg, params)
     terminals = np.empty((cfg.paths, params.n))
 
     def store(lo, hi, X, acc):
         terminals[lo:hi] = X
 
-    _play(cfg, params, strat_plus, strat_minus, threads, cfg.nt, dt, None, draw, prep, advance,
+    _play(cfg, params, strat_plus, strat_minus, threads, cfg.nt, dt, None, spread, prep, half,
           store)
     return terminals
 
@@ -467,34 +469,25 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
     Raw strategy intensities are mapped onto the capped lattice controls
     ``theta_k = min(d / sqrt(N), 1) * theta / sqrt(N)``, which keeps every
     lattice control inside the 1/sqrt(N) ball by construction.  (T - t0) N
-    must be a whole number of steps, to within 1e-9 relative.
+    must be a whole number of steps, to within 1e-9 relative.  A step is
+    ``_step`` with shift mu dt + sigma (theta+_k + theta-_k), spread 2 sigma
+    / sqrt(N) and lever sigma (theta+_k - theta-_k), on a block's
+    independent rows of coins: the game is not antithetic.
     """
     _check_start(cfg, params)
-    n = params.n
     steps = _game_steps(params.T, cfg.t0, cfg.N)
     root_n = np.sqrt(cfg.N)
     dt = 1.0 / cfg.N
     sigma = params.sigma
     drift = params.mu * dt
-    spread = (2.0 / root_n) * sigma
 
     def prep(tp, dp, tm, dm):
         scaled_p = tp * (np.minimum(dp / root_n, 1.0) / root_n)[:, None]
         scaled_m = tm * (np.minimum(dm / root_n, 1.0) / root_n)[:, None]
-        return sigma * (scaled_p - scaled_m), sigma * (scaled_p + scaled_m)
+        return drift + sigma * (scaled_p + scaled_m), sigma * (scaled_p - scaled_m)
 
-    def advance(X, coef, c):
-        lever, push = coef
-        X = X + drift
-        X += spread * c[:, :n]
-        if lever is not None:
-            X += lever * c[:, n][:, None]
-        if push is not None:
-            X += push
-        return X
-
-    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, steps, dt, _coins,
-                  prep, advance)
+    return _value(cfg, payoff, params, strat_plus, strat_minus, threads, steps, dt,
+                  (2.0 / root_n) * sigma, prep, _BLOCK)
 
 
 def _coins(gen: np.random.Generator, shape) -> Array:

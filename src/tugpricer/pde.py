@@ -38,12 +38,15 @@ Array = np.ndarray
 
 MODES = ("limit_F", "bounded_plus", "bounded_minus")
 # cap on the doubles a solve holds at its peak: the (nt + 1) value slices and
-# the n coordinates of spec.points(), each prod(nx) nodes, and per interior node
+# the n coordinates of spec.points(), each prod(nx) nodes, per interior node
 # the stencil's gradient and Hessian buffers, n + n^2, and the step's
 # temporaries, which tracemalloc puts under n^2 + 2n + 8 for limit_F at every
-# n <= 4.  The default 3-D grid (nx 101, nt 188) needs 2.32e8 (1.9 GB) and
-# runs; the default 4-D one needs 3.15e10 (252 GB) and is refused before its
-# first node-sized allocation
+# n <= 4, and in the bounded modes the operator's scratch for one slice of
+# inputs (isaacs._scratch_doubles), without which a bounded solve peaked at
+# 2.03 times the count (1-D, 24,001 nodes) and 7.8 times (2-D, 41^2, K = 18).
+# The default 3-D grid (nx 101, nt 188) needs 2.32e8 (1.9 GB) and runs; the
+# default 4-D one needs 3.15e10 (252 GB) and is refused before its first
+# node-sized allocation
 _STACK_BUDGET = 1 << 28
 
 
@@ -378,13 +381,16 @@ def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverCon
     n = spec.n
     nodes = math.prod(spec.nx)
     inner = math.prod(k - 2 for k in spec.nx)
-    doubles = (nt + 1 + n) * nodes + (2 * n * n + 3 * n + 8) * inner
+    scratch = 0 if config.mode == "limit_F" else isaacs._scratch_doubles(
+        isaacs.DirectionSet.for_dimension(n, config.n_dirs), inner)
+    doubles = (nt + 1 + n) * nodes + (2 * n * n + 3 * n + 8) * inner + scratch
     if doubles > _STACK_BUDGET:
         raise PreconditionError(
             f"the PDE needs {doubles:.3g} doubles ({nt + 1} value slices and {n} "
-            f"coordinates of {nodes} nodes, and {n + n * n} stencil entries and "
-            f"{n * n + 2 * n + 8} step temporaries for each of {inner} interior nodes), "
-            f"over the budget of {_STACK_BUDGET:.3g}; lower grid.nx")
+            f"coordinates of {nodes} nodes, {n + n * n} stencil entries and "
+            f"{n * n + 2 * n + 8} step temporaries for each of {inner} interior nodes, "
+            f"and {scratch} of operator scratch), over the budget of "
+            f"{_STACK_BUDGET:.3g}; lower grid.nx")
     spec = replace(spec, nt=nt)
     dt = params.T / nt
     ws = _Workspace(payoff, params, config, spec, dt)

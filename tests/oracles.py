@@ -1,7 +1,7 @@
 """Independent reference implementations used to validate the package.
 
 Everything here is written directly from the mathematical definitions with
-naive loops and library quadrature/interpolation, deliberately sharing no
+naive loops, closed forms and library interpolation, deliberately sharing no
 code with the package internals.  The exceptions are the whole-batch
 formulas at the end: the explicit step as the solver took it before its
 prepared workspace, built on the public derivatives and operators, the
@@ -19,20 +19,18 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.stats import binom
 
 
-def gauss_hermite_expectation(func, mean: float, variance: float,
-                              points: int = 128) -> float:
-    """E[func(X)] for X ~ Normal(mean, variance), by Gauss-Hermite quadrature."""
-    nodes, weights = np.polynomial.hermite.hermgauss(points)
-    z = nodes * np.sqrt(2.0)
-    w = weights / np.sqrt(np.pi)
-    return float(np.sum(w * func(mean + np.sqrt(variance) * z)))
-
-
 def put_value_oracle(x0: float, strike: float, variance: float, drift: float = 0.0,
                      r: float = 0.0, T: float = 1.0) -> float:
-    """Discounted expected put payoff of a Gaussian terminal log-price."""
-    payoff = lambda x: np.maximum(strike - np.exp(x), 0.0)
-    return np.exp(-r * T) * gauss_hermite_expectation(payoff, x0 + drift * T, variance)
+    """Discounted expected put payoff of a Gaussian terminal log-price, in closed
+    form: for X ~ N(m, v) and d = (ln K - m) / sqrt(v),
+    E[max(K - e^X, 0)] = K Phi(d) - e^(m + v/2) Phi(d - sqrt(v))."""
+    m, sd = x0 + drift * T, math.sqrt(variance)
+    d = (math.log(strike) - m) / sd
+
+    def Phi(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    return math.exp(-r * T) * (strike * Phi(d) - math.exp(m + variance / 2) * Phi(d - sd))
 
 
 def phi_formula(theta_p, theta_m, d_p, d_m, p, M, mu, sigma) -> float:
@@ -318,54 +316,50 @@ def explicit_step_oracle(values_next, t_next, terminal, points, h, dt, params, o
 
 
 def _coin_step(cfg, params):
-    """The coin game's clock, draw and step, as ``simulate_discrete_game``
-    defines them: the step count, 1/N, the coins and (prep, advance)."""
+    """The coin game's clock and step, as ``simulate_discrete_game`` defines
+    them: the step count, 1/N, the spread 2 sigma / sqrt(N), ``prep`` of the
+    (shift, lever) terms, mu dt added to the push before the coins, and a
+    block's rows drawn, ``_BLOCK``: the game's rows stay independent."""
     from tugpricer import game
 
-    n = params.n
     root_n = np.sqrt(cfg.N)
     dt = 1.0 / cfg.N
     drift = params.mu * dt
-    spread = (2.0 / root_n) * params.sigma
 
     def prep(tp, dp, tm, dm):
         scaled_p = tp * (np.minimum(dp / root_n, 1.0) / root_n)[:, None]
         scaled_m = tm * (np.minimum(dm / root_n, 1.0) / root_n)[:, None]
-        return params.sigma * (scaled_p - scaled_m), params.sigma * (scaled_p + scaled_m)
+        return (drift + params.sigma * (scaled_p + scaled_m),
+                params.sigma * (scaled_p - scaled_m))
 
-    def advance(X, coef, c):
-        lever, push = coef
-        X = X + drift
-        X += spread * c[:, :n]
-        X += lever * c[:, n][:, None]
-        X += push
-        return X
-
-    return game._game_steps(params.T, cfg.t0, cfg.N), dt, game._coins, prep, advance
+    return (game._game_steps(params.T, cfg.t0, cfg.N), dt, (2.0 / root_n) * params.sigma,
+            prep, game._BLOCK)
 
 
 def stepwise_play(cfg, payoff, params, strat_plus, strat_minus):
     """Every path played step by step, as the simulators did before their table
-    route: each block of ``_BLOCK`` paths draws its noise from ``path_rng``,
-    then every step reads both players through ``checked_controls`` at the
-    pre-step states and time, builds the step's coefficients from those
-    controls and applies them.  Returns the terminal states (paths, n) and the
+    route: each block of ``_BLOCK`` paths draws its min(B, half) rows of
+    ``_coins`` from ``path_rng``, then every step reads both players through
+    ``checked_controls`` at the pre-step states and time, builds the step's
+    coefficients from those controls and applies them by ``game._step``, the
+    one state update.  Returns the terminal states (paths, n) and the
     estimate of the discounted payoff plus the running cost's left-endpoint
-    sum.  A ``SimConfig`` plays the SDE of ``game._sde``; any other config the
-    coin game."""
+    sum.  A ``SimConfig`` plays the SDE of ``game._sde``, half ``_HALF``;
+    any other config the coin game, half ``_BLOCK``."""
     from tugpricer import game
 
     if isinstance(cfg, game.SimConfig):
         steps = cfg.nt
-        dt, draw, prep, advance = game._sde(cfg, params)
+        dt, spread, prep, half = game._sde(cfg, params)
     else:
-        steps, dt, draw, prep, advance = _coin_step(cfg, params)
+        steps, dt, spread, prep, half = _coin_step(cfg, params)
     n, rc = params.n, params.running_cost
     terminals = np.empty((cfg.paths, n))
     rewards = np.empty(cfg.paths)
     for lo in range(0, cfg.paths, game._BLOCK):
         hi = min(cfg.paths, lo + game._BLOCK)
-        noise = draw(game.path_rng(cfg.seed, lo // game._BLOCK), (hi - lo, steps, n + 1))
+        coins = game._coins(game.path_rng(cfg.seed, lo // game._BLOCK),
+                            (min(hi - lo, half), steps, n + 1))
         X = np.tile(cfg.start, (hi - lo, 1))
         acc = np.zeros(hi - lo)
         for k in range(steps):
@@ -374,7 +368,7 @@ def stepwise_play(cfg, payoff, params, strat_plus, strat_minus):
                         *game.checked_controls(strat_minus, X, t))
             if rc is not None:
                 acc += np.exp(-params.r * (t - cfg.t0)) * rc(X, t) * dt
-            X = advance(X, coef, noise[:, k])
+            X = game._step(X, coef, coins[:, k], spread)
         terminals[lo:hi] = X
         rewards[lo:hi] = game.discounted_reward(X, cfg.t0, params, payoff) + acc
     return terminals, game._estimate(rewards, cfg.paths, cfg.seed)

@@ -2,8 +2,8 @@
 
 Each test prints ``[NN] PASS/FAIL name: detail`` straight to the terminal
 (bypassing capture) and then asserts, so a plain ``pytest tests/test_acceptance.py``
-shows the full scorecard.  Oracle values come from Gauss-Hermite quadrature and
-closed forms only; nothing here is tuned to the solver output.
+shows the full scorecard.  Oracle values come from closed forms and exact sums
+only; nothing here is tuned to the solver output.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def test_01_price_matches_quadrature_oracle(verdict, priced_put, run_cli, tmp_pa
         rel_drift = abs(report["points"][0]["u"] - oracle_drift) / oracle_drift
 
     ok = ok and rel_flat < 0.01 and rel_drift < 0.01 and priced_put.elapsed < 60.0
-    verdict(1, "price vs Gauss-Hermite oracle", ok,
+    verdict(1, "price vs closed-form Gaussian oracle", ok,
              f"rel err {rel_flat:.1e} (flat) {rel_drift:.1e} (drifted), "
              f"{priced_put.elapsed:.1f}s")
 

@@ -1205,6 +1205,29 @@ class TestConstantReads:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    def test_every_step_term_live_matches_the_checked_path(self, sim, threads):
+        # 2-D directions neither equal nor opposed, d+ != d- and mu != 0: every
+        # term of _step, its shift, the push within it and the lever, is nonzero
+        # on both axes.  _BLOCK + 5000 paths end on a short block, whose SDE rows
+        # replay h = _HALF < B drawn rows and whose coin-game rows are all drawn
+        sp = ConstantStrategy(theta=np.array([0.6, 0.8]), d=0.7, m=1.0)
+        sm = ConstantStrategy(theta=np.array([1.0, 0.0]), d=0.4, m=1.0)
+        assert np.all(sp.theta + sm.theta) and np.all(sp.theta - sm.theta)
+        params, payoff = params_2d(), BasketPut(weights=np.full(2, 0.5), strike=K)
+        start, paths = np.full(2, LOG_K), _BLOCK + 5000
+        if sim == "sde":
+            cfg = SimConfig(start=start, t0=0.1, paths=paths, seed=5, nt=30)
+            terminals, checked = stepwise_play(cfg, payoff, params, sp, sm)
+            assert np.array_equal(simulate_sde_paths(cfg, params, sp, sm, threads), terminals)
+            played = mc_value(payoff, params, sp, sm, cfg, threads)
+        else:
+            cfg = DiscreteGameConfig(start=start, t0=0.1, N=30, paths=paths, seed=5)
+            checked = stepwise_play(cfg, payoff, params, sp, sm)[1]
+            played = simulate_discrete_game(cfg, payoff, params, sp, sm, threads)
+        assert played.mean == checked.mean and played.stderr == checked.stderr
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
     def test_step_coefficients_built_once_match_with_running_cost(self, sim, threads):
         # the coefficients of a constant pair are built once per run; the cost reads
         # the state before every step, so the two routes must agree on every path

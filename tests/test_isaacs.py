@@ -1151,3 +1151,28 @@ class TestDirectionCap:
 
     def test_one_dimension_still_ignores_the_count(self):
         assert DirectionSet.for_dimension(1, 2**64).count == 2
+
+
+class TestScratchCount:
+    @pytest.mark.parametrize("n, count, B, flat", [(1, None, 2 * 32768 + 1, 0.0),
+                                                   (2, 4, 2 * 3640 + 1, 0.5),
+                                                   (2, 720, 60, 0.8), (3, 130, 40, 0.5)])
+    def test_batch_peak_stays_within_the_counted_scratch(self, n, count, B, flat):
+        # the PDE's stack budget counts a bounded step's operator call as
+        # _scratch_doubles; the call's (B,) arrays, 4 per input, come on top.
+        # Three slices of the 1-D pair (B = 2 chunks + 1) peak at 0.97 of it
+        dirs = DirectionSet.for_dimension(n, count)
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((B, n))
+        M = rng.standard_normal((B, n, n))
+        M += M.transpose(0, 2, 1)
+        zero = rng.random(B) < flat
+        p[zero], M[zero] = 0.0, 0.0
+        xi = np.zeros(B)
+        tracemalloc.start()
+        try:
+            hm_values_batch(xi, p, M, 2.0, params_nd(n), dirs, "minus")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (isaacs._scratch_doubles(dirs, B) + 4 * B)

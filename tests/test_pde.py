@@ -485,19 +485,36 @@ class TestSolveTerminalValue:
             with pytest.raises(PreconditionError, match="lower grid.nx"):
                 solve_terminal_value(payoff, params, SolverConfig(), spec)
 
-    @pytest.mark.parametrize("n, nx, T", [(1, 24001, 2e-7), (2, 141, 3e-3), (3, 31, 0.04),
-                                          (4, 13, 0.2)])
-    def test_solve_peak_stays_within_the_counted_bytes(self, n, nx, T):
+    @pytest.mark.parametrize("n, nx, T, mode", [
+        pytest.param(1, 24001, 2e-7, "limit_F", id="1-24001-2e-07"),
+        pytest.param(2, 141, 3e-3, "limit_F", id="2-141-0.003"),
+        pytest.param(3, 31, 0.04, "limit_F", id="3-31-0.04"),
+        pytest.param(4, 13, 0.2, "limit_F", id="4-13-0.2"),
+        pytest.param(1, 24001, 2e-7, "bounded_minus", id="bounded_minus-1-24001-2e-07"),
+        pytest.param(2, 41, 0.04, "bounded_minus", id="bounded_minus-2-41-0.04"),
+    ])
+    def test_solve_peak_stays_within_the_counted_bytes(self, n, nx, T, mode):
         # about a dozen steps each; the step's temporaries, n^2 + 2n + 8 doubles
-        # per interior node, come to 1.5-3.5 MiB on these grids
-        params = MarketParams(mu=np.zeros(n), sigma=np.full(n, 0.2), r=0.0, T=T)
+        # per interior node, come to 1.5-3.5 MiB on these grids.  A bounded
+        # solve also holds the operator scratch of one slice of inputs, counted
+        # as 8.1 MiB (1-D) and 7.2 MiB (2-D, K = 18) here: without it the peak
+        # exceeds the count by 5.1 and 3.1 MiB.  The 2-D one carries a running
+        # cost, which skips the [0, sup g] check that its non-monotone step fails
+        rc = constant_running_cost(-1.0) if mode == "bounded_minus" and n == 2 else None
+        params = MarketParams(mu=np.zeros(n), sigma=np.full(n, 0.2), r=0.0, T=T,
+                              running_cost=rc)
         payoff = BasketPut(weights=np.full(n, 1.0 / n), strike=1.0)
         spec = GridSpec(lo=np.full(n, -1.0), hi=np.full(n, 1.0), nx=(nx,) * n)
-        nt = resolve_time_steps(spec, params, SolverConfig())
+        config = (SolverConfig() if mode == "limit_F"
+                  else SolverConfig(mode=mode, m=2.0, n_dirs=16))
+        nt = resolve_time_steps(spec, params, config)
         counted = (nt + 1 + n) * nx**n + (2 * n * n + 3 * n + 8) * (nx - 2) ** n
+        if mode != "limit_F":
+            dirs = isaacs.DirectionSet.for_dimension(n, config.n_dirs)
+            counted += isaacs._scratch_doubles(dirs, (nx - 2) ** n)
         tracemalloc.start()
         try:
-            solve_terminal_value(payoff, params, SolverConfig(), spec)
+            solve_terminal_value(payoff, params, config, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 import threading
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 CODELINES = TOOLS / "codelines.py"
+SAME_OUTPUTS = TOOLS / "same_outputs.py"
 
 # line by line: docstrings, comments and blank lines are not code; every
 # line of a multi-line call or of a string that is not a docstring is
@@ -144,3 +146,30 @@ def test_untested_tracer_skips_frames_it_cannot_place(tmp_path):
         frame = SimpleNamespace(f_code=SimpleNamespace(co_filename=name))
         assert tracer(frame, "call", None) is None
     assert hits == {}
+
+
+def same_outputs(other: Path) -> subprocess.CompletedProcess:
+    """The script on the small coin-game workload, the quickest, against ``other``."""
+    return subprocess.run([sys.executable, str(SAME_OUTPUTS), str(other), "--small",
+                           "--workload", "coin-game-2t"], capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_same_outputs_finds_no_difference_against_itself():
+    proc = same_outputs(TOOLS.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "all --out files are byte-identical"
+    assert "coin-game-2t: 0 of 2 --out files differ" in proc.stderr
+
+
+def test_same_outputs_lists_the_file_another_tree_writes_differently(tmp_path):
+    # a copy of the package whose coin game negates every coin plays other
+    # paths, so only its report moves; the resolved config stays the same
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "tugpricer" / "game.py", "a") as fh:
+        fh.write("\n_drawn = _coins\n_coins = lambda gen, shape: -_drawn(gen, shape)\n")
+    proc = same_outputs(tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "coin-game-2t: 1 of 2 --out files differ" in proc.stderr
+    assert proc.stdout.splitlines() == ["coin-game-2t: report.json"]
