@@ -11,9 +11,10 @@ giving upper/lower tables that bracket the PDE solutions.
 Randomness is reproducible by construction: each fixed block of 8192 paths
 draws from a counter-based stream keyed by (seed, block), so a path's draws
 depend only on (seed, path index, steps, n), never on threads.  A block draws
-its rows of coins row-major in one call of 32-bit words and reads coin j as
-the top bit of byte j, the bit ``integers(0, 2, int8)`` would give.  The coin
-game draws every row, so its rows stay independent; the SDE draws only the
+its rows of coins row-major in one call of 64-bit words, split little-endian
+into bytes, and reads coin j as the top bit of byte j: the coins
+``integers(0, 2, int8)`` would give, from the same words.  The coin game
+draws every row, so its rows stay independent; the SDE draws only the
 block's first 4096 rows, and row j >= 4096 is the negation of row j - 4096,
 still coins, an antithetic pair with the same law under any Markov strategy.
 That half is applied by subtraction, never stored.
@@ -25,7 +26,10 @@ coefficients (shift, lever), built from the controls alone, and the one
 state update ``_step`` that applies them.  Every player is an exact constant
 strategy or a per-slice policy, the policies on one grid and clock, so the
 coefficients are built before any draw: once per run without a policy, else
-once per slice that the clock reads.
+once per slice that the clock reads.  A block builds its spread terms
+spread c[:n] once per chunk of ``_CHUNK`` steps, step-major, so each step
+adds one contiguous slice in place: a step whose shift and lever are both
+exactly 0 is one numpy call, short enough for the pool's threads to overlap.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ Array = np.ndarray
 
 _BLOCK = 8192  # paths per work block and per RNG stream; fixed so threads never change results
 _HALF = _BLOCK // 2  # SDE rows drawn per block; row j >= _HALF replays row j - _HALF negated
+# steps whose spread terms a block builds in one call: 8 x 8192 rows x 8 bytes is
+# 0.5 MiB per worker and coordinate; 16 put coin-game peak RSS 2.1 MiB up at 2 threads
+_CHUNK = 8
 # cap on the interpolation query coordinates of one DPP sweep: nodes x the size of
 # the sweep's move array (3K^2 actions x 2^(n+1) coins x n); tracemalloc puts a
 # solve's peak at 42 (11^2, K=8) to 45 (21^2, K=16) bytes per coordinate, so this
@@ -65,8 +72,11 @@ def path_rng(seed: int, block: int) -> np.random.Generator:
     rows stay independent, the first min(B, ``_HALF``) in the SDE, whose
     later rows negate the rows ``_HALF`` before them in ``_step``; the draw
     holds only the drawn rows.  A draw of count coins reads
-    ceil(count / 4) ``uint32`` words and takes coin i as 2 (byte i >> 7) - 1
-    of their little-endian bytes, the same coins as ``integers(0, 2, int8)``.
+    ceil(count / 8) ``uint64`` words in one call and takes coin i as
+    2 (byte i >> 7) - 1 of their little-endian bytes.  Split little-endian,
+    those words are the ``uint32`` words that ``integers(0, 2, int8)`` reads
+    one byte of per coin, so the coins are its coins, including an odd
+    ``uint32`` count whose last 64-bit word is read in half.
     """
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -302,11 +312,12 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
           store: Callable) -> None:
     """Play every path from (cfg.start, cfg.t0) for `steps` steps of length `dt`.
 
-    Each block of B paths draws its coins once, the min(B, `half`) rows of
-    ``_coins`` from its ``path_rng`` stream, advances ``X = _step(X, coef,
-    coins[:, k], spread)`` by coefficients ``prep(tp, dp, tm, dm)``, the
-    (shift, lever) terms elementwise in the controls at the pre-step state,
-    then hands its rows to ``store(lo, hi, X, acc)``; acc holds the
+    Each block of B paths draws its coins once, the h = min(B, `half`) rows
+    of ``_coins`` from its ``path_rng`` stream, builds ``spread * c[:n]`` of
+    ``_CHUNK`` steps at a time into a step-major buffer, advances X in place
+    by ``_step`` with coefficients ``prep(tp, dp, tm, dm)``, the (shift,
+    lever) terms elementwise in the controls at the pre-step state, then
+    hands its rows to ``store(lo, hi, X, acc)``; acc holds the
     left-endpoint sums of the running cost `rc` (0 when None), the cost paid
     at t_k discounted by exp(-r (t_k - t0)).  The SDE passes ``_HALF``, for
     antithetic rows, and the coin game ``_BLOCK``, for independent rows.
@@ -357,14 +368,21 @@ def _play(cfg: SimConfig | DiscreteGameConfig, params: MarketParams,
 
     def worker(lo: int) -> None:
         hi = min(cfg.paths, lo + _BLOCK)
-        coins = _coins(path_rng(cfg.seed, lo // _BLOCK), (min(hi - lo, half), steps, n + 1))
+        h = min(hi - lo, half)
+        coins = _coins(path_rng(cfg.seed, lo // _BLOCK), (h, steps, n + 1))
         X = np.tile(cfg.start, (hi - lo, 1))
         acc = np.zeros(hi - lo)
+        terms = np.empty((min(_CHUNK, steps), h, n))  # step-major spread terms of one chunk
+        scratch = np.empty((h, n))  # the lever term of one step
         for k, t_k in enumerate(times):
+            j = k % _CHUNK
+            if j == 0:
+                z = coins[:, k:k + _CHUNK, :n].transpose(1, 0, 2)
+                np.multiply(spread, z, out=terms[:len(z)])
             coef = coef_at(X, k)
             if rc is not None:
                 acc += np.exp(-params.r * (t_k - cfg.t0)) * rc(X, t_k) * dt
-            X = _step(X, coef, coins[:, k], spread)
+            _step(X, coef, coins[:, k, n:], terms[j], scratch)
         store(lo, hi, X, acc)
 
     starts = range(0, cfg.paths, _BLOCK)
@@ -406,27 +424,31 @@ def _sde(cfg: SimConfig, params: MarketParams) -> tuple[float, Array, Callable, 
     return (dt, *_euler(params, dt), _HALF)
 
 
-def _step(X: Array, coef, z: Array, spread: Array) -> Array:
-    """The one state update of both simulators, X + shift + spread z[:n] +
-    lever z[n] per row, on a block's h drawn rows z of int8 +-1 coins (the
-    promotion of +-1 is exact); ``coef = (shift, lever)``, either None when
-    exactly zero.  Rows h.. of X replay rows ..B - h negated, applied by
-    subtraction: a (-z) = -(a z) and x + (-y) = x - y exactly.  Each row
-    adds its terms in that order; rows are independent, so the drawn rows
-    are finished before the replayed ones start."""
+def _step(X: Array, coef, zn: Array, term: Array, scratch: Array) -> None:
+    """The one state update of both simulators, X += shift + spread z[:n] +
+    lever z[n] per row, in place, on a block's h drawn rows z of int8 +-1
+    coins (the promotion of +-1 is exact): ``term`` is the (h, n) spread term
+    spread z[:n], ``zn`` the (h, 1) lever coins z[n:] and ``scratch`` an
+    (h, n) buffer for the lever term; ``coef = (shift, lever)``, either None
+    when exactly zero.  Rows h.. of X replay rows ..B - h negated, applied by
+    subtraction: a (-z) = -(a z) and x + (-y) = x - y exactly.  Each row adds
+    its terms in that order; rows are independent, so the drawn rows are
+    finished before the replayed ones start."""
     shift, lever = coef
-    (B, n), h = X.shape, z.shape[0]
-    X = X + shift if shift is not None else X.copy()
-    term = spread * z[:, :n]
-    X[:h] += term
+    h = len(term)
+    head, tail = X[:h], X[h:]
+    r = len(tail)
+    if shift is not None:
+        X += shift
+    head += term
     if lever is not None:
-        zn = z[:, n:].copy()  # one contiguous copy of the strided column, read twice
-        X[:h] += lever[:h] * zn
-    if h < B:  # the coin game draws every row and replays none
-        X[h:] -= term[:B - h]
+        np.multiply(lever[:h], zn, out=scratch)
+        head += scratch
+    if r:  # the coin game draws every row and replays none
+        tail -= term[:r]
         if lever is not None:
-            X[h:] -= np.broadcast_to(lever, X.shape)[h:] * zn[:B - h]
-    return X
+            np.multiply(np.broadcast_to(lever, X.shape)[h:], zn[:r], out=scratch[:r])
+            tail -= scratch[:r]
 
 
 def _value(cfg: SimConfig | DiscreteGameConfig, payoff: Payoff, params: MarketParams,
@@ -492,15 +514,16 @@ def simulate_discrete_game(cfg: DiscreteGameConfig, payoff: Payoff, params: Mark
 
 def _coins(gen: np.random.Generator, shape) -> Array:
     """A block's +-1 coins as int8, for both simulators: coin i is the top bit t
-    of byte i of ceil(count / 4) raw words (see ``path_rng``), mapped to 2t - 1
-    by four passes over the words in place, with no block-sized temporaries."""
+    of byte i of ceil(count / 8) little-endian 64-bit words from one draw (see
+    ``path_rng``), mapped to 2t - 1 by four passes over the words in place,
+    with no block-sized temporaries."""
     count = math.prod(shape)
-    words = gen.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
-    words = words.astype("<u4", copy=False)
+    words = gen.integers(0, 1 << 64, size=-(-count // 8), dtype=np.uint64)
+    words = words.astype("<u8", copy=False)
     words >>= 7  # the top bit of each byte to its bottom bit
-    words &= 0x01010101
+    words &= 0x0101010101010101
     words *= 0xFE  # 0 or 0xFE per byte; no byte carries into the next
-    words ^= 0xFFFFFFFF  # 0xFF (-1) or 0x01 (+1)
+    words ^= 0xFFFFFFFFFFFFFFFF  # 0xFF (-1) or 0x01 (+1)
     return words.view(np.int8)[:count].reshape(shape)
 
 

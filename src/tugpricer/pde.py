@@ -309,11 +309,13 @@ def interior_derivatives(u: Array, h: Array) -> tuple[Array, Array]:
     return stencil.p, stencil.M
 
 
-def _operator(config: SolverConfig, params: MarketParams, p: Array, M: Array):
+def _operator(config: SolverConfig, params: MarketParams, p: Array, M: Array,
+              dirs: isaacs.DirectionSet | None):
     """G(xi, p, M) of the configured mode on batches shaped like p and M.
 
     limit_F runs the kernel ``isaacs._Limit``, built and checked against
-    those shapes once; the bounded modes call ``hm_values_batch``, whose
+    those shapes once; the bounded modes call ``hm_values_batch`` on
+    ``dirs``, the solve's one direction set (None for limit_F), whose
     direction search outweighs its checks.
     """
     eps = config.resolved_eps_grad(params)
@@ -321,7 +323,6 @@ def _operator(config: SolverConfig, params: MarketParams, p: Array, M: Array):
         kernel = isaacs._Limit(params, eps)
         kernel.check(p, M)
         return kernel
-    dirs = isaacs.DirectionSet.for_dimension(params.n, config.n_dirs)
     side = config.mode.removeprefix("bounded_")
     return lambda xi, p, M: -isaacs.hm_values_batch(xi, p, M, config.m, params, dirs, side)
 
@@ -347,7 +348,7 @@ class _Workspace:
     ``ws(values_next, t_next)`` steps back dt and returns a new slice."""
 
     def __init__(self, payoff: Payoff, params: MarketParams, config: SolverConfig,
-                 spec: GridSpec, dt: float):
+                 spec: GridSpec, dt: float, dirs: isaacs.DirectionSet | None):
         if spec.n > 4:
             raise ValidationError("solver supports at most 4 spatial dimensions")
         n = spec.n
@@ -356,7 +357,7 @@ class _Workspace:
         self.interior = tuple(k - 2 for k in spec.nx)
         self.stencil = _Stencil(spec.h, self.interior)
         self.core = self.stencil.core
-        self.operator = _operator(config, params, *self.stencil.rows)
+        self.operator = _operator(config, params, *self.stencil.rows, dirs)
         self.cost_points = None
         if params.running_cost is not None:
             self.cost_points = spec.points().reshape(*spec.nx, n)[self.core].reshape(-1, n)
@@ -381,8 +382,9 @@ def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverCon
     n = spec.n
     nodes = math.prod(spec.nx)
     inner = math.prod(k - 2 for k in spec.nx)
-    scratch = 0 if config.mode == "limit_F" else isaacs._scratch_doubles(
-        isaacs.DirectionSet.for_dimension(n, config.n_dirs), inner)
+    dirs = None if config.mode == "limit_F" else isaacs.DirectionSet.for_dimension(
+        n, config.n_dirs)
+    scratch = 0 if dirs is None else isaacs._scratch_doubles(dirs, inner)
     doubles = (nt + 1 + n) * nodes + (2 * n * n + 3 * n + 8) * inner + scratch
     if doubles > _STACK_BUDGET:
         raise PreconditionError(
@@ -393,7 +395,7 @@ def solve_terminal_value(payoff: Payoff, params: MarketParams, config: SolverCon
             f"{_STACK_BUDGET:.3g}; lower grid.nx")
     spec = replace(spec, nt=nt)
     dt = params.T / nt
-    ws = _Workspace(payoff, params, config, spec, dt)
+    ws = _Workspace(payoff, params, config, spec, dt, dirs)
     values = _march(ws.terminal, nt, dt, ws)
     lo, hi = float(values.min()), float(values.max())  # NaN reaches both
     if not (np.isfinite(lo) and np.isfinite(hi)):

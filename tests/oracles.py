@@ -341,11 +341,13 @@ def stepwise_play(cfg, payoff, params, strat_plus, strat_minus):
     route: each block of ``_BLOCK`` paths draws its min(B, half) rows of
     ``_coins`` from ``path_rng``, then every step reads both players through
     ``checked_controls`` at the pre-step states and time, builds the step's
-    coefficients from those controls and applies them by ``game._step``, the
-    one state update.  Returns the terminal states (paths, n) and the
-    estimate of the discounted payoff plus the running cost's left-endpoint
-    sum.  A ``SimConfig`` plays the SDE of ``game._sde``, half ``_HALF``;
-    any other config the coin game, half ``_BLOCK``."""
+    coefficients from those controls and its own spread term spread c[:n]
+    from that step's coins, not a chunk's, and applies them by
+    ``game._step``, the one state update.  Returns the terminal states
+    (paths, n) and the estimate of the discounted payoff plus the running
+    cost's left-endpoint sum.  A ``SimConfig`` plays the SDE of
+    ``game._sde``, half ``_HALF``; any other config the coin game, half
+    ``_BLOCK``."""
     from tugpricer import game
 
     if isinstance(cfg, game.SimConfig):
@@ -362,13 +364,15 @@ def stepwise_play(cfg, payoff, params, strat_plus, strat_minus):
                             (min(hi - lo, half), steps, n + 1))
         X = np.tile(cfg.start, (hi - lo, 1))
         acc = np.zeros(hi - lo)
+        scratch = np.empty((len(coins), n))
         for k in range(steps):
             t = cfg.t0 + k * dt
             coef = prep(*game.checked_controls(strat_plus, X, t),
                         *game.checked_controls(strat_minus, X, t))
             if rc is not None:
                 acc += np.exp(-params.r * (t - cfg.t0)) * rc(X, t) * dt
-            X = game._step(X, coef, coins[:, k], spread)
+            z = coins[:, k]
+            game._step(X, coef, z[:, n:], spread * z[:, :n], scratch)
         terminals[lo:hi] = X
         rewards[lo:hi] = game.discounted_reward(X, cfg.t0, params, payoff) + acc
     return terminals, game._estimate(rewards, cfg.paths, cfg.seed)

@@ -133,12 +133,13 @@ class TestPathRng:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_coins_are_the_int8_coins(self):
-        # 37 * 9 * 3 = 999 coins: the last word is read in part
-        shape = (37, 9, 3)
-        coins = game._coins(path_rng(12, 3), shape)
-        want = path_rng(12, 3).integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
-        assert coins.dtype == np.int8 and coins.shape == shape
-        assert np.array_equal(coins, want)
+        # 999 coins read the last 64-bit word in part; 1 and 9 coins read an odd
+        # count of 32-bit words, so half the last 64-bit word goes unread
+        for shape in [(37, 9, 3), (1, 1, 1), (3, 1, 3)]:
+            coins = game._coins(path_rng(12, 3), shape)
+            want = path_rng(12, 3).integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
+            assert coins.dtype == np.int8 and coins.shape == shape
+            assert np.array_equal(coins, want)
 
     def test_one_stream_per_block(self, monkeypatch):
         calls = []
@@ -1224,6 +1225,46 @@ class TestConstantReads:
             cfg = DiscreteGameConfig(start=start, t0=0.1, N=30, paths=paths, seed=5)
             checked = stepwise_play(cfg, payoff, params, sp, sm)[1]
             played = simulate_discrete_game(cfg, payoff, params, sp, sm, threads)
+        assert played.mean == checked.mean and played.stderr == checked.stderr
+
+    @pytest.mark.parametrize("steps", [5, 13])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sim", ["sde", "discrete"])
+    def test_chunk_tail_with_running_cost_matches_the_checked_path(self, monkeypatch, sim,
+                                                                   threads, steps):
+        # _play builds the spread terms once per game._CHUNK steps; 5 steps play
+        # one short chunk and 13 a full one and a short tail.  Shift, push and
+        # lever are nonzero on both axes and a running cost reads every step
+        assert steps % game._CHUNK
+        sp = ConstantStrategy(theta=np.array([0.6, 0.8]), d=0.7, m=1.0)
+        sm = ConstantStrategy(theta=np.array([1.0, 0.0]), d=0.4, m=1.0)
+        rc = RunningCost(h=lambda x, t: -1.0 - (x[:, 0] - LOG_K) ** 2 - x[:, 1] * t, alpha=1.0)
+        params = replace(params_2d(), running_cost=rc)
+        payoff = BasketPut(weights=np.full(2, 0.5), strike=K)
+        start, paths = np.full(2, LOG_K), _BLOCK + 5000
+        if sim == "sde":
+            cfg = SimConfig(start=start, t0=0.1, paths=paths, seed=5, nt=steps)
+        else:
+            cfg = DiscreteGameConfig(start=start, t0=0.0, N=steps, paths=paths, seed=5)
+        want, checked = stepwise_play(cfg, payoff, params, sp, sm)
+        terminals = np.full((paths, 2), np.nan)
+        real = game._play
+
+        def recording(*args):  # _play with a store that also keeps the terminals
+            *head, store = args
+
+            def keep(lo, hi, X, acc):
+                terminals[lo:hi] = X
+                store(lo, hi, X, acc)
+
+            real(*head, keep)
+
+        monkeypatch.setattr(game, "_play", recording)
+        if sim == "sde":
+            played = mc_value(payoff, params, sp, sm, cfg, threads)
+        else:
+            played = simulate_discrete_game(cfg, payoff, params, sp, sm, threads)
+        assert np.array_equal(terminals, want)
         assert played.mean == checked.mean and played.stderr == checked.stderr
 
     @pytest.mark.parametrize("threads", [1, 2])

@@ -243,7 +243,9 @@ def same_floats(got, want) -> bool:
 def one_point(config, params, p, M, xi=0.0) -> float:
     """The solver's G(xi, p, M) for the configured mode, on a one-row batch."""
     p, M = np.array([p], dtype=float), np.array([M], dtype=float)
-    return float(pde._operator(config, params, p, M)(np.array([xi]), p, M)[0])
+    dirs = (None if config.mode == "limit_F"
+            else isaacs.DirectionSet.for_dimension(params.n, config.n_dirs))
+    return float(pde._operator(config, params, p, M, dirs)(np.array([xi]), p, M)[0])
 
 
 class TestApplyOperator:
@@ -331,9 +333,10 @@ class TestPreparedStep:
         spec = GridSpec(lo=np.full(n, LOG_K - 1.5), hi=np.full(n, LOG_K + 1.5),
                         nx=(9, 7, 6)[:n], nt=10)
         dt = params.T / spec.nt
-        ws = pde._Workspace(payoff, params, config, spec, dt)
         eps = config.resolved_eps_grad(params)
         if config.mode == "limit_F":
+            dirs = None
+
             def operator(xi, p, M):
                 return isaacs.limit_values_batch(xi, p, M, params, eps)
         else:
@@ -342,6 +345,8 @@ class TestPreparedStep:
 
             def operator(xi, p, M):
                 return -isaacs.hm_values_batch(xi, p, M, config.m, params, dirs, side)
+
+        ws = pde._Workspace(payoff, params, config, spec, dt, dirs)
 
         def oracle(u, t_next):
             return explicit_step_oracle(u, t_next, ws.terminal, spec.points(), spec.h, dt,
